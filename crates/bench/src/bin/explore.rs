@@ -6,8 +6,7 @@
 //! explore histogram --impl sortscan --batch 256
 //! explore scatter   --n 8192 --range 64 --cs 16 --fu 2 --banks 4
 //! explore scan      --n 65536
-//! explore multinode --nodes 8 --net low --combining --topology hypercube \
-//!                   --step-threads 4
+//! explore multinode --nodes 8 --net low --combining --topology hypercube
 //! explore rig       --cs 8 --latency 64 --interval 2
 //! ```
 //!
@@ -17,7 +16,6 @@
 
 use sa_apps::histogram::{run_hw, run_privatization_default, run_sort_scan, HistogramInput};
 use sa_bench::args::Args;
-use sa_bench::cli::Cli;
 use sa_bench::telemetry::BenchRun;
 use sa_core::{drive_scan, drive_scatter, ScatterKernel, SensitivityRig};
 use sa_multinode::{MultiNode, Topology};
@@ -131,11 +129,10 @@ fn cmd_multinode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         _ => Topology::Flat,
     };
     let combining = args.has("combining");
-    let step_threads = Cli::try_from_args(args.clone())?.step_threads();
     let input = input_from(args)?;
     let values = vec![1.0f64; input.len()];
     let mut mn = MultiNode::with_topology(cfg, nodes, net, combining, topology);
-    let r = mn.run_trace_threads(&input.data, &values, step_threads);
+    let r = mn.run_trace(&input.data, &values);
     println!(
         "multinode nodes={nodes} combining={combining} topology={topology:?}: \
          {:.1} GB/s ({} cycles, {} sum-back lines, {} flush rounds)",

@@ -37,12 +37,10 @@ struct Variant {
 }
 
 /// Replay one trace for every (variant, node count) point. The points fan
-/// out over the sweep executor; `--step-threads` additionally parallelizes
-/// the cycle loop *inside* each multinode simulation (bit-identical to
-/// serial stepping, see `docs/PARALLELISM.md`). Each point carries its own
+/// out over the sweep executor (see `docs/PARALLELISM.md`). Each point
+/// carries its own
 /// [`sa_telemetry::Introspect`] so `--probe-listen` streams labelled
 /// snapshots and `--host-profile` attributes wall-clock per phase.
-#[allow(clippy::too_many_arguments)]
 fn run_series(
     bench: &mut BenchRun,
     machine: &MachineConfig,
@@ -51,7 +49,6 @@ fn run_series(
     values: &[f64],
     variants: &[Variant],
     nodes_list: &[usize],
-    step_threads: usize,
 ) {
     let points: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|vi| nodes_list.iter().map(move |&n| (vi, n)))
@@ -87,7 +84,7 @@ fn run_series(
         |((vi, n), mut probe)| {
             let v = &variants[vi];
             let mut mn = MultiNode::new(*machine, n, v.net, v.combining);
-            let r = mn.run_trace_threads_probed(trace, values, step_threads, &mut probe);
+            let r = mn.run_trace_probed(trace, values, &mut probe);
             let mut point = CachedPoint::new();
             r.record_metrics(&mut point.scope(&format!("{label}.{}.n{n}", v.name)));
             point.num("gbps", r.throughput_gbps(machine.ghz));
@@ -122,7 +119,6 @@ fn main() {
     let cli = Cli::from_env();
     let mut bench = BenchRun::from_cli("fig13", &machine, &cli);
     let quick = cli.quick();
-    let step_threads = cli.step_threads();
     let nodes_list: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let hist_n = if quick { 8192 } else { 65_536 };
 
@@ -161,7 +157,6 @@ fn main() {
         &ones,
         &hist_variants,
         nodes_list,
-        step_threads,
     );
     run_series(
         &mut bench,
@@ -171,7 +166,6 @@ fn main() {
         &ones,
         &hist_variants,
         nodes_list,
-        step_threads,
     );
 
     // MD trace: first 590K references (paper) of the water kernel.
@@ -216,7 +210,6 @@ fn main() {
         &mole_vals,
         &comb_variants,
         nodes_list,
-        step_threads,
     );
     run_series(
         &mut bench,
@@ -226,7 +219,6 @@ fn main() {
         &spas_vals,
         &comb_variants,
         nodes_list,
-        step_threads,
     );
 
     println!(

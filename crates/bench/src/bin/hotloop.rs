@@ -30,21 +30,13 @@
 //! comparison is warn-only: wall-clock numbers depend on the host, so CI
 //! publishes them as a tracked metric rather than a hard gate.
 //!
-//! A second table measures intra-node bank-lane stepping
-//! (`docs/PARALLELISM.md`): the two compute-bound workloads at
-//! `--node-threads 4` vs 1, with identical simulated cycles asserted. The
-//! speedup is tracked warn-only and never gated: it scales with host cores,
-//! and on a single-core machine the barrier overhead makes it a *slowdown*
-//! by design (the pool parks instead of spinning), so the entry records
-//! `host_cores` alongside the ratio to keep the number interpretable.
-//!
-//! A third table measures the introspection layer (`docs/OBSERVABILITY.md`):
+//! A second table measures the introspection layer (`docs/OBSERVABILITY.md`):
 //! the same driver hot loop with probes off, snapshotting every 4096
 //! cycles, streaming those snapshots to a sink, and host-profiling. The
 //! disabled path must match the probe-off cycle count exactly (asserted),
 //! and `--probe-baseline` warns when a variant's throughput halves.
 //!
-//! A fourth table measures the content-addressed result cache
+//! A third table measures the content-addressed result cache
 //! (`docs/PERFORMANCE.md`): a Figure-6-shaped sweep with the cache off,
 //! cold (every point simulated and stored), and warm (every point replayed
 //! without simulating). Hit/miss/store counts are asserted exactly and the
@@ -144,60 +136,6 @@ fn compare_to_baseline(baseline: &Json, runs: &[Json], key: &str) -> usize {
         }
     }
     warnings
-}
-
-/// Measure the intra-node bank-lane pool on the compute-bound workloads:
-/// `--node-threads 4` vs 1 with fast-forward off, so the comparison
-/// isolates the worker pool itself (the rig workload is excluded — its
-/// memory-stall shape measures the scheduler, not the lanes). Simulated
-/// cycles must match exactly; wall-clock is tracked warn-only because the
-/// ratio is a property of the host's core count.
-fn measure_intra_node(quick: bool, repeats: usize) -> Vec<Json> {
-    header(
-        "Intra-node stepping",
-        "bank-lane pool at --node-threads 4 vs 1; compute-bound workloads",
-    );
-    let threads = 4usize;
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let prev_threads = sa_sim::node_threads_default();
-    let mut out = Vec::new();
-    for w in workloads(quick) {
-        if w.name == "rig-stall" {
-            continue;
-        }
-        sa_sim::set_fast_forward_default(false);
-        sa_sim::set_node_threads_default(1);
-        let (cycles_1, wall_1) = measure(&*w.run, repeats);
-        sa_sim::set_node_threads_default(threads);
-        let (cycles_n, wall_n) = measure(&*w.run, repeats);
-        assert_eq!(
-            cycles_n, cycles_1,
-            "{}: node-threads changed simulated time",
-            w.name
-        );
-        let speedup = wall_1 / wall_n;
-        row(
-            w.name,
-            &[
-                ("sim cycles", format!("{cycles_n}")),
-                ("1 thread", format!("{:.2}ms", wall_1 * 1e3)),
-                ("4 threads", format!("{:.2}ms", wall_n * 1e3)),
-                ("speedup", format!("{speedup:.2}x")),
-                ("host cores", format!("{cores}")),
-            ],
-        );
-        let mut o = Json::obj();
-        o.push("name", Json::Str(w.name.to_owned()));
-        o.push("sim_cycles", Json::UInt(cycles_n));
-        o.push("wall_ms_nt1", Json::Num(wall_1 * 1e3));
-        o.push("wall_ms_nt4", Json::Num(wall_n * 1e3));
-        o.push("intra_node_speedup", Json::Num(speedup));
-        o.push("host_cores", Json::UInt(cores as u64));
-        out.push(o);
-    }
-    sa_sim::set_node_threads_default(prev_threads.max(1));
-    sa_sim::set_fast_forward_default(true);
-    out
 }
 
 /// The introspection variants of the probe-overhead table. Each factory
@@ -485,8 +423,6 @@ fn main() {
         }
     }
     println!();
-    let intra_runs = measure_intra_node(quick, repeats);
-    println!();
     let cache_runs = measure_cache(quick);
     if let Some(path) = args.raw("out") {
         let mut doc = Json::obj();
@@ -494,7 +430,6 @@ fn main() {
         doc.push("quick", Json::Bool(quick));
         doc.push("repeats", Json::UInt(repeats as u64));
         doc.push("runs", Json::Arr(runs.clone()));
-        doc.push("intra_node", Json::Arr(intra_runs.clone()));
         doc.push("cache", Json::Arr(cache_runs.clone()));
         if let Err(e) = std::fs::write(path, doc.to_string_pretty()) {
             eprintln!("error: could not write {path}: {e}");
@@ -536,7 +471,6 @@ fn main() {
         quick,
         &[
             ("hotloop", &runs),
-            ("intra-node", &intra_runs),
             ("cache", &cache_runs),
             ("probe-overhead", &probe_runs),
         ],

@@ -30,7 +30,7 @@ usage: serve [flags]
   --tenant-inflight N  concurrent job quota per tenant, 0 = unlimited
   --cache[=DIR]        memoize results (SA_CACHE_DIR / .sa-cache default)
 
-run-control flags (--node-threads, --fast-forward, --faults, ...) install
+run-control flags (--fast-forward, --faults, ...) install
 process-wide defaults exactly as they do for the figure binaries; a job
 spec's exec section still overrides them per job.
 ";

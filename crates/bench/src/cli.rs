@@ -1,15 +1,12 @@
 //! One shared command-line surface for every sa-bench binary.
 //!
 //! The figure binaries grew identical run-control flags one copy at a time
-//! (`--jobs` scanned raw argv in `sweep`, `--step-threads` was parsed in
-//! both `fig13` and `explore`, `--fast-forward` lived inside `BenchRun`).
-//! [`Cli`] parses them once and installs the process-wide defaults they
-//! control, so a binary only handles flags specific to its experiment:
+//! (`--jobs` scanned raw argv in `sweep`, `--fast-forward` lived inside
+//! `BenchRun`). [`Cli`] parses them once and installs the process-wide
+//! defaults they control, so a binary only handles flags specific to its
+//! experiment:
 //!
 //! - `--jobs N` — sweep worker threads (beats `SA_JOBS`, defaults to cores)
-//! - `--step-threads N` — phase-parallel multinode stepping width
-//! - `--node-threads N` — intra-node bank-lane stepping width (beats
-//!   `SA_NODE_THREADS`, defaults to 1; byte-identical results at any width)
 //! - `--fast-forward on|off` — event-horizon cycle skipping (default `on`)
 //! - `--stats-json PATH`, `--trace PATH`, `--sample-interval N`,
 //!   `--req-sample N` — telemetry outputs (consumed by
@@ -86,8 +83,6 @@ fn resolve_cache_dir(args: &Args) -> Option<String> {
 pub struct Cli {
     args: Args,
     jobs: usize,
-    step_threads: usize,
-    node_threads: usize,
     fast_forward: bool,
     fault_plan: Option<FaultPlan>,
     probe_interval: u64,
@@ -139,23 +134,6 @@ impl Cli {
             Ok(_) => None,
             Err(e) => return Err(e.to_string()),
         });
-        let step_threads = args
-            .get_or("step-threads", 1usize)
-            .map_err(|e| e.to_string())?
-            .max(1);
-        // 0 = flag absent: leave the process default alone so an
-        // `SA_NODE_THREADS` environment setting (the CI matrix) survives.
-        let node_threads = args
-            .get_or("node-threads", 0usize)
-            .map_err(|e| e.to_string())?;
-        if node_threads > 0 {
-            sa_sim::set_node_threads_default(node_threads);
-        }
-        let node_threads = if node_threads > 0 {
-            node_threads
-        } else {
-            sa_sim::node_threads_default()
-        };
         let fast_forward = args
             .choice("fast-forward", &["on", "off"], "on")
             .map_err(|e| e.to_string())?
@@ -219,8 +197,6 @@ impl Cli {
         Ok(Cli {
             args,
             jobs,
-            step_threads,
-            node_threads,
             fast_forward,
             fault_plan,
             probe_interval,
@@ -239,18 +215,6 @@ impl Cli {
     /// Sweep worker threads (`--jobs` / `SA_JOBS` / available cores).
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Phase-parallel multinode stepping width (`--step-threads`, min 1).
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
-    }
-
-    /// Intra-node bank-lane stepping width (`--node-threads` /
-    /// `SA_NODE_THREADS`, min 1). Installed as the process-wide default at
-    /// parse time, so every node built afterwards picks it up.
-    pub fn node_threads(&self) -> usize {
-        self.node_threads
     }
 
     /// Whether event-horizon fast-forward is enabled (`--fast-forward`).
@@ -310,26 +274,18 @@ mod tests {
     fn defaults() {
         let cli = parse("").expect("empty argv parses");
         assert!(cli.jobs() >= 1);
-        assert_eq!(cli.step_threads(), 1);
-        assert!(cli.node_threads() >= 1);
         assert!(cli.fast_forward());
         assert!(cli.fault_plan().is_none());
     }
 
     #[test]
     fn common_flags_parse() {
-        let prev_node_threads = sa_sim::node_threads_default();
-        let cli = parse("--jobs 3 --step-threads 2 --node-threads 4 --fast-forward off --quick")
-            .expect("parses");
+        let cli = parse("--jobs 3 --fast-forward off --quick").expect("parses");
         assert_eq!(cli.jobs(), 3);
-        assert_eq!(cli.step_threads(), 2);
-        assert_eq!(cli.node_threads(), 4);
-        assert_eq!(sa_sim::node_threads_default(), 4, "installed process-wide");
         assert!(!cli.fast_forward());
         assert!(cli.quick());
-        // restore the globals for neighbouring tests
+        // restore the global for neighbouring tests
         sa_sim::set_fast_forward_default(true);
-        sa_sim::set_node_threads_default(prev_node_threads);
     }
 
     #[test]
@@ -403,9 +359,6 @@ mod tests {
     #[test]
     fn bad_flags_are_reported() {
         assert!(parse("--jobs frog").unwrap_err().contains("jobs"));
-        assert!(parse("--node-threads frog")
-            .unwrap_err()
-            .contains("node-threads"));
         assert!(parse("--fast-forward sometimes")
             .unwrap_err()
             .contains("fast-forward"));

@@ -4,8 +4,7 @@
 //! Every figure/ablation binary parses its flags through [`Cli`], so the
 //! hook lives there: when `--spec` is present the binary loads the JSON job
 //! description, overlays any execution knobs given explicitly on the
-//! command line (`--step-threads`, `--node-threads`, `--fast-forward`,
-//! `--probe-interval`), runs the session through the same cache/progress
+//! command line (`--fast-forward`, `--probe-interval`), runs the session through the same cache/progress
 //! plumbing as the HTTP daemon, prints a deterministic summary, and exits —
 //! the same job file therefore means the same simulation whether it is
 //! submitted to `sa-serve`, replayed by `fig6 --spec job.json`, or
@@ -25,8 +24,7 @@ usage: <bin> --spec JOB.json [run-control flags]
   runs the serialized session the file describes instead of the binary's
   built-in experiment (schema: sa-session-spec v1, see docs/SERVING.md).
   execution knobs given explicitly on the command line override the spec's
-  exec section: --step-threads N, --node-threads N, --fast-forward on|off,
-  --probe-interval N. --cache[=DIR] and --progress attach as usual; with a
+  exec section: --fast-forward on|off, --probe-interval N. --cache[=DIR] and --progress attach as usual; with a
   cache, a warm spec replays without simulating.
   --stats-json PATH additionally writes the job's sa-stats document.
 ";
@@ -73,12 +71,6 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
     // Command-line execution knobs beat the spec's exec section, but only
     // when explicitly given — absence means "respect the job file".
     let args = cli.args();
-    if args.raw("step-threads").is_some() {
-        spec.exec.step_threads = cli.step_threads();
-    }
-    if args.raw("node-threads").is_some() {
-        spec.exec.node_threads = cli.node_threads();
-    }
     if args.raw("fast-forward").is_some() {
         spec.exec.fast_forward = Some(cli.fast_forward());
     }
@@ -163,16 +155,12 @@ mod tests {
         let path = write_spec("det");
         let base = run_spec(path.to_str().unwrap(), &cli("")).ok().unwrap();
         assert!(base.contains("cycles"));
-        let threaded = run_spec(
-            path.to_str().unwrap(),
-            &cli("--step-threads 2 --node-threads 2"),
-        )
-        .ok()
-        .unwrap();
-        assert_eq!(base, threaded, "exec knobs must not change the summary");
+        let stepped = run_spec(path.to_str().unwrap(), &cli("--fast-forward off"))
+            .ok()
+            .unwrap();
+        assert_eq!(base, stepped, "exec knobs must not change the summary");
         let _ = std::fs::remove_file(&path);
-        // Restore the node-thread default the overlay parse installed.
-        sa_sim::set_node_threads_default(1);
+        // Restore the fast-forward default the overlay parse installed.
         sa_sim::set_fast_forward_default(true);
     }
 

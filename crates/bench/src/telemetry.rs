@@ -201,8 +201,8 @@ impl BenchRun {
     /// configuration, fault plan — plus the caller's point description;
     /// extend it with the point's own parameters (sizes, seeds, input
     /// digests) via the [`Fingerprint`] builder methods. Knobs that cannot
-    /// change simulated results (`--jobs`, `--step-threads`,
-    /// `--node-threads`, `--fast-forward`) are deliberately excluded.
+    /// change simulated results (`--jobs`, `--fast-forward`) are
+    /// deliberately excluded.
     pub fn point_key(&self, point: &str) -> Fingerprint {
         Fingerprint::new("bench-point")
             .str("bench", &self.bench)

@@ -1,7 +1,6 @@
 //! Determinism-under-parallelism at the binary level: every figure binary
 //! must emit byte-identical stdout and byte-identical sa-stats documents no
-//! matter how many sweep workers (`--jobs` / `SA_JOBS`) or multinode stepper
-//! threads (`--step-threads`) it runs with.
+//! matter how many sweep workers (`--jobs` / `SA_JOBS`) it runs with.
 //!
 //! The binaries are invoked for real via the `CARGO_BIN_EXE_*` paths Cargo
 //! provides to integration tests.
@@ -76,49 +75,8 @@ fn ablate_stats_are_jobs_invariant() {
 }
 
 #[test]
-fn fig13_step_threads_are_byte_invariant() {
-    // Both parallel axes at once: sweep workers across (variant, nodes)
-    // points and stepper threads inside each multinode simulation.
-    let bin = env!("CARGO_BIN_EXE_fig13");
-    let (base_out, base_doc) = run_with_stats(
-        bin,
-        &["--jobs", "1", "--step-threads", "1"],
-        &[],
-        "fig13-s1",
-    );
-    for (tag, threads) in [("s2", "2"), ("s4", "4")] {
-        let (out, doc) = run_with_stats(
-            bin,
-            &["--jobs", "2", "--step-threads", threads],
-            &[],
-            &format!("fig13-{tag}"),
-        );
-        assert_eq!(out, base_out, "fig13 {tag}: stdout diverged");
-        assert_eq!(doc, base_doc, "fig13 {tag}: stats document diverged");
-    }
-}
-
-#[test]
-fn explore_multinode_step_threads_are_byte_invariant() {
-    let bin = env!("CARGO_BIN_EXE_explore");
-    let common = [
-        "multinode",
-        "--nodes",
-        "4",
-        "--net",
-        "low",
-        "--combining",
-        "--n",
-        "4000",
-    ];
-    let mut serial = common.to_vec();
-    serial.extend(["--step-threads", "1"]);
-    let (base_out, base_doc) = run_with_stats(bin, &serial, &[], "explore-s1");
-    let mut parallel = common.to_vec();
-    parallel.extend(["--step-threads", "4"]);
-    let (out, doc) = run_with_stats(bin, &parallel, &[], "explore-s4");
-    assert_eq!(out, base_out, "explore multinode: stdout diverged");
-    assert_eq!(doc, base_doc, "explore multinode: stats document diverged");
+fn fig13_stats_are_jobs_invariant() {
+    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig13"), "fig13");
 }
 
 /// Wall-clock speedup of the parallel sweep on the fig13 smoke workload.

@@ -335,10 +335,6 @@ pub fn drive_scatter_probed<T: TraceSink>(
                     fetched.push((c.id, c.bits));
                 }
                 if acked == n {
-                    // The completion's own cycle, not the clock: under epoch
-                    // lookahead a batch of completions can drain at a later
-                    // clock cycle than it was produced. Identical serially
-                    // (completions drain the cycle they are produced).
                     ack_time = c.at.raw();
                 }
             }
@@ -379,19 +375,7 @@ pub fn drive_scatter_probed<T: TraceSink>(
         // is clamped to the next due probe cycle so snapshot cadence sees
         // every due cycle ticked regardless of skipping.
         if fast_forward && pending.is_empty() {
-            // With intra-node threads, try batching a whole epoch first:
-            // the lanes free-run independently up to (but never across) the
-            // next due probe cycle. Falls back to the classic event-horizon
-            // skip (returns 0) whenever an epoch cannot engage.
-            let cap = match probe.recorder.next_due() {
-                Some(due) => due.saturating_sub(1),
-                None => u64::MAX,
-            };
-            let adv = probe.profiler.time("skip", || node.advance_epoch(now, cap));
-            if adv > 0 {
-                clock.skip_to(Cycle(now.raw() + adv - 1));
-                skipped_cycles += adv - 1;
-            } else if let Some(mut h) = node.next_event(now) {
+            if let Some(mut h) = node.next_event(now) {
                 if let Some(due) = probe.recorder.next_due() {
                     h = h.min(Cycle(due.max(now.raw() + 1)));
                 }

@@ -1,55 +1,36 @@
-//! Intra-node parallel stepping: one *lane* per cache bank, a spin-barrier
-//! worker pool that steps lanes concurrently, and the epoch free-run used by
-//! [`NodeMemSys::advance_epoch`](crate::NodeMemSys::advance_epoch).
+//! One *lane* per cache bank: the bank, the scatter-add unit in front of it
+//! (Figure 4a), and the bank's input queue, plus the two per-cycle phases a
+//! node runs over its lanes.
 //!
-//! # The crossbar serialization point
+//! # Phase order
 //!
 //! Per cycle, a node's state splits into two phases:
 //!
 //! * a **front** phase (bank tick + DRAM command submission) that arbitrates
-//!   for the shared DRAM channels — inherently serial, run by the
-//!   coordinator in bank order so channel capacity is consumed exactly as in
-//!   the classic single-threaded loop; and
+//!   for the shared DRAM channels, run in bank order so channel capacity is
+//!   consumed in a fixed order; and
 //! * a **step** phase (scatter-add ingest, cache port arbitration, unit
-//!   tick, response/ack routing) that touches only lane-local state — safe
-//!   to run on worker threads, one lane at a time.
+//!   tick, response/ack routing) that touches only lane-local state and the
+//!   node's completion queue.
 //!
 //! The step phase of bank `i` never touches the DRAM channels, and the
 //! front phase of bank `j > i` never reads state the step phase of bank `i`
-//! writes (they are different banks), so hoisting all fronts before all
-//! steps is byte-identical to the classic interleaved order. Completions
-//! are buffered per lane in [`BankLane::out`] and merged in lane order
-//! afterwards, which reproduces the serial push order exactly.
-//!
-//! # Epoch lookahead
-//!
-//! Between barriers a lane can run *many* cycles, not one, whenever the
-//! node as a whole is provably closed: no undrained completions, idle DRAM
-//! channels, and no in-flight DRAM commands. Each lane free-runs until it
-//! would submit a DRAM command (the next crossbar arbitration — it parks
-//! the cycle as a [`BankLane::half_tick`] without submitting), until its
-//! own event horizon says it is drained, or until the epoch cap. The
-//! coordinator then folds everything to the global horizon; see
-//! [`free_run`].
+//! writes (they are different banks), so running all fronts before all
+//! steps is byte-identical to the interleaved per-bank order. Steps run in
+//! bank order, so completions reach the node queue in (cycle, bank, FIFO)
+//! order.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
 
 use sa_cache::{AccessKind, CacheAccess, CacheBank};
 use sa_mem::DramChannel;
 use sa_sim::{Addr, BoundedQueue, Cycle, DramConfig, MemOp, MemRequest, MemResponse, Origin};
-use sa_telemetry::{NullTrace, ReqStage, ReqTracer, TraceSink};
+use sa_telemetry::{ReqStage, ReqTracer, TraceSink};
 
 use crate::unit::{ScatterAddUnit, ToMem};
 
-/// The shared, lockable lane set a node and its worker pool step together.
-pub(crate) type LaneSet = Arc<Vec<Mutex<BankLane>>>;
-
 /// One cache bank's slice of the node: the bank, the scatter-add unit in
-/// front of it (Figure 4a), the bank input queue, and the per-lane stepping
-/// state that keeps parallel and epoch stepping byte-identical to serial.
+/// front of it (Figure 4a), and the bank input queue.
 #[derive(Debug)]
 pub(crate) struct BankLane {
     /// This lane's bank index within the node.
@@ -62,27 +43,9 @@ pub(crate) struct BankLane {
     pub bank_in: BoundedQueue<MemRequest>,
     /// Round-robin state of the cache-port arbiter (unit vs bypass).
     pub rr_sa_first: bool,
-    /// Completions produced by this lane, merged into the node's completion
-    /// queue in lane order after every cycle (or epoch). Buffering here —
-    /// in serial mode too — is what makes the merge order provably equal
-    /// across all stepping modes.
-    pub out: VecDeque<MemResponse>,
-    /// Last cycle this lane fully simulated. Lanes may run *ahead* of the
-    /// node clock after an epoch; the per-cycle step is skipped until the
-    /// clock catches up.
-    pub ran_until: u64,
-    /// An epoch free-run parked mid-cycle: the bank tick for this cycle ran
-    /// and surfaced a DRAM command, but the command was not submitted and
-    /// the step phase did not run. Resumed by [`lane_front`] when the node
-    /// clock reaches the cycle.
-    pub half_tick: Option<u64>,
-    /// Whether the last free-run ended because the lane drained completely
-    /// (its event horizon is `None`).
-    pub epoch_idle: bool,
 }
 
-/// The node-level parameters a lane step needs, copied out so worker
-/// threads never touch the `NodeMemSys` itself.
+/// The node-level parameters a lane step needs.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct LaneParams {
     /// This node's index.
@@ -125,12 +88,9 @@ pub(crate) fn retire_req<S: TraceSink>(
     }
 }
 
-/// The front (crossbar) phase of one lane for cycle `now`: fold queue time,
-/// tick the bank, and move one outgoing DRAM command toward its channel (a
-/// single conditional pop: the head stays queued when its channel is busy).
-/// Run serially by the coordinator, in bank order. A no-op for lanes that
-/// already simulated this cycle during an epoch; resumes a parked
-/// [`BankLane::half_tick`] instead of re-ticking the bank.
+/// The front phase of one lane for cycle `now`: fold queue time, tick the
+/// bank, and move one outgoing DRAM command toward its channel (a single
+/// conditional pop: the head stays queued when its channel is busy).
 pub(crate) fn lane_front(
     lane: &mut BankLane,
     now: Cycle,
@@ -139,22 +99,13 @@ pub(crate) fn lane_front(
     line_bytes: u64,
     req_trace: &mut ReqTracer,
 ) {
-    let t = now.raw();
-    if t <= lane.ran_until {
-        return;
-    }
-    match lane.half_tick.take() {
-        Some(c) => debug_assert_eq!(c, t, "half-tick resumed at the wrong cycle"),
-        None => {
-            lane.bank_in.advance(t);
-            lane.bank.tick(now);
-        }
-    }
+    lane.bank_in.advance(now.raw());
+    lane.bank.tick(now);
     if let Some(cmd) = lane.bank.pop_mem_cmd_if(|cmd| {
         channels[dram_cfg.channel_of_line(cmd.base.line_index(line_bytes))].can_accept()
     }) {
         if let Some(rid) = cmd.req {
-            req_trace.stamp(rid, ReqStage::Dram, t);
+            req_trace.stamp(rid, ReqStage::Dram, now.raw());
         }
         let ch = dram_cfg.channel_of_line(cmd.base.line_index(line_bytes));
         channels[ch].try_submit(cmd, now).expect("capacity checked");
@@ -162,13 +113,14 @@ pub(crate) fn lane_front(
 }
 
 /// The lane-local step phase of one cycle (scatter-add ingest, cache port
-/// arbitration, unit tick, response/ack routing) — steps 4–8 of the classic
-/// per-bank loop. Never touches the DRAM channels, so lanes can run it
-/// concurrently. Completions go to [`BankLane::out`].
+/// arbitration, unit tick, response/ack routing) — steps 4–8 of the
+/// per-bank loop. Never touches the DRAM channels. Completions are pushed
+/// onto `out`, the node's completion queue.
 pub(crate) fn step_lane<S: TraceSink>(
     lane: &mut BankLane,
     now: Cycle,
     p: &LaneParams,
+    out: &mut VecDeque<MemResponse>,
     req_trace: &mut ReqTracer,
     tracer: &mut S,
 ) {
@@ -178,8 +130,6 @@ pub(crate) fn step_lane<S: TraceSink>(
         sa,
         bank_in,
         rr_sa_first,
-        out,
-        ..
     } = lane;
     let b = *index;
 
@@ -235,8 +185,6 @@ pub(crate) fn step_lane<S: TraceSink>(
         retire_req(a.id, now, req_trace, tracer);
         out.push_back(a);
     }
-
-    lane.ran_until = now.raw();
 }
 
 /// Serve one of the scatter-add unit's memory operations at the lane's
@@ -325,275 +273,5 @@ fn try_serve_bypass<S: TraceSink>(
             true
         }
         None => false,
-    }
-}
-
-/// The lane's own event horizon at local time `t`: the earliest future
-/// cycle at which the lane can change state with no external input. `None`
-/// means the lane is drained forever (absent new injections or fills).
-///
-/// Mirrors the per-request-retry pinning of
-/// [`NodeMemSys::next_event`](crate::NodeMemSys::next_event): queued bank
-/// inputs and pending scatter-add memory ops are retried (and mutate stall
-/// counters) every cycle, so either pins the horizon to `t + 1`. The
-/// unit's acknowledgement queue needs no term: it is fully drained at the
-/// end of every stepped cycle.
-pub(crate) fn lane_horizon(lane: &BankLane, t: u64) -> Option<u64> {
-    if !lane.bank_in.is_empty() || lane.sa.peek_to_mem().is_some() {
-        return Some(t + 1);
-    }
-    let now = Cycle(t);
-    let mut h: Option<u64> = None;
-    let mut fold = |e: Option<Cycle>| {
-        if let Some(e) = e {
-            let e = e.raw();
-            h = Some(h.map_or(e, |x| x.min(e)));
-        }
-    };
-    fold(lane.sa.next_event(now));
-    fold(lane.bank.next_event(now));
-    h
-}
-
-/// Fold the idle window `(from, to]` into the lane's time-weighted
-/// statistics — the per-lane analogue of the node-level fast-forward fold,
-/// valid only when the lane's horizon is beyond `to`.
-pub(crate) fn fold_lane_to(lane: &mut BankLane, from: u64, to: u64) {
-    debug_assert!(to >= from);
-    let k = to - from;
-    if k > 0 {
-        lane.sa.skip_cycles(Cycle(from), k, false);
-        lane.bank.skip_cycles(Cycle(from), k);
-        lane.bank_in.advance(to);
-    }
-    lane.ran_until = to;
-}
-
-/// Free-run one lane through an epoch starting after cycle `now` (which the
-/// lane must have completed), up to at most cycle `cap` inclusive. The lane
-/// stops in one of three states:
-///
-/// * **parked** — the bank tick of some cycle `c` surfaced a DRAM command
-///   (the next crossbar arbitration). The command is *not* submitted and
-///   the step phase of `c` does not run; `half_tick = Some(c)` and
-///   `ran_until = c - 1`. [`lane_front`] resumes the cycle when the node
-///   clock reaches `c`.
-/// * **drained** — the lane's horizon is `None`; `epoch_idle` is set and
-///   `ran_until` stays at the last simulated cycle (the coordinator folds
-///   the lane forward to the epoch horizon).
-/// * **capped** — the lane simulated through `cap`.
-///
-/// Provably-idle stretches inside the epoch are folded with
-/// [`fold_lane_to`], exactly as node-level fast-forward folds them, so the
-/// lane's time-weighted statistics stay byte-identical to per-cycle
-/// stepping. Request tracing is off by construction in parallel mode, so
-/// the local disabled tracer is equivalent to the node's.
-pub(crate) fn free_run(lane: &mut BankLane, now: Cycle, cap: u64, p: &LaneParams) {
-    debug_assert!(lane.half_tick.is_none(), "epoch from a parked lane");
-    debug_assert_eq!(lane.ran_until, now.raw(), "epoch from a lagging lane");
-    debug_assert!(!lane.bank.has_mem_cmd(), "epoch with an in-flight command");
-    lane.epoch_idle = false;
-    let mut req_trace = ReqTracer::off();
-    let mut t = now.raw();
-    loop {
-        match lane_horizon(lane, t) {
-            None => {
-                lane.epoch_idle = true;
-                return;
-            }
-            Some(h) if h > cap => {
-                fold_lane_to(lane, t, cap);
-                return;
-            }
-            Some(h) => {
-                if h > t + 1 {
-                    fold_lane_to(lane, t, h - 1);
-                    t = h - 1;
-                }
-            }
-        }
-        t += 1;
-        lane.bank_in.advance(t);
-        lane.bank.tick(Cycle(t));
-        if lane.bank.has_mem_cmd() {
-            lane.half_tick = Some(t);
-            // `ran_until` stays at t - 1: the step phase of t has not run.
-            return;
-        }
-        step_lane(lane, Cycle(t), p, &mut req_trace, &mut NullTrace);
-        if t >= cap {
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-/// Release-phase command: step every lane one cycle.
-pub(crate) const MODE_STEP: u8 = 0;
-/// Release-phase command: free-run every lane through an epoch.
-pub(crate) const MODE_EPOCH: u8 = 1;
-/// Release-phase command: exit the worker loop.
-pub(crate) const MODE_EXIT: u8 = 2;
-
-/// A sense-reversing barrier sized for a handful of threads syncing twice
-/// per simulated cycle, with a spin phase tuned to the host: when the
-/// machine has a core per pool thread, waiters spin on the generation
-/// counter (kernel parking costs more than an entire simulated cycle);
-/// when the pool is wider than the machine, spinning only steals the
-/// running thread's timeslice, so waiters park on a condvar immediately.
-#[derive(Debug)]
-pub(crate) struct SpinBarrier {
-    n: u32,
-    /// Spin iterations before parking (0 = park immediately).
-    spin: u32,
-    count: AtomicU32,
-    generation: AtomicU32,
-    lock: Mutex<()>,
-    parked: std::sync::Condvar,
-}
-
-impl SpinBarrier {
-    /// A barrier for `n` threads.
-    pub fn new(n: u32) -> SpinBarrier {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        SpinBarrier {
-            n,
-            spin: if cores >= n as usize { 20_000 } else { 0 },
-            count: AtomicU32::new(0),
-            generation: AtomicU32::new(0),
-            lock: Mutex::new(()),
-            parked: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Wait for all `n` threads. The last arriver resets the count and bumps
-    /// the generation; everyone else spins on the generation, falling back
-    /// to parking after the spin budget. The acquire/release pairing on the
-    /// counter RMWs and the generation bump makes every write before any
-    /// thread's `wait` visible to every thread after. The bump happens under
-    /// the park lock so a waiter that re-checks the generation while holding
-    /// it can never miss the wakeup.
-    pub fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Relaxed);
-            {
-                let _guard = self.lock.lock().expect("barrier lock");
-                self.generation.fetch_add(1, Ordering::AcqRel);
-            }
-            self.parked.notify_all();
-            return;
-        }
-        let mut spins = 0u32;
-        while spins < self.spin {
-            if self.generation.load(Ordering::Acquire) != gen {
-                return;
-            }
-            spins += 1;
-            std::hint::spin_loop();
-        }
-        let mut guard = self.lock.lock().expect("barrier lock");
-        while self.generation.load(Ordering::Acquire) == gen {
-            guard = self.parked.wait(guard).expect("barrier lock");
-        }
-    }
-}
-
-/// State shared between the coordinator and the worker threads.
-#[derive(Debug)]
-pub(crate) struct PoolShared {
-    /// The two-phase (release / join) barrier.
-    pub barrier: SpinBarrier,
-    /// What to do this release: [`MODE_STEP`], [`MODE_EPOCH`], [`MODE_EXIT`].
-    pub mode: AtomicU8,
-    /// The cycle being stepped (or the epoch base cycle).
-    pub now: AtomicU64,
-    /// The epoch cap (inclusive); unused for per-cycle steps.
-    pub cap: AtomicU64,
-    /// Node-level parameters, refreshed by the coordinator every release.
-    pub params: Mutex<LaneParams>,
-    /// Set by any worker whose stride panicked; the coordinator asserts it
-    /// after the join barrier so a lane panic fails the run loudly instead
-    /// of silently corrupting the simulation.
-    pub panicked: AtomicBool,
-}
-
-/// The persistent intra-node worker pool: `threads - 1` spawned workers
-/// plus the coordinator, striding the lane set together between a release
-/// and a join barrier. Dropping the pool releases the workers with
-/// [`MODE_EXIT`] and joins them.
-#[derive(Debug)]
-pub(crate) struct StepPool {
-    /// Shared barrier/command block.
-    pub shared: Arc<PoolShared>,
-    /// Worker join handles.
-    pub handles: Vec<std::thread::JoinHandle<()>>,
-    /// Total stepping threads (workers + coordinator).
-    pub threads: usize,
-}
-
-impl Drop for StepPool {
-    fn drop(&mut self) {
-        self.shared.mode.store(MODE_EXIT, Ordering::Release);
-        self.shared.barrier.wait();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One worker's lane stride for a release: every `total`-th lane starting
-/// at `stride`, stepped ([`MODE_STEP`]) or free-run ([`MODE_EPOCH`]).
-/// The per-cycle step is skipped for lanes that already simulated the cycle
-/// during an epoch.
-pub(crate) fn run_stride(
-    lanes: &[Mutex<BankLane>],
-    stride: usize,
-    total: usize,
-    mode: u8,
-    now: Cycle,
-    cap: u64,
-    p: &LaneParams,
-) {
-    let mut i = stride;
-    while i < lanes.len() {
-        let mut lane = lanes[i].lock().expect("lane lock");
-        match mode {
-            MODE_STEP => {
-                if now.raw() > lane.ran_until {
-                    let mut req_trace = ReqTracer::off();
-                    step_lane(&mut lane, now, p, &mut req_trace, &mut NullTrace);
-                }
-            }
-            MODE_EPOCH => free_run(&mut lane, now, cap, p),
-            _ => unreachable!("workers only run step or epoch strides"),
-        }
-        drop(lane);
-        i += total;
-    }
-}
-
-/// The worker thread body: wait for a release, run the stride (catching
-/// panics so the coordinator can re-raise them), join.
-pub(crate) fn worker_loop(shared: Arc<PoolShared>, lanes: LaneSet, stride: usize, total: usize) {
-    loop {
-        shared.barrier.wait();
-        let mode = shared.mode.load(Ordering::Acquire);
-        if mode == MODE_EXIT {
-            return;
-        }
-        let now = Cycle(shared.now.load(Ordering::Acquire));
-        let cap = shared.cap.load(Ordering::Acquire);
-        let params = *shared.params.lock().expect("params lock");
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            run_stride(&lanes, stride, total, mode, now, cap, &params);
-        }));
-        if r.is_err() {
-            shared.panicked.store(true, Ordering::Release);
-        }
-        shared.barrier.wait();
     }
 }

@@ -1,16 +1,11 @@
 //! One node's memory system: address-interleaved cache banks, a scatter-add
 //! unit in front of each bank (Figure 4a), and the DRAM channels behind them.
 //!
-//! Stepping is organized around per-bank [`lane`](crate::lane)s so the same
-//! code drives three byte-identical modes: classic serial ticking, per-cycle
-//! parallel stepping across a small worker pool (`--node-threads`), and
-//! epoch lookahead ([`NodeMemSys::advance_epoch`]) that lets lanes batch
-//! whole provably-closed stretches of cycles between barriers.
+//! Each cycle is stepped serially over per-bank [`lane`](crate::lane)s: the
+//! DRAM channels, then every lane's front phase, then every lane's step
+//! phase, all in bank order.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
 
 use sa_cache::{CacheBank, CacheStats, SumBack};
 use sa_faults::{FaultPlan, FaultSite, ResilienceStats};
@@ -20,10 +15,7 @@ use sa_sim::{
 };
 use sa_telemetry::{NullTrace, ReqStage, ReqTracer, Scope, SeriesSet, TraceSink};
 
-use crate::lane::{
-    fold_lane_to, lane_front, lane_horizon, run_stride, step_lane, worker_loop, BankLane,
-    LaneParams, LaneSet, PoolShared, SpinBarrier, StepPool, MODE_EPOCH, MODE_STEP,
-};
+use crate::lane::{lane_front, step_lane, BankLane, LaneParams};
 use crate::unit::{SaStats, ScatterAddUnit};
 
 /// Depth of each bank's input queue (requests from the address generators
@@ -81,36 +73,16 @@ impl NodeStats {
 /// are acknowledged when their addition is performed inside the scatter-add
 /// unit; plain writes are posted (acknowledged on acceptance by the cache);
 /// reads complete when data returns.
-///
-/// # Intra-node parallel stepping
-///
-/// With [`set_node_threads`](Self::set_node_threads) above 1 (seeded from
-/// [`sa_sim::node_threads_default`] at construction), the per-bank lanes are
-/// stepped by a persistent spin-barrier worker pool, and run loops may batch
-/// whole epochs with [`advance_epoch`](Self::advance_epoch). Simulated
-/// cycles, statistics, probe snapshots, and occupancy counters are
-/// byte-identical across every thread count — parallelism is wall-clock
-/// only. Parallel stepping disables itself automatically whenever it could
-/// observe a difference: event tracing, request-lifecycle tracing, and
-/// multi-node membership (those machines already step nodes on their own
-/// threads) all force the serial path.
 #[derive(Debug)]
 pub struct NodeMemSys<T: TraceSink = NullTrace> {
     cfg: MachineConfig,
     node: usize,
     combining: bool,
-    /// Per-bank lanes (bank + scatter-add unit + input queue), shared with
-    /// the worker pool. Serial ticking borrows the set uniquely (no pool
-    /// alive) and bypasses the locks.
-    lanes: LaneSet,
+    /// Per-bank lanes (bank + scatter-add unit + input queue).
+    lanes: Vec<BankLane>,
     channels: Vec<DramChannel>,
     store: BackingStore,
     completions: VecDeque<MemResponse>,
-    /// Completions produced by lanes that ran ahead of the node clock
-    /// during an epoch, keyed by lane and sorted by (cycle, lane); migrated
-    /// into `completions` when the clock reaches their cycle so drain order
-    /// is byte-identical to serial stepping.
-    future_completions: VecDeque<(usize, MemResponse)>,
     /// Node count when part of a multi-node machine (`None` = standalone).
     /// With homing installed, combining mode only zero-allocates *remote*
     /// lines — locally-homed scatter-adds (including arriving sum-backs)
@@ -142,15 +114,6 @@ pub struct NodeMemSys<T: TraceSink = NullTrace> {
     faults_active: bool,
     /// Watchdog threshold for fault-injected combining-store stalls.
     cs_timeout: u64,
-    /// How many threads step the lanes (1 = classic serial). Seeded from
-    /// [`sa_sim::node_threads_default`] at construction.
-    node_threads: usize,
-    /// The persistent worker pool; `None` until the first parallel tick,
-    /// and torn down (workers joined) whenever a serial tick happens.
-    pool: Option<StepPool>,
-    /// The farthest any lane has simulated; epochs only engage once the
-    /// node clock has caught up (`max_ran_until <= now`).
-    max_ran_until: u64,
 }
 
 impl NodeMemSys {
@@ -176,19 +139,13 @@ impl<T: TraceSink> NodeMemSys<T> {
         combining: bool,
         tracer: T,
     ) -> NodeMemSys<T> {
-        let lanes: Vec<Mutex<BankLane>> = (0..cfg.cache.banks)
-            .map(|b| {
-                Mutex::new(BankLane {
-                    index: b,
-                    bank: CacheBank::new(cfg.cache, node, b),
-                    sa: ScatterAddUnit::new(cfg.sa),
-                    bank_in: BoundedQueue::new(BANK_IN_DEPTH),
-                    rr_sa_first: false,
-                    out: VecDeque::new(),
-                    ran_until: 0,
-                    half_tick: None,
-                    epoch_idle: false,
-                })
+        let lanes = (0..cfg.cache.banks)
+            .map(|b| BankLane {
+                index: b,
+                bank: CacheBank::new(cfg.cache, node, b),
+                sa: ScatterAddUnit::new(cfg.sa),
+                bank_in: BoundedQueue::new(BANK_IN_DEPTH),
+                rr_sa_first: false,
             })
             .collect();
         let channels = (0..cfg.dram.channels)
@@ -202,11 +159,10 @@ impl<T: TraceSink> NodeMemSys<T> {
         let mut sys = NodeMemSys {
             node,
             combining,
-            lanes: Arc::new(lanes),
+            lanes,
             channels,
             store: BackingStore::new(),
             completions: VecDeque::new(),
-            future_completions: VecDeque::new(),
             n_nodes: None,
             tracer,
             req_trace: ReqTracer::every(cfg.req_sample),
@@ -217,9 +173,6 @@ impl<T: TraceSink> NodeMemSys<T> {
             fast_forward: sa_sim::fast_forward_default(),
             faults_active: false,
             cs_timeout: sa_faults::DEFAULT_CS_TIMEOUT,
-            node_threads: sa_sim::node_threads_default().max(1),
-            pool: None,
-            max_ran_until: 0,
             cfg,
         };
         if let Some(plan) = sa_faults::default_plan() {
@@ -233,17 +186,18 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// threshold. [`NodeMemSys::with_tracer`] applies the process-wide
     /// [`sa_faults::default_plan`] automatically; call this to override it.
     /// Every schedule is keyed by `(plan seed, site, node, component)`, so
-    /// fault decisions are reproducible regardless of stepping order,
-    /// thread count, or fast-forward.
+    /// fault decisions are reproducible regardless of stepping order or
+    /// fast-forward.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         for (c, ch) in self.channels.iter_mut().enumerate() {
             ch.set_fault_injector(plan.injector(FaultSite::DramRead, self.node as u64, c as u64));
         }
-        for (b, m) in self.lanes.iter().enumerate() {
-            m.lock()
-                .expect("lane lock")
-                .sa
-                .set_fault_injector(plan.injector(FaultSite::CsEntry, self.node as u64, b as u64));
+        for (b, lane) in self.lanes.iter_mut().enumerate() {
+            lane.sa.set_fault_injector(plan.injector(
+                FaultSite::CsEntry,
+                self.node as u64,
+                b as u64,
+            ));
         }
         self.cs_timeout = plan.cs_timeout;
         self.faults_active = !plan.is_empty();
@@ -251,8 +205,7 @@ impl<T: TraceSink> NodeMemSys<T> {
 
     /// Enable or disable event-horizon fast-forward for run loops driving
     /// this node (wall-clock only; simulated results are identical either
-    /// way). Overrides the process-wide default for this instance. Also
-    /// gates [`advance_epoch`](Self::advance_epoch).
+    /// way). Overrides the process-wide default for this instance.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -260,27 +213,6 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Whether run loops may fast-forward over provably-idle cycles.
     pub fn fast_forward(&self) -> bool {
         self.fast_forward
-    }
-
-    /// Set how many threads step this node's bank lanes — the intra-node
-    /// parallelism axis (see `docs/PARALLELISM.md`). 1 restores classic
-    /// serial stepping; values above the bank count are clamped at use.
-    /// Simulated results are byte-identical for every value. Overrides the
-    /// process-wide [`sa_sim::node_threads_default`] this node was
-    /// constructed with.
-    pub fn set_node_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.node_threads {
-            self.node_threads = threads;
-            // Pool size changed: join the old workers; the next parallel
-            // tick spawns a right-sized pool.
-            self.pool = None;
-        }
-    }
-
-    /// How many threads step this node's bank lanes.
-    pub fn node_threads(&self) -> usize {
-        self.node_threads
     }
 
     /// Set the occupancy sampling interval in cycles (0 disables sampling).
@@ -324,8 +256,7 @@ impl<T: TraceSink> NodeMemSys<T> {
 
     /// Declare this node part of an `n`-node machine with line-interleaved
     /// address homing (`home = line mod n`). Affects which lines combining
-    /// mode treats as remote, and disables intra-node parallel stepping
-    /// (multi-node machines already step each node on its own thread).
+    /// mode treats as remote.
     ///
     /// # Panics
     ///
@@ -373,8 +304,7 @@ impl<T: TraceSink> NodeMemSys<T> {
         &mut self.store
     }
 
-    /// The node-level parameters a lane step needs, copied out for the
-    /// worker threads.
+    /// The node-level parameters a lane step needs.
     fn lane_params(&self) -> LaneParams {
         LaneParams {
             node: self.node,
@@ -408,11 +338,7 @@ impl<T: TraceSink> NodeMemSys<T> {
             }
         }
         let bank = self.bank_of(req.addr);
-        self.lanes[bank]
-            .lock()
-            .expect("lane lock")
-            .bank_in
-            .try_push(req)
+        self.lanes[bank].bank_in.try_push(req)
     }
 
     /// [`inject`](Self::inject), recording the request's lifecycle: an
@@ -439,102 +365,21 @@ impl<T: TraceSink> NodeMemSys<T> {
 
     /// Whether bank `bank`'s input queue can take one more request.
     pub fn can_inject(&self, addr: Addr) -> bool {
-        self.lanes[self.bank_of(addr)]
-            .lock()
-            .expect("lane lock")
-            .bank_in
-            .can_accept()
+        self.lanes[self.bank_of(addr)].bank_in.can_accept()
     }
 
     /// Free input-queue slots at the bank serving `addr` — all words of one
     /// cache line share a bank, so a caller injecting a whole line (a
     /// sum-back application) must check this against the word count.
     pub fn inject_capacity(&self, addr: Addr) -> usize {
-        self.lanes[self.bank_of(addr)]
-            .lock()
-            .expect("lane lock")
-            .bank_in
-            .free()
+        self.lanes[self.bank_of(addr)].bank_in.free()
     }
 
-    /// Whether ticks should fan the step phase out across the worker pool.
-    /// Event tracing, request-lifecycle tracing, and multi-node membership
-    /// all force the serial path (they thread per-request state through the
-    /// step phase or already parallelize at node granularity).
-    fn parallel_step_wanted(&self) -> bool {
-        self.node_threads > 1
-            && self.lanes.len() > 1
-            && !T::ENABLED
-            && !self.req_trace.is_on()
-            && self.n_nodes.is_none()
-    }
-
-    /// Spawn (or re-size) the persistent worker pool.
-    fn ensure_pool(&mut self) {
-        let total = self.node_threads.min(self.lanes.len());
-        if let Some(p) = &self.pool {
-            if p.threads == total {
-                return;
-            }
-        }
-        self.pool = None;
-        let shared = Arc::new(PoolShared {
-            barrier: SpinBarrier::new(total as u32),
-            mode: AtomicU8::new(MODE_STEP),
-            now: AtomicU64::new(0),
-            cap: AtomicU64::new(0),
-            params: Mutex::new(self.lane_params()),
-            panicked: AtomicBool::new(false),
-        });
-        let mut handles = Vec::with_capacity(total - 1);
-        for w in 0..total - 1 {
-            let sh = Arc::clone(&shared);
-            let lanes = Arc::clone(&self.lanes);
-            let node = self.node;
-            let h = std::thread::Builder::new()
-                .name(format!("sa-node{node}-lane{w}"))
-                .spawn(move || worker_loop(sh, lanes, w, total))
-                .expect("spawn intra-node stepping worker");
-            handles.push(h);
-        }
-        self.pool = Some(StepPool {
-            shared,
-            handles,
-            threads: total,
-        });
-    }
-
-    /// Advance the whole memory system by one cycle.
+    /// Advance the whole memory system by one cycle: DRAM channels first,
+    /// then every lane's front phase in bank order, then every lane's step
+    /// phase in bank order (see [`lane`](crate::lane) for why this equals
+    /// the interleaved per-bank loop).
     pub fn tick(&mut self, now: Cycle) {
-        if self.parallel_step_wanted() {
-            self.ensure_pool();
-            self.tick_parallel(now);
-        } else {
-            if self.pool.is_some() {
-                // Parallel stepping turned off (or became ineligible): join
-                // the workers so the serial fast path can borrow the lane
-                // set uniquely, without locks.
-                self.pool = None;
-            }
-            self.tick_per_cycle(now);
-        }
-
-        // Occupancy sampling (off unless a sample interval is set). Epochs
-        // never cross `next_sample`, so every sample reads whole-node state
-        // at exactly its cycle in every stepping mode.
-        if self.sample_interval != 0 && now.raw() >= self.next_sample {
-            self.next_sample = now.raw() + self.sample_interval;
-            self.sample(now);
-        }
-    }
-
-    /// The classic single-threaded tick: channel phase, then every lane's
-    /// front phase in bank order, then every lane's step phase in bank
-    /// order. The step phase never touches the channels and bank state is
-    /// lane-local, so this ordering is byte-identical to the historical
-    /// interleaved per-bank loop — and structurally identical to the
-    /// parallel tick, which runs the same phases with the steps fanned out.
-    fn tick_per_cycle(&mut self, now: Cycle) {
         let params = self.lane_params();
         let line_bytes = self.cfg.cache.line_bytes;
         let dram_cfg = self.cfg.dram;
@@ -542,265 +387,37 @@ impl<T: TraceSink> NodeMemSys<T> {
             lanes,
             channels,
             store,
+            completions,
             req_trace,
             tracer,
             ..
         } = self;
-        let lanes = Arc::get_mut(lanes).expect("serial tick with a live worker pool");
 
         // 1. DRAM channels produce fills / acknowledgements.
         for ch in channels.iter_mut() {
             if let Some(resp) = ch.tick(now, store) {
                 match resp.origin {
-                    Origin::CacheBank { bank, .. } => lanes[bank]
-                        .get_mut()
-                        .expect("lane lock")
-                        .bank
-                        .on_mem_response(resp),
+                    Origin::CacheBank { bank, .. } => lanes[bank].bank.on_mem_response(resp),
                     other => panic!("unexpected DRAM response origin {other:?}"),
                 }
             }
         }
 
-        // 2+3. Front (crossbar) phase: bank tick + DRAM command submission.
-        for m in lanes.iter_mut() {
-            lane_front(
-                m.get_mut().expect("lane lock"),
-                now,
-                channels,
-                dram_cfg,
-                line_bytes,
-                req_trace,
-            );
+        // 2+3. Front phase: bank tick + DRAM command submission.
+        for lane in lanes.iter_mut() {
+            lane_front(lane, now, channels, dram_cfg, line_bytes, req_trace);
         }
 
-        // 4-8. Lane-local step phase (skipped for lanes an epoch already
-        // ran through this cycle).
-        for m in lanes.iter_mut() {
-            let lane = m.get_mut().expect("lane lock");
-            if now.raw() > lane.ran_until {
-                step_lane(lane, now, &params, req_trace, tracer);
-            }
+        // 4-8. Lane-local step phase.
+        for lane in lanes.iter_mut() {
+            step_lane(lane, now, &params, completions, req_trace, tracer);
         }
 
-        self.merge_lane_outputs(now);
-    }
-
-    /// One parallel cycle: the coordinator runs the channel and front
-    /// phases serially (the crossbar serialization point), then releases
-    /// the pool so every thread steps its lane stride concurrently.
-    fn tick_parallel(&mut self, now: Cycle) {
-        let params = self.lane_params();
-        let line_bytes = self.cfg.cache.line_bytes;
-        let dram_cfg = self.cfg.dram;
-
-        // 1. DRAM channels produce fills / acknowledgements.
-        for ch in &mut self.channels {
-            if let Some(resp) = ch.tick(now, &mut self.store) {
-                match resp.origin {
-                    Origin::CacheBank { bank, .. } => {
-                        let mut lane = self.lanes[bank].lock().expect("lane lock");
-                        debug_assert!(
-                            lane.ran_until < now.raw(),
-                            "fill delivered to a lane that ran ahead of the clock"
-                        );
-                        lane.bank.on_mem_response(resp);
-                    }
-                    other => panic!("unexpected DRAM response origin {other:?}"),
-                }
-            }
+        // Occupancy sampling (off unless a sample interval is set).
+        if self.sample_interval != 0 && now.raw() >= self.next_sample {
+            self.next_sample = now.raw() + self.sample_interval;
+            self.sample(now);
         }
-
-        // 2+3. Front (crossbar) phase: serial, bank order.
-        for m in self.lanes.iter() {
-            lane_front(
-                &mut m.lock().expect("lane lock"),
-                now,
-                &mut self.channels,
-                dram_cfg,
-                line_bytes,
-                &mut self.req_trace,
-            );
-        }
-
-        // 4-8. Step phase, fanned out across the pool (two barriers).
-        {
-            let pool = self.pool.as_ref().expect("pool ensured");
-            let shared = &pool.shared;
-            shared.now.store(now.raw(), Ordering::Release);
-            shared.cap.store(0, Ordering::Release);
-            *shared.params.lock().expect("params lock") = params;
-            shared.mode.store(MODE_STEP, Ordering::Release);
-            shared.barrier.wait(); // release
-            let total = pool.threads;
-            let own = catch_unwind(AssertUnwindSafe(|| {
-                run_stride(&self.lanes, total - 1, total, MODE_STEP, now, 0, &params);
-            }));
-            shared.barrier.wait(); // join
-            if let Err(p) = own {
-                resume_unwind(p);
-            }
-            assert!(
-                !shared.panicked.load(Ordering::Acquire),
-                "intra-node stepping worker panicked"
-            );
-        }
-
-        self.merge_lane_outputs(now);
-    }
-
-    /// Merge per-lane completion buffers into the node queue in lane order,
-    /// first migrating any epoch-ahead completions whose cycle has arrived.
-    /// Each lane is either at the clock (fresh completions in its `out`
-    /// buffer) or ahead of it (its completions parked in
-    /// `future_completions`), so merging both sources in lane index order
-    /// reproduces the serial (cycle, lane, FIFO) drain order exactly.
-    fn merge_lane_outputs(&mut self, now: Cycle) {
-        let t = now.raw();
-        for b in 0..self.lanes.len() {
-            while self
-                .future_completions
-                .front()
-                .is_some_and(|(l, r)| *l == b && r.at.raw() == t)
-            {
-                let (_, r) = self.future_completions.pop_front().expect("checked front");
-                self.completions.push_back(r);
-            }
-            let mut lane = self.lanes[b].lock().expect("lane lock");
-            self.completions.extend(lane.out.drain(..));
-        }
-    }
-
-    /// Batch one *epoch*: when the node is provably closed — no undrained
-    /// completions, idle DRAM channels, no in-flight DRAM commands — every
-    /// lane free-runs independently (cycles, not barriers, between syncs)
-    /// until it would arbitrate for a DRAM channel, until it drains, or
-    /// until `cap` (inclusive). Returns `adv` such that every cycle in
-    /// `(now, now + adv]` is fully simulated node-wide; the caller must
-    /// then jump its clock to `now + adv - 1` so cycle `now + adv` is
-    /// re-ticked (a no-op for the lanes) exactly like the classic
-    /// fast-forward skip, keeping termination checks, probes, and samples
-    /// on the same cycles as serial stepping. Returns 0 — and the caller
-    /// falls back to the [`next_event`](Self::next_event) skip — whenever
-    /// an epoch cannot engage (fast-forward off, serial stepping, lanes
-    /// ahead of the clock, pending traffic, or no headroom under `cap`).
-    ///
-    /// Lanes may stop *beyond* the returned horizon; their extra cycles are
-    /// remembered (`ran_until`, `future_completions`) and the per-cycle
-    /// step skips them until the clock catches up, so no cycle is ever
-    /// simulated twice. Byte identity with serial stepping holds because no
-    /// external input can reach a lane mid-epoch: injection only happens
-    /// with the clock at the lane front, and the idle channels can deliver
-    /// nothing without a command submitted first.
-    pub fn advance_epoch(&mut self, now: Cycle, cap: u64) -> u64 {
-        let t = now.raw();
-        if !self.fast_forward || !self.parallel_step_wanted() || self.max_ran_until > t {
-            return 0;
-        }
-        let mut cap = cap;
-        if self.sample_interval != 0 {
-            // Never let a lane cross the next sample cycle: the sample must
-            // read every lane's state at exactly that cycle.
-            cap = cap.min(self.next_sample.saturating_sub(1));
-        }
-        if cap <= t {
-            return 0;
-        }
-        if !self.completions.is_empty()
-            || !self.future_completions.is_empty()
-            || self.channels.iter().any(|c| !c.is_idle())
-        {
-            return 0;
-        }
-        for m in self.lanes.iter() {
-            let lane = m.lock().expect("lane lock");
-            debug_assert_eq!(lane.ran_until, t, "epoch from a lane off the clock");
-            if lane.half_tick.is_some() || lane.bank.has_mem_cmd() {
-                return 0;
-            }
-        }
-
-        self.ensure_pool();
-        let params = self.lane_params();
-        {
-            let pool = self.pool.as_ref().expect("pool ensured");
-            let shared = &pool.shared;
-            shared.now.store(t, Ordering::Release);
-            shared.cap.store(cap, Ordering::Release);
-            *shared.params.lock().expect("params lock") = params;
-            shared.mode.store(MODE_EPOCH, Ordering::Release);
-            shared.barrier.wait(); // release
-            let total = pool.threads;
-            let own = catch_unwind(AssertUnwindSafe(|| {
-                run_stride(&self.lanes, total - 1, total, MODE_EPOCH, now, cap, &params);
-            }));
-            shared.barrier.wait(); // join
-            if let Err(p) = own {
-                resume_unwind(p);
-            }
-            assert!(
-                !shared.panicked.load(Ordering::Acquire),
-                "intra-node stepping worker panicked"
-            );
-        }
-
-        // The epoch horizon G: the last cycle every lane has fully
-        // simulated. A lane parked at half-tick `c` has run through `c-1`;
-        // a capped lane through `cap`; if every lane drained, the node's
-        // last event is the latest stop.
-        let mut g = cap;
-        let mut all_idle = true;
-        let mut max_stop = t;
-        for m in self.lanes.iter() {
-            let lane = m.lock().expect("lane lock");
-            max_stop = max_stop.max(lane.ran_until);
-            if lane.epoch_idle {
-                continue;
-            }
-            all_idle = false;
-            if let Some(c) = lane.half_tick {
-                g = g.min(c - 1);
-            }
-        }
-        let g = if all_idle { max_stop } else { g };
-
-        // Fold the channels' idle window (t, g): serial stepping ticked the
-        // idle channels every cycle. Cycle g itself is covered by the
-        // caller's re-tick.
-        if g > t + 1 {
-            let k = g - 1 - t;
-            for c in &mut self.channels {
-                c.skip_idle(now, k);
-            }
-        }
-
-        // Fold drained lanes forward to G and gather every lane's
-        // completions.
-        let mut outs: Vec<(usize, MemResponse)> = Vec::new();
-        for (b, m) in self.lanes.iter().enumerate() {
-            let mut lane = m.lock().expect("lane lock");
-            if lane.ran_until < g {
-                debug_assert!(lane.epoch_idle, "only drained lanes stop behind G");
-                let from = lane.ran_until;
-                fold_lane_to(&mut lane, from, g);
-            }
-            for r in lane.out.drain(..) {
-                outs.push((b, r));
-            }
-        }
-        // Serial completion order is (cycle, lane, FIFO-within-lane); the
-        // sort is stable, so FIFO within a lane survives. Completions up to
-        // G drain now; later ones park until the clock reaches their cycle.
-        outs.sort_by_key(|&(b, ref r)| (r.at.raw(), b));
-        for (b, r) in outs {
-            if r.at.raw() <= g {
-                self.completions.push_back(r);
-            } else {
-                self.future_completions.push_back((b, r));
-            }
-        }
-        self.max_ran_until = max_stop.max(g);
-        g - t
     }
 
     /// Take one occupancy sample: per-bank queue and combining-store levels,
@@ -811,8 +428,7 @@ impl<T: TraceSink> NodeMemSys<T> {
         let mut queue_occ = 0u64;
         let mut cs_residency = 0u64;
         let mut fu_depth = 0u64;
-        for (b, m) in self.lanes.iter().enumerate() {
-            let lane = m.lock().expect("lane lock");
+        for (b, lane) in self.lanes.iter().enumerate() {
             let q = lane.bank_in.len() as u64;
             let cs = lane.sa.occupancy() as u64;
             queue_occ += q;
@@ -872,8 +488,8 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Next evicted partial-sum line from any bank (combining mode); the
     /// multi-node system forwards these to the home node.
     pub fn pop_sum_back(&mut self) -> Option<(usize, SumBack)> {
-        for (b, m) in self.lanes.iter().enumerate() {
-            if let Some(sb) = m.lock().expect("lane lock").bank.pop_sum_back() {
+        for (b, lane) in self.lanes.iter_mut().enumerate() {
+            if let Some(sb) = lane.bank.pop_sum_back() {
                 return Some((b, sb));
             }
         }
@@ -884,8 +500,8 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// flush-with-sum-back synchronization step of §3.2.
     pub fn flush_sum_backs(&mut self) -> Vec<SumBack> {
         self.lanes
-            .iter()
-            .flat_map(|m| m.lock().expect("lane lock").bank.flush_sum_backs())
+            .iter_mut()
+            .flat_map(|lane| lane.bank.flush_sum_backs())
             .collect()
     }
 
@@ -895,8 +511,7 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Partial-sum lines (combining mode) are *not* flushed here; use
     /// [`NodeMemSys::flush_sum_backs`] for those.
     pub fn flush_to_store(&mut self) {
-        for m in self.lanes.iter() {
-            let mut lane = m.lock().expect("lane lock");
+        for lane in &mut self.lanes {
             for (base, data) in lane.bank.flush_dirty() {
                 self.store.write_line(base, &data);
             }
@@ -907,8 +522,6 @@ impl<T: TraceSink> NodeMemSys<T> {
     pub fn read_coherent(&self, addr: Addr) -> u64 {
         let bank = self.bank_of(addr);
         self.lanes[bank]
-            .lock()
-            .expect("lane lock")
             .bank
             .probe(addr)
             .unwrap_or_else(|| self.store.read_word(addr))
@@ -918,11 +531,10 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// included — drain them first).
     pub fn is_idle(&self) -> bool {
         self.completions.is_empty()
-            && self.future_completions.is_empty()
-            && self.lanes.iter().all(|m| {
-                let lane = m.lock().expect("lane lock");
-                lane.bank_in.is_empty() && lane.bank.is_idle() && lane.sa.is_idle()
-            })
+            && self
+                .lanes
+                .iter()
+                .all(|lane| lane.bank_in.is_empty() && lane.bank.is_idle() && lane.sa.is_idle())
             && self.channels.iter().all(|c| c.is_idle())
     }
 
@@ -936,11 +548,9 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// * undrained completions, queued bank inputs, and pending scatter-add
     ///   memory ops are retried (and mutate stall counters) every cycle, so
     ///   any of them pins the horizon to `now + 1`;
-    /// * otherwise the horizon is the minimum over every lane's horizon and
-    ///   DRAM channel `next_event`. A lane ahead of the clock (after an
-    ///   epoch) contributes its horizon *from its own time* — nothing
-    ///   happens for it at the clock until then — and a lane parked at a
-    ///   half-tick wakes exactly at the parked cycle;
+    /// * otherwise the horizon is the minimum `next_event` over every
+    ///   scatter-add unit, cache bank, and DRAM channel (the units'
+    ///   acknowledgement queues need no term: they drain every cycle);
     /// * when occupancy sampling is on, the horizon is clamped to the next
     ///   sample cycle so sampled series stay byte-identical under skipping.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -950,26 +560,13 @@ impl<T: TraceSink> NodeMemSys<T> {
         }
         let mut horizon: Option<u64> = None;
         let mut fold = |e: u64| horizon = Some(horizon.map_or(e, |h| h.min(e)));
-        if let Some((_, r)) = self.future_completions.front() {
-            // Parked epoch completions migrate (and are drained) at their
-            // own cycle.
-            fold(r.at.raw());
-        }
-        for m in self.lanes.iter() {
-            let lane = m.lock().expect("lane lock");
-            if let Some(c) = lane.half_tick {
-                fold(c);
-                continue;
+        for lane in &self.lanes {
+            if !lane.bank_in.is_empty() || lane.sa.peek_to_mem().is_some() {
+                return Some(now + 1);
             }
-            if lane.ran_until <= t {
-                if !lane.bank_in.is_empty() || lane.sa.peek_to_mem().is_some() {
-                    return Some(now + 1);
-                }
-                if let Some(h) = lane_horizon(&lane, t) {
-                    fold(h);
-                }
-            } else if let Some(h) = lane_horizon(&lane, lane.ran_until) {
-                fold(h);
+            let events = [lane.sa.next_event(now), lane.bank.next_event(now)];
+            for e in events.into_iter().flatten() {
+                fold(e.raw());
             }
         }
         for c in &self.channels {
@@ -987,20 +584,15 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// statistics, keeping them byte-identical with per-cycle ticking. The
     /// caller must have verified `now + skipped < next_event(now)` — i.e. no
     /// component changes state and no request is retried during the window.
-    /// Lanes already ahead of the window (after an epoch) are left alone;
-    /// lanes behind it fold forward from their own time.
     pub fn skip_cycles(&mut self, now: Cycle, skipped: u64) {
         debug_assert!(
             self.next_event(now).is_none_or(|e| e > now + skipped),
             "fast-forward skipped past a node event"
         );
-        let target = now.raw() + skipped;
-        for m in self.lanes.iter() {
-            let mut lane = m.lock().expect("lane lock");
-            if lane.ran_until < target {
-                let from = lane.ran_until;
-                fold_lane_to(&mut lane, from, target);
-            }
+        for lane in &mut self.lanes {
+            lane.sa.skip_cycles(now, skipped, false);
+            lane.bank.skip_cycles(now, skipped);
+            lane.bank_in.advance(now.raw() + skipped);
         }
         for c in &mut self.channels {
             c.skip_idle(now, skipped);
@@ -1010,13 +602,11 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Aggregate statistics over all banks, units, and channels.
     pub fn stats(&self) -> NodeStats {
         let mut s = NodeStats::default();
-        for m in self.lanes.iter() {
-            let lane = m.lock().expect("lane lock");
+        for lane in &self.lanes {
             s.sa.merge(lane.sa.stats());
             s.resilience.merge(&lane.sa.resilience_stats());
         }
-        for m in self.lanes.iter() {
-            let lane = m.lock().expect("lane lock");
+        for lane in &self.lanes {
             s.cache.merge(lane.bank.stats());
             s.resilience.merge(&lane.bank.resilience_stats());
         }
@@ -1024,9 +614,8 @@ impl<T: TraceSink> NodeMemSys<T> {
             s.dram.merge(c.stats());
             s.resilience.merge(&c.resilience_stats());
         }
-        for m in self.lanes.iter() {
-            s.bank_in
-                .merge(m.lock().expect("lane lock").bank_in.stats());
+        for lane in &self.lanes {
+            s.bank_in.merge(lane.bank_in.stats());
         }
         s
     }
@@ -1035,17 +624,13 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// scatter-add unit / cache bank / DRAM channel / bank input queue, plus
     /// the node-level aggregates from [`NodeMemSys::stats`].
     pub fn record_metrics(&self, scope: &mut Scope<'_>) {
-        for (b, m) in self.lanes.iter().enumerate() {
-            m.lock()
-                .expect("lane lock")
-                .sa
+        for (b, lane) in self.lanes.iter().enumerate() {
+            lane.sa
                 .stats()
                 .record(&mut scope.scope(&format!("sa.unit{b}")));
         }
-        for (b, m) in self.lanes.iter().enumerate() {
-            m.lock()
-                .expect("lane lock")
-                .bank
+        for (b, lane) in self.lanes.iter().enumerate() {
+            lane.bank
                 .stats()
                 .record(&mut scope.scope(&format!("cache.bank{b}")));
         }
@@ -1055,10 +640,8 @@ impl<T: TraceSink> NodeMemSys<T> {
             ch.queue_stats()
                 .record(&mut scope.scope(&format!("queue.dram.chan{c}")));
         }
-        for (b, m) in self.lanes.iter().enumerate() {
-            m.lock()
-                .expect("lane lock")
-                .bank_in
+        for (b, lane) in self.lanes.iter().enumerate() {
+            lane.bank_in
                 .stats()
                 .record(&mut scope.scope(&format!("queue.bank_in.bank{b}")));
         }
@@ -1080,21 +663,14 @@ impl<T: TraceSink> sa_telemetry::Inspectable for NodeMemSys<T> {
         let mut o = Json::obj();
         o.push("node", Json::UInt(self.node as u64));
         o.push("completions", Json::UInt(self.completions.len() as u64));
-        let bank_in: usize = self
-            .lanes
-            .iter()
-            .map(|m| m.lock().expect("lane lock").bank_in.len())
-            .sum();
+        let bank_in: usize = self.lanes.iter().map(|lane| lane.bank_in.len()).sum();
         o.push("bank_in", Json::UInt(bank_in as u64));
         let mut children = ProbeRegistry::new();
-        for (b, m) in self.lanes.iter().enumerate() {
-            children.register(&format!("sa.unit{b}"), &m.lock().expect("lane lock").sa);
+        for (b, lane) in self.lanes.iter().enumerate() {
+            children.register(&format!("sa.unit{b}"), &lane.sa);
         }
-        for (b, m) in self.lanes.iter().enumerate() {
-            children.register(
-                &format!("cache.bank{b}"),
-                &m.lock().expect("lane lock").bank,
-            );
+        for (b, lane) in self.lanes.iter().enumerate() {
+            children.register(&format!("cache.bank{b}"), &lane.bank);
         }
         for (c, ch) in self.channels.iter().enumerate() {
             children.register(&format!("dram.chan{c}"), ch);
@@ -1503,84 +1079,5 @@ mod tests {
         assert_eq!(s.sa.accepted, 32);
         assert_eq!(s.sa.writes_issued, 32);
         assert!(s.dram.reads > 0);
-    }
-
-    /// Every observable of a full kernel run — ack cycle, drain cycle,
-    /// aggregated stats, fetched completions in drain order, and the final
-    /// memory image — is identical for every intra-node thread count,
-    /// crossed with fast-forward (which enables epoch lookahead) on/off.
-    #[test]
-    fn intra_node_threads_are_byte_identical() {
-        let mut rng = sa_sim::Rng64::new(0xBEEF_0001);
-        let n = 512usize;
-        let kernel = crate::ScatterKernel {
-            base_word: 0,
-            indices: (0..n).map(|_| rng.below(64)).collect(),
-            values: (0..n).map(|_| rng.below(100) + 1).collect(),
-            kind: ScalarKind::I64,
-            op: ScatterOp::Add,
-        };
-        let cfg = MachineConfig::merrimac();
-        let mut reference = None;
-        for threads in [1usize, 2, 3, 4, 8] {
-            for ff in [false, true] {
-                let mut node = NodeMemSys::new(cfg, 0, false);
-                node.set_node_threads(threads);
-                node.set_fast_forward(ff);
-                let run = crate::drive_scatter_with(node, &kernel, true);
-                let key = (
-                    run.cycles,
-                    run.drain_cycles,
-                    run.stats,
-                    run.fetched.clone(),
-                    run.result_i64(64),
-                );
-                match &reference {
-                    None => reference = Some(key),
-                    Some(r) => {
-                        assert_eq!(*r, key, "threads={threads} ff={ff} diverged");
-                    }
-                }
-            }
-        }
-    }
-
-    /// The parallel step path also composes with fault injection: the
-    /// schedules are keyed by (seed, site, node, component), never by
-    /// stepping order, so a faulty run is invariant under thread count.
-    #[test]
-    fn intra_node_threads_are_byte_identical_under_faults() {
-        let kernel = crate::ScatterKernel {
-            base_word: 0,
-            indices: (0..256u64).map(|i| i % 16).collect(),
-            values: vec![1; 256],
-            kind: ScalarKind::I64,
-            op: ScatterOp::Add,
-        };
-        let plan = FaultPlan::parse(
-            r#"{"schema":"sa-faultplan","version":1,"seed":4099,"cs_timeout":48,"faults":[
-                {"kind":"ecc_single","period":7},
-                {"kind":"cs_stall","cycles":24,"period":11,"max":25}
-            ]}"#,
-        )
-        .expect("valid plan");
-        let cfg = MachineConfig::merrimac();
-        let mut reference = None;
-        for threads in [1usize, 4] {
-            for ff in [false, true] {
-                let mut node = NodeMemSys::new(cfg, 0, false);
-                node.set_fault_plan(&plan);
-                node.set_node_threads(threads);
-                node.set_fast_forward(ff);
-                let run = crate::drive_scatter_with(node, &kernel, false);
-                let key = (run.cycles, run.drain_cycles, run.stats, run.result_i64(16));
-                match &reference {
-                    None => reference = Some(key),
-                    Some(r) => {
-                        assert_eq!(*r, key, "threads={threads} ff={ff} diverged");
-                    }
-                }
-            }
-        }
     }
 }

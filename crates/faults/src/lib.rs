@@ -5,8 +5,8 @@
 //! drops, and stalled combining-store entries. Every decision is a pure
 //! function of `(plan seed, fault site, rule index, per-site event
 //! ordinal)` — never wall clock, thread id, or global iteration count — so
-//! a faulted run is bit-reproducible under `--jobs N` sweeps, phase-parallel
-//! multinode stepping, and `--fast-forward` cycle skipping alike.
+//! a faulted run is bit-reproducible under `--jobs N` sweeps and
+//! `--fast-forward` cycle skipping alike.
 //!
 //! Components pull decisions from a per-site [`FaultInjector`] compiled out
 //! of the plan; an inert injector ([`FaultInjector::none`]) costs one branch

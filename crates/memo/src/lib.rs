@@ -13,11 +13,11 @@
 //!   document of the execution-*relevant* inputs, automatically salted with
 //!   the sa-stats schema version and this crate's version so a schema or
 //!   code change invalidates every old entry. Execution-irrelevant knobs
-//!   (`--jobs`, `--step-threads`, `--node-threads`, `--fast-forward`,
-//!   progress sinks) must stay out of the key — they do not change output
-//!   bytes. Large index/value arrays enter the key as SHA-256 digests
-//!   ([`hash_u64s`]/[`hash_f64s`]) rather than inline, keeping key documents
-//!   small enough to store alongside the payload for auditability.
+//!   (`--jobs`, `--fast-forward`, progress sinks) must stay out of the key
+//!   — they do not change output bytes. Large index/value arrays enter the
+//!   key as SHA-256 digests ([`hash_u64s`]/[`hash_f64s`]) rather than
+//!   inline, keeping key documents small enough to store alongside the
+//!   payload for auditability.
 //! - **Writes** go to a process-unique temp file then `rename` into place,
 //!   so concurrent sweep processes racing on one key are safe: rename is
 //!   atomic within a directory and the losers simply overwrite with an

@@ -27,14 +27,11 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use sa_cache::SumBack;
 use sa_core::{NodeMemSys, NodeStats};
 use sa_faults::{Backoff, FaultPlan, ResilienceStats};
-use sa_net::{Crossbar, CrossbarPort, Message, NetStats};
+use sa_net::{Crossbar, Message, NetStats};
 use sa_sim::{
     Addr, Clock, Cycle, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId, ScalarKind,
     ScatterOp, WORD_BYTES,
@@ -228,7 +225,7 @@ impl MultiNode {
     /// Install `plan` on every node's memory system and on the fabric,
     /// overriding the process-wide [`sa_faults::default_plan`] applied at
     /// construction. Schedules are keyed by `(seed, site, node, component)`,
-    /// so runs stay bit-identical across thread counts and fast-forward.
+    /// so runs stay bit-identical across fast-forward modes.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         for node in &mut self.nodes {
             node.set_fault_plan(plan);
@@ -256,63 +253,37 @@ impl MultiNode {
     /// the paper's software would partition its data. Returns timing and
     /// throughput.
     ///
-    /// Equivalent to [`MultiNode::run_trace_threads`] with one stepper
-    /// thread (the fully sequential scheduler).
-    ///
     /// # Panics
     ///
     /// Panics if the lengths differ or the run deadlocks.
     pub fn run_trace(&mut self, trace: &[u64], values: &[f64]) -> TraceReport {
-        self.run_trace_threads(trace, values, 1)
+        self.run_trace_probed(trace, values, &mut Introspect::off())
     }
 
-    /// Replay a trace with `threads` node-stepper threads.
-    ///
-    /// Every cycle runs in two phases. In the *node phase*, each worker
-    /// steps a disjoint subset of nodes through [`step_node`] against
-    /// detached [`CrossbarPort`]s, so a node touches only its own memory
-    /// system and its own edge queues. In the *exchange phase* (between two
-    /// barriers, on the coordinating thread) the ports are re-attached, the
-    /// crossbar moves messages, and the quiescence/flush decision is made.
-    /// Because nodes never share mutable state within a phase, the schedule
-    /// is bit-identical to the sequential scheduler for any thread count —
-    /// same cycle count, same statistics, same lifecycle records (see
-    /// `docs/PARALLELISM.md`).
-    ///
-    /// `threads` is clamped to `1..=node_count()`; `1` runs inline without
-    /// spawning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ, the run deadlocks, or a stepper thread
-    /// panics.
-    pub fn run_trace_threads(
-        &mut self,
-        trace: &[u64],
-        values: &[f64],
-        threads: usize,
-    ) -> TraceReport {
-        self.run_trace_threads_probed(trace, values, threads, &mut Introspect::off())
+    /// [`MultiNode::run_trace`]; the thread count is ignored. Kept only for
+    /// the benchmark package under `bench/benchmark`.
+    pub fn run_trace_threads(&mut self, trace: &[u64], values: &[f64], _: usize) -> TraceReport {
+        self.run_trace(trace, values)
     }
 
-    /// [`MultiNode::run_trace_threads`] with live introspection attached:
-    /// probe snapshots at the recorder's cadence (taken on the coordinator
-    /// with all ports re-attached, at the same point in the serial and
-    /// parallel schedulers, with the event-horizon skip clamped to due
-    /// cycles — snapshot bytes are identical for every `threads` value and
-    /// with fast-forward on or off), wall-clock-throttled heartbeats, and
+    /// [`MultiNode::run_trace`] with live introspection attached: probe
+    /// snapshots at the recorder's cadence (taken after every node has
+    /// stepped and before the sync decision, with the event-horizon skip
+    /// clamped to due cycles — snapshot bytes are identical with
+    /// fast-forward on or off), wall-clock-throttled heartbeats, and
     /// host-time attribution of the net/step/sync/skip phases. With
     /// [`Introspect::off`] every introspection site reduces to one branch.
     ///
+    /// Every cycle ticks the crossbar, then steps each node in index order
+    /// through [`step_node`], then runs the quiescence/flush decision.
+    ///
     /// # Panics
     ///
-    /// Panics if the lengths differ, the run deadlocks, or a stepper thread
-    /// panics.
-    pub fn run_trace_threads_probed(
+    /// Panics if the lengths differ or the run deadlocks.
+    pub fn run_trace_probed(
         &mut self,
         trace: &[u64],
         values: &[f64],
-        threads: usize,
         probe: &mut Introspect,
     ) -> TraceReport {
         assert_eq!(trace.len(), values.len(), "trace/value length mismatch");
@@ -329,8 +300,7 @@ impl MultiNode {
         let sample = self.machine.req_sample;
 
         // Block partition: node i owns trace[lo_i..hi_i]. All mutable
-        // per-node run state lives in the node's context so a worker can
-        // step it without touching anything shared.
+        // per-node run state lives in the node's context.
         let mut ctxs: Vec<NodeCtx> = self
             .nodes
             .drain(..)
@@ -347,7 +317,6 @@ impl MultiNode {
                         staged: None,
                     },
                     outbox: VecDeque::new(),
-                    port: None,
                     tracer: ReqTracer::every(sample),
                     next_seq: 0,
                     app_acks: 0,
@@ -365,161 +334,37 @@ impl MultiNode {
         let mut flush_rounds = 0u32;
         let mut skipped_cycles = 0u64;
         let fast_forward = self.fast_forward;
-        let workers = threads.clamp(1, n);
 
-        if workers == 1 {
-            loop {
-                let now = clock.advance();
-                probe.profiler.time("net", || self.net.tick(now));
-                probe.profiler.time("step", || {
-                    for ctx in &mut ctxs {
-                        ctx.port = Some(self.net.detach_port(ctx.index));
-                        step_node(ctx, now, &params);
-                        self.net
-                            .attach_port(ctx.port.take().expect("port attached this cycle"));
-                    }
-                });
-                if probe.recorder.due(now.raw()) {
-                    let mut reg = ProbeRegistry::new();
-                    reg.register("net", &self.net);
-                    for ctx in &ctxs {
-                        reg.register(&format!("node{}", ctx.index), &ctx.node);
-                    }
-                    probe.recorder.record(reg, now.raw(), skipped_cycles);
-                }
-                if probe.progress.is_on() && now.raw() & 0x3FF == 0 {
-                    emit_trace_heartbeat(&probe.progress, now, skipped_cycles, n);
-                }
-                let mut refs: Vec<&mut NodeCtx> = ctxs.iter_mut().collect();
-                if probe.profiler.time("sync", || {
-                    sync_phase(&self.net, &mut refs, total, &params, &mut flush_rounds)
-                }) {
-                    break;
-                }
-                if fast_forward {
-                    let cap = probe.recorder.next_due();
-                    skipped_cycles += probe.profiler.time("skip", || {
-                        fast_forward_skip(&mut clock, &mut self.net, &mut refs, now, cap)
-                    });
-                }
-            }
-        } else {
-            let cells: Vec<Mutex<NodeCtx>> = ctxs.into_iter().map(Mutex::new).collect();
-            // Two barrier crossings per cycle separate the parallel node
-            // phase from the serialized exchange phase.
-            let barrier = Barrier::new(workers + 1);
-            let done = AtomicBool::new(false);
-            let now_raw = AtomicU64::new(0);
-            let worker_panicked = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                for t in 0..workers {
-                    let cells = &cells;
-                    let barrier = &barrier;
-                    let done = &done;
-                    let now_raw = &now_raw;
-                    let worker_panicked = &worker_panicked;
-                    let params = &params;
-                    s.spawn(move || loop {
-                        barrier.wait(); // cycle start: ports are detached
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let now = Cycle(now_raw.load(Ordering::Acquire));
-                        // Catch panics so the coordinator is never left
-                        // waiting on a dead worker at the end-of-cycle
-                        // barrier; it re-raises after the phase.
-                        let stepped = catch_unwind(AssertUnwindSafe(|| {
-                            let mut i = t;
-                            while i < cells.len() {
-                                let mut ctx = cells[i].lock().expect("node context lock");
-                                step_node(&mut ctx, now, params);
-                                i += workers;
-                            }
-                        }));
-                        if stepped.is_err() {
-                            worker_panicked.store(true, Ordering::Release);
-                        }
-                        barrier.wait(); // cycle end: hand back to coordinator
-                    });
-                }
-
-                // Release the workers on every exit path (normal completion
-                // or a coordinator panic such as the deadlock limit): they
-                // are parked at the cycle-start barrier.
-                struct ReleaseWorkers<'a> {
-                    barrier: &'a Barrier,
-                    done: &'a AtomicBool,
-                }
-                impl Drop for ReleaseWorkers<'_> {
-                    fn drop(&mut self) {
-                        self.done.store(true, Ordering::Release);
-                        self.barrier.wait();
-                    }
-                }
-                let _release = ReleaseWorkers {
-                    barrier: &barrier,
-                    done: &done,
-                };
-
-                loop {
-                    let now = clock.advance();
-                    probe.profiler.time("net", || self.net.tick(now));
-                    for (i, cell) in cells.iter().enumerate() {
-                        let mut ctx = cell.lock().expect("node context lock");
-                        ctx.port = Some(self.net.detach_port(i));
-                    }
-                    now_raw.store(now.raw(), Ordering::Release);
-                    probe.profiler.time("step", || {
-                        barrier.wait(); // node phase runs on the workers
-                        barrier.wait();
-                    });
-                    assert!(
-                        !worker_panicked.load(Ordering::Acquire),
-                        "a node stepper thread panicked"
-                    );
-                    let mut guards: Vec<_> = cells
-                        .iter()
-                        .map(|c| c.lock().expect("node context lock"))
-                        .collect();
-                    for guard in &mut guards {
-                        self.net
-                            .attach_port(guard.port.take().expect("port attached this cycle"));
-                    }
-                    // Same snapshot point as the sequential scheduler: all
-                    // ports re-attached, before the sync decision, so the
-                    // captured state is bit-identical for any thread count.
-                    if probe.recorder.due(now.raw()) {
-                        let mut reg = ProbeRegistry::new();
-                        reg.register("net", &self.net);
-                        for guard in guards.iter() {
-                            reg.register(&format!("node{}", guard.index), &guard.node);
-                        }
-                        probe.recorder.record(reg, now.raw(), skipped_cycles);
-                    }
-                    if probe.progress.is_on() && now.raw() & 0x3FF == 0 {
-                        emit_trace_heartbeat(&probe.progress, now, skipped_cycles, n);
-                    }
-                    let mut refs: Vec<&mut NodeCtx> = guards.iter_mut().map(|g| &mut **g).collect();
-                    if probe.profiler.time("sync", || {
-                        sync_phase(&self.net, &mut refs, total, &params, &mut flush_rounds)
-                    }) {
-                        break;
-                    }
-                    // Identical code to the sequential scheduler's skip, run
-                    // on the same post-sync state, so the schedule stays
-                    // bit-identical for every thread count.
-                    if fast_forward {
-                        let cap = probe.recorder.next_due();
-                        skipped_cycles += probe.profiler.time("skip", || {
-                            fast_forward_skip(&mut clock, &mut self.net, &mut refs, now, cap)
-                        });
-                    }
+        loop {
+            let now = clock.advance();
+            probe.profiler.time("net", || self.net.tick(now));
+            probe.profiler.time("step", || {
+                for ctx in &mut ctxs {
+                    step_node(ctx, &mut self.net, now, &params);
                 }
             });
-            ctxs = cells
-                .into_iter()
-                .map(|c| c.into_inner().expect("worker threads joined"))
-                .collect();
+            if probe.recorder.due(now.raw()) {
+                let mut reg = ProbeRegistry::new();
+                reg.register("net", &self.net);
+                for ctx in &ctxs {
+                    reg.register(&format!("node{}", ctx.index), &ctx.node);
+                }
+                probe.recorder.record(reg, now.raw(), skipped_cycles);
+            }
+            if probe.progress.is_on() && now.raw() & 0x3FF == 0 {
+                emit_trace_heartbeat(&probe.progress, now, skipped_cycles, n);
+            }
+            if probe.profiler.time("sync", || {
+                sync_phase(&self.net, &mut ctxs, total, &params, &mut flush_rounds)
+            }) {
+                break;
+            }
+            if fast_forward {
+                let cap = probe.recorder.next_due();
+                skipped_cycles += probe.profiler.time("skip", || {
+                    fast_forward_skip(&mut clock, &mut self.net, &mut ctxs, now, cap)
+                });
+            }
         }
 
         // Materialize coherent per-node memory for verification reads, and
@@ -563,7 +408,7 @@ impl MultiNode {
     }
 }
 
-/// Read-only per-run parameters shared by every node stepper.
+/// Read-only per-run parameters shared by every node step.
 #[derive(Copy, Clone, Debug)]
 struct StepParams {
     n: usize,
@@ -596,17 +441,13 @@ fn hop_toward(topology: Topology, from: usize, home: usize) -> usize {
     }
 }
 
-/// All mutable state one node owns during a run. A stepper thread holds
-/// exclusive access while the node phase runs; nothing in here is shared.
+/// All mutable state one node owns during a run.
 #[derive(Debug)]
 struct NodeCtx {
     index: usize,
     node: NodeMemSys,
     inj: Injector,
     outbox: VecDeque<Message<NetMsg>>,
-    /// The node's detached crossbar edge queues; present only during the
-    /// node phase of a cycle.
-    port: Option<CrossbarPort<NetMsg>>,
     /// Source-side lifecycle stamps for requests this node sent across the
     /// fabric; merged by id with the home-side records at end of run.
     tracer: ReqTracer,
@@ -628,34 +469,33 @@ struct NodeCtx {
 
 impl NodeCtx {
     /// Mint a request id from this node's private stream. Ids carry the
-    /// node index in the high bits so concurrent nodes never collide and
-    /// the id sequence depends only on the node's own progress — never on
+    /// node index in the high bits so nodes never collide and the id
+    /// sequence depends only on the node's own progress — never on
     /// cross-node interleaving — which keeps lifecycle sampling
-    /// (`id % sample`) identical for any thread count.
+    /// (`id % sample`) stable.
     fn mint_id(&mut self) -> ReqId {
         self.next_seq += 1;
         ((self.index as u64 + 1) << 40) | self.next_seq
     }
 }
 
-/// Advance one node by one cycle against its detached crossbar port. This
-/// is the entire per-node cycle body; both the sequential scheduler and the
-/// phase-parallel stepper run exactly this function, which is what makes
-/// them bit-identical.
+/// Advance one node by one cycle: the entire per-node cycle body. The node
+/// touches only its own memory system and its own crossbar edge queues
+/// (port `ctx.index`).
 ///
 /// # Panics
 ///
-/// Panics if `ctx.port` is absent or a capacity-checked injection fails.
-fn step_node(ctx: &mut NodeCtx, now: Cycle, p: &StepParams) {
+/// Panics if a capacity-checked injection fails.
+fn step_node(ctx: &mut NodeCtx, net: &mut Crossbar<NetMsg>, now: Cycle, p: &StepParams) {
     let i = ctx.index;
 
     // Deliver network messages while the node can take them.
-    while let Some(msg) = ctx.port.as_ref().expect("port attached").peek_delivered() {
+    while let Some(msg) = net.peek_delivered(i) {
         match &msg.payload {
             NetMsg::Request(req) => {
                 let req = *req;
                 if ctx.node.inject_traced(req, now).is_ok() {
-                    let _ = ctx.port.as_mut().expect("port attached").pop_delivered();
+                    let _ = net.pop_delivered(i);
                 } else {
                     break;
                 }
@@ -672,7 +512,7 @@ fn step_node(ctx: &mut NodeCtx, now: Cycle, p: &StepParams) {
                 if ctx.node.inject_capacity(sb.base) < needed {
                     break;
                 }
-                let _ = ctx.port.as_mut().expect("port attached").pop_delivered();
+                let _ = net.pop_delivered(i);
                 for (w, &bits) in sb.data.iter().enumerate() {
                     if bits == 0 {
                         continue; // additive identity: no work
@@ -737,8 +577,7 @@ fn step_node(ctx: &mut NodeCtx, now: Cycle, p: &StepParams) {
                 ctx.inj.staged = Some(req);
                 break;
             }
-            let port = ctx.port.as_mut().expect("port attached");
-            if port.can_inject() {
+            if net.can_inject(i) {
                 // The request is issued here at node i's address generator
                 // even though it executes at its home; stamp the
                 // source-side stages into this node's tracer for the merge
@@ -747,7 +586,7 @@ fn step_node(ctx: &mut NodeCtx, now: Cycle, p: &StepParams) {
                 if ctx.nacked {
                     ctx.net_retries += 1;
                 }
-                match port.try_send_traced(
+                match net.try_send_traced(
                     Message::new(i, home, 1, NetMsg::Request(req)),
                     now,
                     Some(req.id),
@@ -791,7 +630,7 @@ fn step_node(ctx: &mut NodeCtx, now: Cycle, p: &StepParams) {
             ctx.outbox.push_front(msg);
             break;
         }
-        match ctx.port.as_mut().expect("port attached").try_inject(msg) {
+        match net.try_inject(msg) {
             Ok(()) => {}
             Err(m) => {
                 ctx.outbox.push_front(m);
@@ -863,7 +702,7 @@ fn step_node(ctx: &mut NodeCtx, now: Cycle, p: &StepParams) {
 fn fast_forward_skip(
     clock: &mut Clock,
     net: &mut Crossbar<NetMsg>,
-    ctxs: &mut [&mut NodeCtx],
+    ctxs: &mut [NodeCtx],
     now: Cycle,
     probe_cap: Option<u64>,
 ) -> u64 {
@@ -897,8 +736,8 @@ fn fast_forward_skip(
     k
 }
 
-/// Emit one trace-replay heartbeat (coordinator only; wall-clock throttled
-/// inside [`Progress::heartbeat`]).
+/// Emit one trace-replay heartbeat (wall-clock throttled inside
+/// [`Progress::heartbeat`]).
 fn emit_trace_heartbeat(progress: &Progress, now: Cycle, skipped_cycles: u64, nodes: usize) {
     let elapsed = progress.elapsed().as_secs_f64();
     progress.heartbeat(|o| {
@@ -920,14 +759,12 @@ fn emit_trace_heartbeat(progress: &Progress, now: Cycle, skipped_cycles: u64, no
     });
 }
 
-/// The serialized end-of-cycle phase: decide quiescence from the summed
-/// per-node counters and, when quiescent, run one flush-with-sum-back
+/// The end-of-cycle phase: decide quiescence from the summed per-node
+/// counters and, when quiescent, run one flush-with-sum-back
 /// synchronization round (§3.2). Returns `true` when the run is complete.
-/// Runs with all ports re-attached, so `net.is_idle()` sees the real edge
-/// queues.
 fn sync_phase(
     net: &Crossbar<NetMsg>,
-    ctxs: &mut [&mut NodeCtx],
+    ctxs: &mut [NodeCtx],
     total: usize,
     p: &StepParams,
     flush_rounds: &mut u32,
@@ -1165,40 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_stepping_is_bit_identical_to_serial() {
-        // The heart of the determinism contract: for every mode the
-        // phase-parallel stepper must reproduce the sequential scheduler's
-        // cycle count, statistics, and lifecycle records exactly, at every
-        // thread count.
-        let (trace, values) = uniform_trace(3000, 512, 21);
-        let mut cfg = machine();
-        cfg.req_sample = 8;
-        let cases: [(usize, NetworkConfig, bool, Topology); 4] = [
-            (4, NetworkConfig::high(), false, Topology::Flat),
-            (4, NetworkConfig::low(), true, Topology::Flat),
-            (8, NetworkConfig::low(), true, Topology::Hypercube),
-            (2, NetworkConfig::low(), false, Topology::Flat),
-        ];
-        for (n, net, combining, topo) in cases {
-            let run = |threads: usize| {
-                let mut mn = MultiNode::with_topology(cfg, n, net, combining, topo);
-                let r = mn.run_trace_threads(&trace, &values, threads);
-                verify(&mn, &trace, &values);
-                r
-            };
-            let serial = run(1);
-            for threads in [2, n, 2 * n] {
-                let parallel = run(threads);
-                assert_reports_identical(
-                    &serial,
-                    &parallel,
-                    &format!("n={n} combining={combining} topo={topo:?} threads={threads}"),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fast_forward_is_byte_identical() {
         let (trace, values) = uniform_trace(2000, 512, 33);
         let mut any_skipped = false;
@@ -1234,7 +1037,7 @@ mod tests {
     fn recoverable_faults_stay_bit_identical_across_schedulers() {
         // The resilience contract end to end: a plan mixing every fault
         // kind must leave application results bit-identical to each other
-        // across serial/parallel stepping and fast-forward on/off, with the
+        // across fast-forward on/off, with the
         // recovery machinery (NACK backoff, flit retransmit, MSHR replay,
         // stall watchdog) visible in the counters.
         let plan = sa_faults::FaultPlan::parse(
@@ -1249,13 +1052,13 @@ mod tests {
         .expect("valid plan");
         let bins = 512u64;
         let (trace, values) = uniform_trace(3000, bins, 44);
-        let run = |threads: usize, ff: bool, faulty: bool| {
+        let run = |ff: bool, faulty: bool| {
             let mut mn = MultiNode::new(machine(), 4, NetworkConfig::low(), false);
             mn.set_fast_forward(ff);
             if faulty {
                 mn.set_fault_plan(&plan);
             }
-            let r = mn.run_trace_threads(&trace, &values, threads);
+            let r = mn.run_trace(&trace, &values);
             verify(&mn, &trace, &values);
             let bits: Vec<u64> = (0..bins)
                 .map(|w| mn.read_word(Addr::from_word_index(w)))
@@ -1263,10 +1066,10 @@ mod tests {
             (r, bits)
         };
 
-        let (clean, _) = run(1, false, false);
+        let (clean, _) = run(false, false);
         assert!(clean.resilience.is_zero(), "no plan leaves counters zero");
 
-        let (faulty, bits) = run(1, false, true);
+        let (faulty, bits) = run(false, true);
         let res = &faulty.resilience;
         assert!(res.net_nacks > 0, "NACKs fired: {res:?}");
         assert!(res.net_retries > 0, "NACKed sends retried: {res:?}");
@@ -1285,25 +1088,16 @@ mod tests {
             clean.cycles
         );
 
-        for (threads, ff) in [(3usize, false), (1, true), (4, true)] {
-            let (r, rbits) = run(threads, ff, true);
-            let what = format!("faulty threads={threads} ff={ff}");
-            assert_eq!(bits, rbits, "{what}: application results bit-identical");
-            let mut a = faulty.clone();
-            let mut b = r;
-            a.skipped_cycles = 0;
-            b.skipped_cycles = 0;
-            assert_reports_identical(&a, &b, &what);
-        }
-    }
-
-    #[test]
-    fn thread_count_exceeding_nodes_is_clamped() {
-        let (trace, values) = uniform_trace(400, 64, 22);
-        let mut mn = MultiNode::new(machine(), 2, NetworkConfig::high(), false);
-        let r = mn.run_trace_threads(&trace, &values, 64);
-        verify(&mn, &trace, &values);
-        assert_eq!(r.adds, 400);
+        let (r, rbits) = run(true, true);
+        assert_eq!(
+            bits, rbits,
+            "faulty ff on: application results bit-identical"
+        );
+        let mut a = faulty.clone();
+        let mut b = r;
+        a.skipped_cycles = 0;
+        b.skipped_cycles = 0;
+        assert_reports_identical(&a, &b, "faulty ff on/off");
     }
 
     #[test]

@@ -117,10 +117,8 @@ pub struct SendError<T> {
     pub nack: bool,
 }
 
-/// Per-port fault state: the injection NACK schedule and its counters.
-/// Travels with the port through [`Crossbar::detach_port`] /
-/// [`Crossbar::attach_port`], so the NACK decision stream is port-local and
-/// identical under serial and phase-parallel stepping.
+/// Per-port fault state: the injection NACK schedule and its counters, so
+/// the NACK decision stream is port-local.
 #[derive(Debug, Default)]
 struct PortFaults {
     inj: FaultInjector,
@@ -158,10 +156,6 @@ pub struct Crossbar<T> {
     rx: Vec<Option<PortTx<T>>>,
     out_q: Vec<BoundedQueue<(Message<T>, Cycle)>>,
     stats: NetStats,
-    /// Stand-in queues swapped into place while a port is detached,
-    /// recycled across detach/attach cycles so phase-parallel stepping does
-    /// not allocate per cycle.
-    spares: Vec<Option<(PortQueue<T>, PortQueue<T>)>>,
     /// Per-port injection NACK schedules (inert without a fault plan).
     port_faults: Vec<PortFaults>,
     /// Fabric-wide flit-drop schedule, consulted once per flight release
@@ -170,8 +164,6 @@ pub struct Crossbar<T> {
     /// Drop/retransmission counters (NACK counters live with the ports).
     resilience: ResilienceStats,
 }
-
-type PortQueue<T> = BoundedQueue<(Message<T>, Cycle)>;
 
 impl<T> Crossbar<T> {
     /// A crossbar connecting `n` nodes.
@@ -191,7 +183,6 @@ impl<T> Crossbar<T> {
             rx: (0..n).map(|_| None).collect(),
             out_q: (0..n).map(|_| BoundedQueue::new(cfg.queue_depth)).collect(),
             stats: NetStats::default(),
-            spares: (0..n).map(|_| None).collect(),
             port_faults: (0..n).map(|_| PortFaults::default()).collect(),
             drop_faults: FaultInjector::none(),
             resilience: ResilienceStats::default(),
@@ -539,53 +530,6 @@ impl<T> Crossbar<T> {
         }
         s
     }
-
-    /// Detach node `i`'s edge queues as an owned [`CrossbarPort`], so a
-    /// phase-parallel scheduler can hand each node exclusive access to its
-    /// own injection and delivery queues while other nodes step
-    /// concurrently.
-    ///
-    /// The crossbar keeps fresh, empty stand-in queues while the port is
-    /// out. The caller MUST [`Crossbar::attach_port`] the port back before
-    /// the next [`Crossbar::tick`] — ticking with a detached port would
-    /// route traffic through the stand-ins and silently drop it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn detach_port(&mut self, i: usize) -> CrossbarPort<T> {
-        assert!(i < self.n, "port out of range");
-        let (mut inject, mut deliver) = self.spares[i].take().unwrap_or_else(|| {
-            (
-                BoundedQueue::new(self.cfg.queue_depth),
-                BoundedQueue::new(self.cfg.queue_depth),
-            )
-        });
-        std::mem::swap(&mut self.in_q[i], &mut inject);
-        std::mem::swap(&mut self.out_q[i], &mut deliver);
-        CrossbarPort {
-            index: i,
-            inject,
-            deliver,
-            faults: std::mem::take(&mut self.port_faults[i]),
-        }
-    }
-
-    /// Re-attach a port taken with [`Crossbar::detach_port`], restoring its
-    /// queues (and their accumulated statistics) to the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port's index is out of range for this crossbar.
-    pub fn attach_port(&mut self, mut port: CrossbarPort<T>) {
-        assert!(port.index < self.n, "port out of range");
-        std::mem::swap(&mut self.in_q[port.index], &mut port.inject);
-        std::mem::swap(&mut self.out_q[port.index], &mut port.deliver);
-        self.port_faults[port.index] = std::mem::take(&mut port.faults);
-        // After the swaps the port holds the (empty) stand-ins; keep their
-        // allocations for the next detach.
-        self.spares[port.index] = Some((port.inject, port.deliver));
-    }
 }
 
 impl<T> sa_telemetry::Inspectable for Crossbar<T> {
@@ -593,9 +537,7 @@ impl<T> sa_telemetry::Inspectable for Crossbar<T> {
         "crossbar"
     }
 
-    /// Aggregate fabric occupancy. Only meaningful while all ports are
-    /// attached — a multinode coordinator snapshots after the re-attach
-    /// point of its step, never mid-phase.
+    /// Aggregate fabric occupancy.
     fn probe_json(&self) -> sa_telemetry::Json {
         use sa_telemetry::Json;
         let mut o = Json::obj();
@@ -612,136 +554,6 @@ impl<T> sa_telemetry::Inspectable for Crossbar<T> {
         o.push("tx_busy", Json::UInt(tx_busy as u64));
         o.push("rx_busy", Json::UInt(rx_busy as u64));
         o
-    }
-}
-
-/// One node's detached view of the crossbar: its injection queue and its
-/// delivery queue (see [`Crossbar::detach_port`]). Port operations mirror
-/// the corresponding [`Crossbar`] methods exactly, so a scheduler stepping
-/// nodes against detached ports behaves bit-identically to one calling the
-/// crossbar directly.
-#[derive(Debug)]
-pub struct CrossbarPort<T> {
-    index: usize,
-    inject: BoundedQueue<(Message<T>, Cycle)>,
-    deliver: BoundedQueue<(Message<T>, Cycle)>,
-    faults: PortFaults,
-}
-
-impl<T> CrossbarPort<T> {
-    /// The node this port belongs to.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Whether the injection queue can take one more message
-    /// (mirrors [`Crossbar::can_inject`]).
-    pub fn can_inject(&self) -> bool {
-        self.inject.can_accept()
-    }
-
-    /// Queue a message at this source port (mirrors
-    /// [`Crossbar::try_inject`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back when the queue is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message's source is not this port.
-    pub fn try_inject(&mut self, msg: Message<T>) -> Result<(), Message<T>> {
-        self.try_send(msg).map_err(|e| e.msg)
-    }
-
-    /// Queue a message, distinguishing a fault-injected NACK from a full
-    /// queue (mirrors [`Crossbar::try_send`] — the NACK schedule is
-    /// port-local state that travelled here with the detach, so the
-    /// decision stream is identical to the attached path).
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back with `nack: true` on an injected NACK,
-    /// `nack: false` when the queue is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message's source is not this port.
-    pub fn try_send(&mut self, msg: Message<T>) -> Result<(), SendError<T>> {
-        assert_eq!(msg.src, self.index, "message source must match the port");
-        if self.inject.can_accept() && self.faults.nacks() {
-            return Err(SendError { msg, nack: true });
-        }
-        self.inject
-            .try_push((msg, Cycle::ZERO))
-            .map_err(|(m, _)| SendError {
-                msg: m,
-                nack: false,
-            })
-    }
-
-    /// Queue a message, stamping [`ReqStage::Crossbar`] on the carried
-    /// request's lifecycle record (mirrors [`Crossbar::try_inject_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back when the queue is full (nothing is stamped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message's source is not this port.
-    pub fn try_inject_traced(
-        &mut self,
-        msg: Message<T>,
-        now: Cycle,
-        req: Option<ReqId>,
-        tracer: &mut ReqTracer,
-    ) -> Result<(), Message<T>> {
-        let r = self.try_inject(msg);
-        if r.is_ok() {
-            if let Some(id) = req {
-                tracer.stamp(id, ReqStage::Crossbar, now.raw());
-            }
-        }
-        r
-    }
-
-    /// [`CrossbarPort::try_send`] with lifecycle stamping (mirrors
-    /// [`Crossbar::try_send_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back (nothing stamped) with `nack` telling a
-    /// fault-injected NACK from a full queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message's source is not this port.
-    pub fn try_send_traced(
-        &mut self,
-        msg: Message<T>,
-        now: Cycle,
-        req: Option<ReqId>,
-        tracer: &mut ReqTracer,
-    ) -> Result<(), SendError<T>> {
-        let r = self.try_send(msg);
-        if r.is_ok() {
-            if let Some(id) = req {
-                tracer.stamp(id, ReqStage::Crossbar, now.raw());
-            }
-        }
-        r
-    }
-
-    /// Next delivered message, if any (mirrors [`Crossbar::pop_delivered`]).
-    pub fn pop_delivered(&mut self) -> Option<Message<T>> {
-        self.deliver.pop().map(|(m, _)| m)
-    }
-
-    /// Peek the next delivered message without consuming it (mirrors
-    /// [`Crossbar::peek_delivered`]).
-    pub fn peek_delivered(&self) -> Option<&Message<T>> {
-        self.deliver.front().map(|(m, _)| m)
     }
 }
 
@@ -948,71 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn detached_ports_behave_like_direct_access() {
-        // Drive the same traffic twice — once through Crossbar methods,
-        // once through detached ports — and require identical outcomes.
-        let drive_direct = |mut net: Crossbar<u32>| {
-            let mut got = Vec::new();
-            let mut now = Cycle(0);
-            let mut sent = 0;
-            for _ in 0..200 {
-                now += 1;
-                net.tick(now);
-                if sent < 5 && net.can_inject(0) {
-                    net.try_inject(Message::new(0, 1, 2, sent)).unwrap();
-                    sent += 1;
-                }
-                while let Some(m) = net.pop_delivered(1) {
-                    got.push(m.payload);
-                }
-            }
-            (got, net.stats())
-        };
-        let drive_ports = |mut net: Crossbar<u32>| {
-            let mut got = Vec::new();
-            let mut now = Cycle(0);
-            let mut sent = 0;
-            for _ in 0..200 {
-                now += 1;
-                net.tick(now);
-                let mut p0 = net.detach_port(0);
-                let mut p1 = net.detach_port(1);
-                if sent < 5 && p0.can_inject() {
-                    p0.try_inject(Message::new(0, 1, 2, sent)).unwrap();
-                    sent += 1;
-                }
-                while let Some(m) = p1.pop_delivered() {
-                    got.push(m.payload);
-                }
-                net.attach_port(p0);
-                net.attach_port(p1);
-            }
-            (got, net.stats())
-        };
-        let (got_a, stats_a) = drive_direct(Crossbar::new(2, low()));
-        let (got_b, stats_b) = drive_ports(Crossbar::new(2, low()));
-        assert_eq!(got_a, vec![0, 1, 2, 3, 4]);
-        assert_eq!(got_a, got_b);
-        assert_eq!(stats_a, stats_b);
-    }
-
-    #[test]
-    fn detached_port_traced_injection_stamps() {
-        let mut net: Crossbar<u32> = Crossbar::new(2, high());
-        let mut tracer = ReqTracer::every(1);
-        tracer.issue(8, 0, 1);
-        let mut p = net.detach_port(0);
-        assert_eq!(p.index(), 0);
-        p.try_inject_traced(Message::new(0, 1, 1, 7), Cycle(2), Some(8), &mut tracer)
-            .unwrap();
-        net.attach_port(p);
-        let rec = tracer.retire(8, 5).expect("record is live");
-        assert_eq!(rec.stamp_at(ReqStage::Crossbar), Some(2));
-        let (m, _) = run_until_delivered(&mut net, 1, Cycle(2), 1000);
-        assert_eq!(m.payload, 7);
-    }
-
-    #[test]
     fn next_event_tracks_fabric_state() {
         let cfg = NetworkConfig {
             node_words_per_cycle: 8,
@@ -1058,15 +805,15 @@ mod tests {
     }
 
     #[test]
-    fn nacked_sends_are_identical_attached_and_detached() {
+    fn nacked_sends_follow_the_port_schedule() {
         let nack_plan = plan(
             r#"{"schema":"sa-faultplan","version":1,"seed":11,
                 "faults":[{"kind":"net_nack","period":3,"max":4}]}"#,
         );
-        // Drive the same traffic through Crossbar::try_send and through a
-        // detached port: the NACK decisions, deliveries, and counters must
-        // be bit-identical because the schedule is port-local state.
-        let drive = |detached: bool| {
+        // The NACK schedule is port-local state keyed by the plan: the same
+        // traffic is NACKed at the same sends on every run, and every
+        // accepted message is delivered in order.
+        let drive = || {
             let mut net: Crossbar<u64> = Crossbar::new(2, high());
             net.set_fault_plan(&nack_plan);
             let mut got = Vec::new();
@@ -1075,39 +822,24 @@ mod tests {
             for i in 0..40u64 {
                 now += 1;
                 net.tick(now);
-                if detached {
-                    let mut p0 = net.detach_port(0);
-                    let mut p1 = net.detach_port(1);
-                    match p0.try_send(Message::new(0, 1, 1, i)) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            assert!(e.nack, "queue never fills at this rate");
-                            nacks.push(i);
-                        }
+                match net.try_send(Message::new(0, 1, 1, i)) {
+                    Ok(()) => {}
+                    Err(e) => {
+                        assert!(e.nack, "queue never fills at this rate");
+                        nacks.push(i);
                     }
-                    while let Some(m) = p1.pop_delivered() {
-                        got.push(m.payload);
-                    }
-                    net.attach_port(p0);
-                    net.attach_port(p1);
-                } else {
-                    match net.try_send(Message::new(0, 1, 1, i)) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            assert!(e.nack, "queue never fills at this rate");
-                            nacks.push(i);
-                        }
-                    }
-                    while let Some(m) = net.pop_delivered(1) {
-                        got.push(m.payload);
-                    }
+                }
+                while let Some(m) = net.pop_delivered(1) {
+                    got.push(m.payload);
                 }
             }
             (got, nacks, net.resilience_stats())
         };
-        let (got_a, nacks_a, res_a) = drive(false);
-        let (got_b, nacks_b, res_b) = drive(true);
+        let (got_a, nacks_a, res_a) = drive();
+        let (got_b, nacks_b, res_b) = drive();
         assert_eq!(nacks_a.len(), 4, "the plan caps NACKs at 4: {nacks_a:?}");
+        assert!(got_a.iter().all(|m| !nacks_a.contains(m)));
+        assert!(got_a.windows(2).all(|w| w[0] < w[1]), "delivered in order");
         assert_eq!(got_a, got_b);
         assert_eq!(nacks_a, nacks_b);
         assert_eq!(res_a, res_b);
@@ -1176,14 +908,6 @@ mod tests {
         }
         assert!(net.resilience_stats().is_zero());
         assert_eq!(net.stats().delivered, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "source must match the port")]
-    fn detached_port_rejects_foreign_source() {
-        let mut net: Crossbar<()> = Crossbar::new(2, high());
-        let mut p = net.detach_port(0);
-        let _ = p.try_inject(Message::new(1, 0, 1, ()));
     }
 
     #[test]

@@ -394,14 +394,7 @@ impl Executor {
             node.tick(now);
             while node.pop_completion().is_some() {}
             if fast_forward {
-                // No more injections: with intra-node threads the lanes can
-                // free-run a whole epoch; otherwise (or when the epoch
-                // cannot engage) fall back to the event-horizon skip.
-                let adv = node.advance_epoch(now, u64::MAX);
-                if adv > 0 {
-                    clock.skip_to(Cycle(now.raw() + adv - 1));
-                    skipped_cycles += adv - 1;
-                } else if let Some(h) = node.next_event(now) {
+                if let Some(h) = node.next_event(now) {
                     if h > now + 1 {
                         let k = h.raw() - now.raw() - 1;
                         node.skip_cycles(now, k);

@@ -39,7 +39,6 @@ mod queue;
 mod req;
 mod rng;
 mod stats;
-mod threads;
 
 pub use config::{
     AgConfig, CacheConfig, ComputeConfig, DramConfig, MachineConfig, NetworkConfig, SaUnitConfig,
@@ -54,4 +53,3 @@ pub use req::{
 };
 pub use rng::Rng64;
 pub use stats::{Counter, QueueStats};
-pub use threads::{node_threads_default, set_node_threads_default};

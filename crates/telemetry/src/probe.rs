@@ -9,8 +9,7 @@
 //!   collects them through a [`ProbeRegistry`] at a fixed simulated-cycle
 //!   cadence driven by a [`ProbeRecorder`]. Snapshots are part of the
 //!   simulation's deterministic surface: at a fixed cadence the rendered
-//!   bytes are identical across `--jobs`, `--step-threads` and
-//!   `--fast-forward` (modulo the `skipped_cycles` tally, exactly like the
+//!   bytes are identical across `--jobs` and `--fast-forward` (modulo the `skipped_cycles` tally, exactly like the
 //!   stats documents).
 //! * **Progress** — a [`Progress`] handle emits NDJSON heartbeat/point
 //!   events to stderr or a [`ProbeListener`] unix socket, throttled by

@@ -97,9 +97,8 @@ pub struct SessionReport {
     pub fetched: Vec<(u64, u64)>,
     /// `sa-probe` snapshot lines (compact JSON, one per cadence point;
     /// empty unless [`SessionBuilder::probe`] set an interval). At a fixed
-    /// interval these bytes are identical across step-thread counts and
-    /// fast-forward settings, except for the `skipped_cycles` field each
-    /// line carries.
+    /// interval these bytes are identical across fast-forward settings,
+    /// except for the `skipped_cycles` field each line carries.
     pub probe_lines: Vec<String>,
     /// Application scatter-add operations performed (the workload length).
     pub adds: u64,
@@ -468,8 +467,6 @@ pub struct SessionBuilder {
     faults: Option<FaultPlan>,
     telemetry: Telemetry,
     fast_forward: Option<bool>,
-    step_threads: usize,
-    node_threads: usize,
     probe_interval: u64,
     progress: Option<Progress>,
     fetch: bool,
@@ -510,21 +507,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker threads for phase-parallel multinode stepping (default 1;
-    /// results are bit-identical for every value).
-    pub fn step_threads(mut self, threads: usize) -> SessionBuilder {
-        self.step_threads = threads.max(1);
-        self
-    }
-
-    /// Worker threads stepping the bank lanes *within* a node — the third
-    /// parallelism axis (see `docs/PARALLELISM.md`). Default: the
-    /// process-wide [`sa_sim::node_threads_default`]. Results are
-    /// byte-identical for every value. Single-node workloads only;
-    /// multi-node machines already step each node on its own thread and
-    /// ignore this.
-    pub fn node_threads(mut self, threads: usize) -> SessionBuilder {
-        self.node_threads = threads.max(1);
+    /// Returns the builder unchanged; the thread count is ignored. Kept
+    /// only for the benchmark package under `bench/benchmark`.
+    pub fn node_threads(self, _: usize) -> SessionBuilder {
         self
     }
 
@@ -561,7 +546,7 @@ impl SessionBuilder {
     /// The fingerprint covers every execution-relevant input (workload,
     /// config, fault plan, fetch mode, telemetry cadences) and deliberately
     /// excludes knobs the byte-identity contract proves irrelevant
-    /// (`step_threads`, `node_threads`, `fast_forward`, progress sinks).
+    /// (`fast_forward`, progress sinks).
     /// `skipped_cycles` replays the cached run's value.
     pub fn cache(mut self, cache: Arc<ResultCache>) -> SessionBuilder {
         self.cache = Some(cache);
@@ -625,8 +610,6 @@ impl SessionBuilder {
             faults: self.faults,
             telemetry: self.telemetry,
             fast_forward: self.fast_forward,
-            step_threads: self.step_threads.max(1),
-            node_threads: self.node_threads,
             probe_interval: self.probe_interval,
             progress: self.progress,
             fetch: self.fetch,
@@ -643,8 +626,6 @@ pub struct Session {
     faults: Option<FaultPlan>,
     telemetry: Telemetry,
     fast_forward: Option<bool>,
-    step_threads: usize,
-    node_threads: usize,
     probe_interval: u64,
     progress: Option<Progress>,
     fetch: bool,
@@ -671,8 +652,6 @@ impl Session {
             probe_interval: self.probe_interval,
             fetch: self.fetch,
             exec: crate::spec::ExecSpec {
-                step_threads: self.step_threads,
-                node_threads: self.node_threads,
                 fast_forward: self.fast_forward,
             },
         }
@@ -681,9 +660,9 @@ impl Session {
     /// The canonical cache key for this session: the canonical JSON form of
     /// [`Session::spec`] — every execution-relevant input in a fixed field
     /// order, with large index/value arrays folded in as SHA-256 digests.
-    /// Execution-irrelevant knobs (thread counts, fast-forward, progress
-    /// sinks) are excluded — the byte-identity contract proves they cannot
-    /// change the report.
+    /// Execution-irrelevant knobs (fast-forward, progress sinks) are
+    /// excluded — the byte-identity contract proves they cannot change the
+    /// report.
     pub fn fingerprint(&self) -> Fingerprint {
         self.spec().fingerprint()
     }
@@ -691,9 +670,8 @@ impl Session {
     /// Run the workload to completion.
     ///
     /// Deterministic: the report is a pure function of the session's
-    /// configuration — identical across repeated runs, thread counts, and
-    /// fast-forward settings (modulo `skipped_cycles`, which is wall-clock
-    /// accounting).
+    /// configuration — identical across repeated runs and fast-forward
+    /// settings (modulo `skipped_cycles`, which is wall-clock accounting).
     ///
     /// With a [`SessionBuilder::cache`] attached, a valid cached entry is
     /// returned without simulating anything; a miss (or a corrupt/stale
@@ -750,7 +728,7 @@ impl Session {
                     mn.set_fault_plan(plan);
                 }
                 let mut probe = self.introspect("multinode");
-                let r = mn.run_trace_threads_probed(trace, values, self.step_threads, &mut probe);
+                let r = mn.run_trace_probed(trace, values, &mut probe);
                 let len = trace.iter().copied().max().map_or(0, |m| m as usize + 1);
                 let result = (0..len as u64)
                     .map(|w| mn.read_word(Addr::from_word_index(w)))
@@ -791,9 +769,6 @@ impl Session {
         let mut node = NodeMemSys::new(self.config, 0, false);
         if let Some(ff) = self.fast_forward {
             node.set_fast_forward(ff);
-        }
-        if self.node_threads > 0 {
-            node.set_node_threads(self.node_threads);
         }
         if let Some(plan) = &self.faults {
             node.set_fault_plan(plan);
@@ -911,16 +886,14 @@ mod tests {
             .unwrap()
             .fingerprint()
             .digest();
-        let threaded = Session::builder()
+        let unskipped = Session::builder()
             .workload(workload.clone())
-            .step_threads(4)
-            .node_threads(4)
             .fast_forward(false)
             .build()
             .unwrap()
             .fingerprint()
             .digest();
-        assert_eq!(base, threaded, "thread/ff knobs must not change the key");
+        assert_eq!(base, unskipped, "the ff knob must not change the key");
         let other = Session::builder()
             .workload(Workload::Histogram {
                 base_word: 0,
@@ -1058,10 +1031,10 @@ mod tests {
             trace: (0..1500u64).map(|i| (i * 13) % 256).collect(),
             values: (0..1500).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect(),
         };
-        let run = |faults: Option<FaultPlan>, threads: usize| {
+        let run = |faults: Option<FaultPlan>, ff: bool| {
             let mut b = Session::builder()
                 .workload(workload.clone())
-                .step_threads(threads);
+                .fast_forward(ff);
             if let Some(p) = faults {
                 b = b.faults(p);
             }
@@ -1074,8 +1047,8 @@ mod tests {
                 {"kind":"ecc_single","period":6}
             ]}"#,
         );
-        let clean = run(None, 1);
-        let faulty = run(Some(p.clone()), 1);
+        let clean = run(None, true);
+        let faulty = run(Some(p.clone()), true);
         assert!(faulty.resilience.net_nacks > 0);
         assert!(faulty.resilience.net_dropped > 0);
         assert_eq!(
@@ -1083,8 +1056,11 @@ mod tests {
             "recoverable faults must not change application results"
         );
         assert!(faulty.cycles > clean.cycles, "recovery costs cycles");
-        // And the faulty run itself is deterministic across thread counts.
-        let faulty3 = run(Some(p), 3);
-        assert_eq!(faulty, faulty3);
+        // And the faulty run itself is identical with fast-forward off
+        // (modulo the skipped-cycle accounting).
+        let mut stepped = run(Some(p), false);
+        assert_eq!(stepped.skipped_cycles, 0);
+        stepped.skipped_cycles = faulty.skipped_cycles;
+        assert_eq!(faulty, stepped);
     }
 }

@@ -15,10 +15,9 @@
 //! * **Canonical form** ([`SessionSpec::canonical_json`]) — the wire form
 //!   with the large index/value arrays folded into SHA-256 digests and the
 //!   `exec` section dropped. This *is* the cache fingerprint input: the
-//!   execution knobs (`step_threads`, `node_threads`, `fast_forward`) are
-//!   excluded because the byte-identity contract proves they cannot change
-//!   the report, so a warm query matches regardless of how the cold run was
-//!   scheduled.
+//!   execution knob (`fast_forward`) is excluded because the byte-identity
+//!   contract proves it cannot change the report, so a warm query matches
+//!   regardless of how the cold run was scheduled.
 //!
 //! ```
 //! use scatter_add_repro::{SessionSpec, Workload};
@@ -51,16 +50,16 @@ pub const SPEC_SCHEMA_NAME: &str = "sa-session-spec";
 pub const SPEC_SCHEMA_VERSION: u64 = 1;
 
 /// Execution knobs: how a run is scheduled on the host, never what it
-/// computes. The byte-identity contract (see `docs/PARALLELISM.md` and
-/// `docs/PERFORMANCE.md`) guarantees every combination produces the same
-/// report (modulo `skipped_cycles`), which is why this whole section is
-/// excluded from [`SessionSpec::canonical_json`] and hence from cache keys.
+/// computes. The byte-identity contract (see `docs/PERFORMANCE.md`)
+/// guarantees every setting produces the same report (modulo
+/// `skipped_cycles`), which is why this whole section is excluded from
+/// [`SessionSpec::canonical_json`] and hence from cache keys.
+///
+/// Specs written before intra-run stepping threads were removed may carry
+/// `exec.step_threads` and `exec.node_threads`; [`SessionSpec::from_json`]
+/// still accepts those keys (as unsigned integers) and ignores them.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecSpec {
-    /// Phase-parallel multinode stepping width (0 = default, i.e. 1).
-    pub step_threads: usize,
-    /// Intra-node bank-lane stepping width (0 = the process-wide default).
-    pub node_threads: usize,
     /// Event-horizon fast-forward override (`None` = the process default).
     pub fast_forward: Option<bool>,
 }
@@ -118,8 +117,6 @@ impl SessionSpec {
         doc.push("telemetry", self.telemetry_json());
         doc.push("fetch", Json::Bool(self.fetch));
         let mut exec = Json::obj();
-        exec.push("step_threads", Json::UInt(self.exec.step_threads as u64));
-        exec.push("node_threads", Json::UInt(self.exec.node_threads as u64));
         exec.push(
             "fast_forward",
             Json::Str(
@@ -211,9 +208,12 @@ impl SessionSpec {
         tel.finish()?;
         let fetch = top.bool("fetch")?;
         let mut exec = Reader::new("exec", top.get("exec")?)?;
+        for legacy in ["step_threads", "node_threads"] {
+            if exec.has(legacy) {
+                exec.u64(legacy)?;
+            }
+        }
         let exec_spec = ExecSpec {
-            step_threads: exec.usize("step_threads")?,
-            node_threads: exec.usize("node_threads")?,
             fast_forward: match exec.str("fast_forward")? {
                 "default" => None,
                 "on" => Some(true),
@@ -250,12 +250,6 @@ impl SessionSpec {
             .fetch(self.fetch);
         if let Some(plan) = &self.faults {
             b = b.faults(plan.clone());
-        }
-        if self.exec.step_threads > 0 {
-            b = b.step_threads(self.exec.step_threads);
-        }
-        if self.exec.node_threads > 0 {
-            b = b.node_threads(self.exec.node_threads);
         }
         if let Some(ff) = self.exec.fast_forward {
             b = b.fast_forward(ff);
@@ -460,6 +454,10 @@ impl<'a> Reader<'a> {
         })
     }
 
+    fn has(&self, key: &str) -> bool {
+        self.pairs.iter().any(|(k, _)| k == key)
+    }
+
     fn get(&mut self, key: &'a str) -> Result<&'a Json, String> {
         self.seen.push(key);
         self.pairs
@@ -552,8 +550,6 @@ mod tests {
         };
         spec.probe_interval = 512;
         spec.exec = ExecSpec {
-            step_threads: 3,
-            node_threads: 2,
             fast_forward: Some(false),
         };
         spec
@@ -588,8 +584,6 @@ mod tests {
         b.exec = ExecSpec::default();
         assert_ne!(a.to_json().to_string_compact(), {
             b.exec = ExecSpec {
-                step_threads: 7,
-                node_threads: 5,
                 fast_forward: Some(true),
             };
             b.to_json().to_string_compact()
@@ -602,6 +596,32 @@ mod tests {
         // ...but every execution-relevant field changes the digest.
         a.fetch = true;
         assert_ne!(a.fingerprint().digest(), b.fingerprint().digest());
+    }
+
+    #[test]
+    fn legacy_exec_thread_keys_are_accepted_and_ignored() {
+        let spec = multinode_spec();
+        let current = spec.to_json().to_string_compact();
+        let exec = "\"exec\":{";
+        assert_eq!(current.matches(exec).count(), 1);
+        let legacy = current.replace(exec, "\"exec\":{\"step_threads\":4,\"node_threads\":2,");
+        let back = SessionSpec::from_json(&Json::parse(&legacy).unwrap()).unwrap();
+        assert_eq!(back, spec);
+        assert_eq!(
+            back.to_json().to_string_compact(),
+            current,
+            "not re-emitted"
+        );
+        assert_eq!(
+            back.canonical_json().to_string_compact(),
+            spec.canonical_json().to_string_compact()
+        );
+        assert_eq!(back.fingerprint().digest(), spec.fingerprint().digest());
+
+        let bad = current.replace(exec, "\"exec\":{\"step_threads\":\"4\",");
+        assert!(SessionSpec::from_json(&Json::parse(&bad).unwrap())
+            .unwrap_err()
+            .contains("step_threads"));
     }
 
     #[test]

@@ -104,29 +104,28 @@ fn stats_json(r: &TraceReport) -> String {
 }
 
 #[test]
-fn multinode_parallel_stepping_stats_json_is_byte_identical() {
-    // The determinism contract of `docs/PARALLELISM.md`: the phase-parallel
-    // stepper must produce the same sa-stats v2 bytes as serial stepping for
-    // *any* worker count — 1, 2, and more workers than nodes.
+fn multinode_stats_json_is_fast_forward_invariant() {
+    // The multinode run loop must produce the same sa-stats bytes (modulo
+    // the skipped-cycle counter) with the coordinator's event-horizon skip
+    // on and off, including the request-tracer merge and hypercube flush
+    // rounds.
     let mut rng = Rng64::new(9);
     let trace: Vec<u64> = (0..4000).map(|_| rng.below(192)).collect();
     let values: Vec<f64> = (0..trace.len()).map(|_| rng.range_f64(-2.0, 2.0)).collect();
     let mut cfg = machine();
     cfg.req_sample = 16; // exercise the tracer merge path too
     for (combining, topology) in [(false, Topology::Flat), (true, Topology::Hypercube)] {
-        let serial = MultiNode::with_topology(cfg, 4, NetworkConfig::low(), combining, topology)
-            .run_trace(&trace, &values);
-        let expect = stats_json(&serial);
-        for threads in [1usize, 2, 4, 16] {
-            let parallel =
-                MultiNode::with_topology(cfg, 4, NetworkConfig::low(), combining, topology)
-                    .run_trace_threads(&trace, &values, threads);
-            assert_eq!(
-                stats_json(&parallel),
-                expect,
-                "combining={combining} threads={threads}: stats bytes diverged"
-            );
-        }
+        let run = |ff: bool| {
+            let mut mn =
+                MultiNode::with_topology(cfg, 4, NetworkConfig::low(), combining, topology);
+            mn.set_fast_forward(ff);
+            strip_skipped(&stats_json(&mn.run_trace(&trace, &values)))
+        };
+        assert_eq!(
+            run(true),
+            run(false),
+            "combining={combining}: stats bytes diverged"
+        );
     }
 }
 
@@ -294,9 +293,9 @@ proptest! {
 
     /// The multinode flavour of the probe-cadence contract: the `sa-probe`
     /// lines of a trace replay are byte-identical (modulo `skipped_cycles`)
-    /// across phase-parallel step-thread counts and fast-forward modes —
-    /// both schedulers snapshot at the same point in the cycle, after every
-    /// port is re-attached and before the sync phase.
+    /// across fast-forward modes — the coordinator's skip is clamped to due
+    /// cycles, and every snapshot is taken after all nodes stepped and
+    /// before the sync phase.
     #[test]
     fn multinode_probe_snapshots_are_schedule_invariant(
         trace_seed in 1u64..16,
@@ -307,33 +306,27 @@ proptest! {
         let mut rng = Rng64::new(trace_seed);
         let trace: Vec<u64> = (0..2000).map(|_| rng.below(256)).collect();
         let values = vec![1.0; trace.len()];
-        let run = |threads: usize, ff: bool| {
+        let run = |ff: bool| {
             let mut mn = MultiNode::new(machine(), 4, NetworkConfig::low(), combining);
             mn.set_fast_forward(ff);
             let mut probe = Introspect::off();
             probe.recorder = ProbeRecorder::every(interval).with_label("mn");
-            let r = mn.run_trace_threads_probed(&trace, &values, threads, &mut probe);
+            let r = mn.run_trace_probed(&trace, &values, &mut probe);
             (stats_json(&r), probe.recorder.take_lines())
         };
-        let (base_stats, base_lines) = run(1, false);
+        let (base_stats, base_lines) = run(false);
         prop_assert!(!base_lines.is_empty(), "cadence must fire at least once");
-        for (threads, ff) in [(2usize, false), (1, true), (4, true)] {
-            let (stats, lines) = run(threads, ff);
-            prop_assert_eq!(
-                strip_skipped(&stats),
-                strip_skipped(&base_stats),
-                "threads={} ff={}: stats bytes diverged",
-                threads,
-                ff
-            );
-            prop_assert_eq!(
-                strip_probe_skipped(&lines),
-                strip_probe_skipped(&base_lines),
-                "threads={} ff={}: probe lines diverged",
-                threads,
-                ff
-            );
-        }
+        let (stats, lines) = run(true);
+        prop_assert_eq!(
+            strip_skipped(&stats),
+            strip_skipped(&base_stats),
+            "ff on: stats bytes diverged"
+        );
+        prop_assert_eq!(
+            strip_probe_skipped(&lines),
+            strip_probe_skipped(&base_lines),
+            "ff on: probe lines diverged"
+        );
     }
 }
 
@@ -354,8 +347,8 @@ proptest! {
     /// The bottleneck attribution contract: the section is derived purely
     /// from deterministic counters — including the occupancy accounting the
     /// skip path folds in bulk — so its bytes are identical across
-    /// step-thread counts and fast-forward modes, with no stripping at all
-    /// (`skipped_cycles` never feeds the report).
+    /// fast-forward modes, with no stripping at all (`skipped_cycles` never
+    /// feeds the report).
     #[test]
     fn bottleneck_section_is_schedule_invariant(
         trace_seed in 1u64..12,
@@ -364,21 +357,12 @@ proptest! {
         let mut rng = Rng64::new(trace_seed);
         let trace: Vec<u64> = (0..2200).map(|_| rng.below(192)).collect();
         let values = vec![1.0; trace.len()];
-        let run = |threads: usize, ff: bool| {
+        let run = |ff: bool| {
             let mut mn = MultiNode::new(machine(), 4, NetworkConfig::low(), combining);
             mn.set_fast_forward(ff);
-            bottleneck_section(&mn.run_trace_threads(&trace, &values, threads))
+            bottleneck_section(&mn.run_trace(&trace, &values))
         };
-        let base = run(1, false);
-        for (threads, ff) in [(2usize, false), (1, true), (4, true)] {
-            prop_assert_eq!(
-                run(threads, ff),
-                base.clone(),
-                "threads={} ff={}: bottleneck bytes diverged",
-                threads,
-                ff
-            );
-        }
+        prop_assert_eq!(run(true), run(false), "bottleneck bytes diverged");
     }
 }
 
@@ -495,8 +479,8 @@ proptest! {
 
     /// The fault-determinism contract: under a fixed plan and seed, the
     /// multinode run — injected faults, recovery, statistics, and memory
-    /// image — is identical across worker-thread counts and fast-forward
-    /// modes, and the recovered results match the fault-free bits.
+    /// image — is identical across fast-forward modes, and the recovered
+    /// results match the fault-free bits.
     #[test]
     fn faulty_runs_are_schedule_invariant(
         plan_seed in 1u64..64,
@@ -513,33 +497,31 @@ proptest! {
             .map(|_| (rng.below(64) as f64 - 32.0) * 0.125)
             .collect();
         let plan = fault_plan(plan_seed);
-        let run = |faulty: bool, threads: usize, ff: bool| {
+        let run = |faulty: bool, ff: bool| {
             let mut mn = MultiNode::new(machine(), 4, NetworkConfig::low(), combining);
             mn.set_fast_forward(ff);
             if faulty {
                 mn.set_fault_plan(&plan);
             }
-            let r = mn.run_trace_threads(&trace, &values, threads);
+            let r = mn.run_trace(&trace, &values);
             let image: Vec<u64> = (0..256)
                 .map(|w| mn.read_word(sa_sim::Addr::from_word_index(w)))
                 .collect();
             (r, image)
         };
-        let (clean, clean_image) = run(false, 1, false);
+        let (clean, clean_image) = run(false, false);
         prop_assert!(clean.resilience.is_zero());
-        let (base, base_image) = run(true, 1, false);
+        let (base, base_image) = run(true, false);
         prop_assert_eq!(base.resilience.ecc_uncorrected, 0, "plan is recoverable");
         prop_assert_eq!(
             &base_image, &clean_image,
             "recovered results must match fault-free bits"
         );
-        for (threads, ff) in [(3usize, false), (1, true), (4, true)] {
-            let (r, image) = run(true, threads, ff);
-            prop_assert_eq!(&image, &base_image, "threads={} ff={}", threads, ff);
-            prop_assert_eq!(r.cycles, base.cycles);
-            prop_assert_eq!(r.resilience, base.resilience);
-            prop_assert_eq!(&r.node_stats, &base.node_stats);
-        }
+        let (r, image) = run(true, true);
+        prop_assert_eq!(&image, &base_image, "ff on: memory image diverged");
+        prop_assert_eq!(r.cycles, base.cycles);
+        prop_assert_eq!(r.resilience, base.resilience);
+        prop_assert_eq!(&r.node_stats, &base.node_stats);
     }
 }
 
@@ -562,13 +544,13 @@ fn float_reduction_order_is_stable_across_runs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The intra-node flavour of the fault-determinism contract: under a
-    /// fixed recoverable plan, a single node renders the same sa-stats
-    /// bytes and memory image at every bank-lane width and fast-forward
-    /// mode — fault sites are addressed by component, not by stepping
-    /// order, so the worker pool cannot perturb injection or recovery.
+    /// The single-node flavour of the fault-determinism contract: under a
+    /// fixed recoverable plan, a node renders the same sa-stats bytes and
+    /// memory image with fast-forward on and off — fault sites are
+    /// addressed by component, not by stepping order, so skipping cannot
+    /// perturb injection or recovery.
     #[test]
-    fn faulty_single_node_runs_are_node_thread_invariant(
+    fn faulty_single_node_runs_are_fast_forward_invariant(
         workload in prop::sample::select(vec![
             FfWorkload::Histogram,
             FfWorkload::Spmv,
@@ -580,34 +562,31 @@ proptest! {
         let cfg = machine();
         let kernel = ScatterKernel::histogram(0, ff_trace(workload, seed));
         let plan = fault_plan(plan_seed);
-        let run = |threads: usize, ff: bool| {
+        let run = |ff: bool| {
             let mut node = NodeMemSys::new(cfg, 0, false);
             node.set_fast_forward(ff);
-            node.set_node_threads(threads);
             node.set_fault_plan(&plan);
             let r = drive_scatter_with(node, &kernel, false);
             (strip_skipped(&run_stats_json(&r)), r.result_i64(256))
         };
-        let (base_stats, base_image) = run(1, false);
-        for (threads, ff) in [(4usize, false), (1, true), (4, true)] {
-            let (stats, image) = run(threads, ff);
-            prop_assert_eq!(stats, base_stats.clone(), "threads={} ff={}", threads, ff);
-            prop_assert_eq!(image, base_image.clone(), "threads={} ff={}", threads, ff);
-        }
+        let (base_stats, base_image) = run(false);
+        let (stats, image) = run(true);
+        prop_assert_eq!(stats, base_stats, "ff on: stats bytes diverged");
+        prop_assert_eq!(image, base_image, "ff on: memory image diverged");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The intra-node flavour of the occupancy-invariance contract: the
-    /// per-family `(busy, blocked, idle)` triples that feed the bottleneck
-    /// engine are identical across bank-lane widths and fast-forward modes
-    /// — the epoch scheduler folds occupancy in bulk with exactly the
-    /// classification the per-cycle barrier produces, at narrow (combining
-    /// store bound) and wide (DRAM bound) index ranges alike.
+    /// The occupancy-invariance contract: the per-family
+    /// `(busy, blocked, idle)` triples that feed the bottleneck engine are
+    /// identical across fast-forward modes — the skip path folds occupancy
+    /// in bulk with exactly the classification per-cycle ticking produces,
+    /// at narrow (combining store bound) and wide (DRAM bound) index ranges
+    /// alike.
     #[test]
-    fn occupancy_triples_are_node_thread_invariant(
+    fn occupancy_triples_are_fast_forward_invariant(
         range_bits in prop::sample::select(vec![8u32, 18]),
         seed in 1u64..12,
     ) {
@@ -616,16 +595,12 @@ proptest! {
             0,
             (0..1200).map(|_| rng.below(1 << range_bits)).collect(),
         );
-        let run = |threads: usize, ff: bool| {
+        let run = |ff: bool| {
             let mut node = NodeMemSys::new(machine(), 0, false);
             node.set_fast_forward(ff);
-            node.set_node_threads(threads);
             let json = run_stats_json(&drive_scatter_with(node, &kernel, false));
             ["sa", "cache", "dram"].map(|f| occ_triple(&json, f))
         };
-        let base = run(1, false);
-        for (threads, ff) in [(2usize, false), (4, false), (4, true)] {
-            prop_assert_eq!(run(threads, ff), base, "threads={} ff={}", threads, ff);
-        }
+        prop_assert_eq!(run(true), run(false));
     }
 }

@@ -186,15 +186,14 @@ fn bottleneck_bound_flips_with_index_range_like_fig8() {
 }
 
 /// The full v5 bottleneck section (not just the bound) for a histogram run
-/// over `range`-wide indices under a given lane width and scheduler.
-fn bottleneck_report(range: u64, n: u64, threads: usize, ff: bool) -> String {
+/// over `range`-wide indices with fast-forward on or off.
+fn bottleneck_report(range: u64, n: u64, ff: bool) -> String {
     use sa_core::{drive_scatter_with, NodeMemSys};
     use sa_telemetry::{bottleneck_json, validate_bottleneck_json, Json, MetricsRegistry};
     let mut rng = Rng64::new(0xF11B_0002);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(range)).collect());
     let mut node = NodeMemSys::new(machine(), 0, false);
     node.set_fast_forward(ff);
-    node.set_node_threads(threads);
     let run = drive_scatter_with(node, &kernel, false);
     let mut reg = MetricsRegistry::new();
     {
@@ -210,19 +209,16 @@ fn bottleneck_report(range: u64, n: u64, threads: usize, ff: bool) -> String {
 }
 
 #[test]
-fn epoch_lookahead_and_per_cycle_barrier_agree_on_bottleneck_reports() {
-    // The epoch scheduler batches whole idle windows between two barriers
-    // while fast-forward off re-arbitrates every cycle; both must attribute
-    // the run to the same resource with the same occupancy shares, whether
-    // the combining store or DRAM bandwidth is the limiter.
+fn fast_forward_and_per_cycle_stepping_agree_on_bottleneck_reports() {
+    // Fast-forward folds whole idle windows in bulk while fast-forward off
+    // ticks every cycle; both must attribute the run to the same resource
+    // with the same occupancy shares, whether the combining store or DRAM
+    // bandwidth is the limiter.
     for (range, n) in [(256u64, 4096u64), (1 << 20, 4096)] {
-        let barrier = bottleneck_report(range, n, 4, false);
-        let epoch = bottleneck_report(range, n, 4, true);
-        assert_eq!(barrier, epoch, "range={range}");
         assert_eq!(
-            barrier,
-            bottleneck_report(range, n, 1, false),
-            "range={range}: lane width changed the report"
+            bottleneck_report(range, n, false),
+            bottleneck_report(range, n, true),
+            "range={range}"
         );
     }
 }

@@ -126,26 +126,25 @@ fn multinode_direct_and_combining_agree_on_float_sums() {
 }
 
 #[test]
-fn parallel_stepper_combining_matches_single_node_oracle() {
-    // The phase-parallel multinode stepper must leave memory in the same
-    // state the oracle predicts: cache-combining with sum-back, replayed
-    // under several worker counts, against single-node reference totals.
+fn multinode_combining_matches_single_node_oracle() {
+    // The multinode machine must leave memory in the same state the oracle
+    // predicts: cache-combining with sum-back, replayed on several machine
+    // shapes, against single-node reference totals.
     let mut rng = Rng64::new(0xE2E6);
     let n = 2500;
     let trace: Vec<u64> = (0..n).map(|_| rng.below(384)).collect();
     let values: Vec<f64> = (0..n).map(|_| (rng.below(32) as f64) * 0.0625).collect();
     let reference = trace_reference(&trace, &values);
 
-    for (nodes, combining, threads) in [(4usize, true, 2usize), (4, true, 8), (8, false, 4)] {
+    for (nodes, combining) in [(4usize, true), (8, true), (8, false)] {
         let mut mn = MultiNode::new(machine(), nodes, NetworkConfig::low(), combining);
-        let report = mn.run_trace_threads(&trace, &values, threads);
+        let report = mn.run_trace(&trace, &values);
         assert_eq!(report.adds, n as u64);
         for (&w, &expect) in &reference {
             let got = f64::from_bits(mn.read_word(Addr::from_word_index(w)));
             assert!(
                 (got - expect).abs() < 1e-9 * (1.0 + expect.abs()),
-                "nodes={nodes} combining={combining} threads={threads} word {w}: \
-                 {got} vs {expect}"
+                "nodes={nodes} combining={combining} word {w}: {got} vs {expect}"
             );
         }
     }

@@ -1,8 +1,8 @@
 //! The `SessionSpec` wire-form contract: for any session a builder chain
 //! can express, serializing to JSON and parsing back is lossless (down to
 //! re-serialized bytes), the spec's fingerprint equals the builder chain's,
-//! and the execution knobs (`--jobs` is sweep-only; `--step-threads`,
-//! `--node-threads`, `--fast-forward` here) never reach the fingerprint —
+//! and the execution knobs (`--jobs` is sweep-only; `--fast-forward`
+//! here) never reach the fingerprint —
 //! the cache key names *what* is simulated, not *how fast*.
 
 use proptest::prelude::*;
@@ -49,13 +49,9 @@ fn assert_fingerprint_contract(spec: &SessionSpec) {
     for exec in [
         ExecSpec::default(),
         ExecSpec {
-            step_threads: 4,
-            node_threads: 2,
             fast_forward: Some(false),
         },
         ExecSpec {
-            step_threads: 1,
-            node_threads: 8,
             fast_forward: Some(true),
         },
     ] {
@@ -190,7 +186,7 @@ fn spec_sessions_run_like_builder_sessions() {
             base_word: 0,
             indices: indices.clone(),
         })
-        .step_threads(2)
+        .fast_forward(false)
         .build()
         .expect("valid")
         .run();
@@ -199,7 +195,7 @@ fn spec_sessions_run_like_builder_sessions() {
             base_word: 0,
             indices,
         })
-        .step_threads(2)
+        .fast_forward(false)
         .build()
         .expect("valid");
     let spec = session.spec();
