@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use sa_apps::md::WaterSystem;
 use sa_apps::mesh::Mesh;
 use sa_apps::spmv::Ebe;
-use sa_core::{drive_scatter_with, NodeMemSys, ScatterKernel};
+use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
-use sa_telemetry::{NullTrace, ReqStage};
+use sa_telemetry::{Introspect, NullTrace, ReqStage};
 
 #[derive(Clone, Copy, Debug)]
 enum Workload {
@@ -43,7 +43,7 @@ proptest! {
         cfg.req_sample = sample;
         let kernel = ScatterKernel::histogram(0, trace_of(workload, seed));
         let node = NodeMemSys::with_tracer(cfg, 0, false, NullTrace);
-        let run = drive_scatter_with(node, &kernel, fetch);
+        let run = drive_scatter_probed(node, &kernel, fetch, &mut Introspect::off());
         let tracer = run.node.req_tracer();
 
         prop_assert!(tracer.issued_len() > 0, "sampling 1-in-{sample} sees requests");

@@ -28,7 +28,7 @@
 //! integer compare.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sa_core::{drive_scatter, drive_scatter_probed, drive_scatter_with, NodeMemSys, ScatterKernel};
+use sa_core::{drive_scatter, drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{ChromeTrace, HostProfiler, Introspect, NullTrace, ProbeRecorder, Progress};
 
@@ -48,13 +48,13 @@ fn telemetry_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut node = NodeMemSys::with_tracer(cfg, 0, false, NullTrace);
             node.set_sample_interval(sa_core::DEFAULT_SAMPLE_INTERVAL);
-            drive_scatter_with(node, &k, false).cycles
+            drive_scatter_probed(node, &k, false, &mut Introspect::off()).cycles
         })
     });
     group.bench_function("chrome", |b| {
         b.iter(|| {
             let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
-            drive_scatter_with(node, &k, false).cycles
+            drive_scatter_probed(node, &k, false, &mut Introspect::off()).cycles
         })
     });
     for (name, sample) in [("req_traced_64", 64), ("req_traced_all", 1)] {
@@ -62,7 +62,7 @@ fn telemetry_overhead(c: &mut Criterion) {
             b.iter(|| {
                 let mut node = NodeMemSys::with_tracer(cfg, 0, false, NullTrace);
                 node.set_req_sample(sample);
-                drive_scatter_with(node, &k, false).cycles
+                drive_scatter_probed(node, &k, false, &mut Introspect::off()).cycles
             })
         });
     }

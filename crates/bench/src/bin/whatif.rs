@@ -24,9 +24,9 @@
 use sa_bench::args::Args;
 use sa_bench::telemetry::machine_config_json;
 use sa_bench::{header, quick_mode, row};
-use sa_core::{drive_scatter_with, NodeMemSys, ScatterKernel};
+use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
-use sa_telemetry::{attach_bottleneck, stats_json_full, Json, MetricsRegistry};
+use sa_telemetry::{attach_bottleneck, stats_json_full, Introspect, Json, MetricsRegistry};
 
 /// One scaled configuration: the what-if row it validates and how to build
 /// the machine.
@@ -65,7 +65,7 @@ fn run_once(cfg: &MachineConfig, indices: &[u64]) -> (u64, Json) {
     let kernel = ScatterKernel::histogram(0, indices.to_vec());
     let mut node = NodeMemSys::new(*cfg, 0, false);
     node.set_req_sample(16);
-    let run = drive_scatter_with(node, &kernel, false);
+    let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
     let mut registry = MetricsRegistry::new();
     {
         let mut scope = registry.scope("canonical");

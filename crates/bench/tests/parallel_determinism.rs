@@ -75,6 +75,11 @@ fn ablate_stats_are_jobs_invariant() {
 }
 
 #[test]
+fn fig11_stats_are_jobs_invariant() {
+    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig11"), "fig11");
+}
+
+#[test]
 fn fig13_stats_are_jobs_invariant() {
     assert_jobs_invariant(env!("CARGO_BIN_EXE_fig13"), "fig13");
 }

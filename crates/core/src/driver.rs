@@ -10,8 +10,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use sa_sim::{Addr, Clock, Cycle, MachineConfig, MemOp, MemRequest, Origin, ScalarKind, ScatterOp};
-use sa_telemetry::{Introspect, Json, NullTrace, ProbeRegistry, TraceSink};
+use sa_sim::{
+    Addr, Cycle, Machine, MachineConfig, MemOp, MemRequest, Origin, ScalarKind, ScatterOp,
+};
+use sa_telemetry::{HostProfiler, Introspect, Json, NullTrace, ProbeRegistry, TraceSink};
 
 use crate::node::{NodeMemSys, NodeStats};
 
@@ -239,36 +241,25 @@ pub fn scatter_reference(kernel: &ScatterKernel, result_len: usize) -> Vec<u64> 
 ///
 /// Panics if `indices` and `values` lengths differ.
 pub fn drive_scatter(cfg: &MachineConfig, kernel: &ScatterKernel, fetch: bool) -> RunResult {
-    drive_scatter_with(NodeMemSys::new(*cfg, 0, false), kernel, fetch)
+    drive_scatter_probed(
+        NodeMemSys::new(*cfg, 0, false),
+        kernel,
+        fetch,
+        &mut Introspect::off(),
+    )
 }
 
-/// [`drive_scatter`] over a caller-built node — the entry point for traced
-/// runs (`NodeMemSys::with_tracer`) or custom sampling intervals.
-///
-/// # Panics
-///
-/// Panics if `indices` and `values` lengths differ.
-pub fn drive_scatter_with<T: TraceSink>(
-    node: NodeMemSys<T>,
-    kernel: &ScatterKernel,
-    fetch: bool,
-) -> RunResult<T> {
-    drive_scatter_probed(node, kernel, fetch, &mut Introspect::off())
-}
-
-/// [`drive_scatter_with`] with live introspection attached: probe snapshots
-/// at the recorder's cadence (the event-horizon skip is clamped so due
-/// cycles are always ticked — snapshot bytes are identical with
-/// fast-forward on or off), wall-clock-throttled progress heartbeats, and
-/// host-time attribution of the inject/tick/drain/skip phases. With
-/// [`Introspect::off`] (what [`drive_scatter_with`] passes) every
-/// introspection site reduces to one branch.
+/// [`drive_scatter`] over a caller-built node (traced runs via
+/// `NodeMemSys::with_tracer`, custom sampling intervals, a fast-forward
+/// override) with live introspection attached (see [`sa_sim::run`]):
+/// probe snapshots, heartbeats, and host-time attribution of the
+/// inject/tick/drain/skip phases.
 ///
 /// # Panics
 ///
 /// Panics if `indices` and `values` lengths differ.
 pub fn drive_scatter_probed<T: TraceSink>(
-    mut node: NodeMemSys<T>,
+    node: NodeMemSys<T>,
     kernel: &ScatterKernel,
     fetch: bool,
     probe: &mut Introspect,
@@ -279,11 +270,7 @@ pub fn drive_scatter_probed<T: TraceSink>(
         "index/value length mismatch"
     );
     let cfg = *node.config();
-    let mut clock = Clock::with_limit(4_000_000_000);
-    let n = kernel.indices.len();
-    let issue_per_cycle = (cfg.ag.count as u32 * cfg.ag.width) as usize;
-
-    let mut pending: VecDeque<MemRequest> = kernel
+    let pending: VecDeque<MemRequest> = kernel
         .indices
         .iter()
         .zip(&kernel.values)
@@ -303,106 +290,103 @@ pub fn drive_scatter_probed<T: TraceSink>(
             },
         })
         .collect();
-
-    let mut acked = 0usize;
-    let mut fetched = Vec::new();
-    let mut ack_time = 0u64;
-    let mut skipped_cycles = 0u64;
     let fast_forward = node.fast_forward();
+    let mut m = Driver {
+        node,
+        total: pending.len(),
+        pending,
+        issue_per_cycle: (cfg.ag.count as u32 * cfg.ag.width) as usize,
+        fetch,
+        acked: 0,
+        fetched: Vec::new(),
+        ack_time: 0,
+    };
+    let end = sa_sim::run(&mut m, fast_forward, probe);
 
-    loop {
-        let now = clock.advance();
-        probe.profiler.time("inject", || {
+    // Materialize the coherent memory image for result extraction.
+    m.node.flush_to_store();
+
+    let startup = u64::from(cfg.ag.startup_cycles);
+    RunResult {
+        cycles: m.ack_time + startup,
+        drain_cycles: end.cycles + startup,
+        skipped_cycles: end.skipped_cycles,
+        stats: m.node.stats(),
+        fetched: m.fetched,
+        base_word: kernel.base_word,
+        node: m.node,
+    }
+}
+
+/// The scatter driver's run state: the node and the requests not yet
+/// accepted by it.
+struct Driver<T: TraceSink> {
+    node: NodeMemSys<T>,
+    pending: VecDeque<MemRequest>,
+    total: usize,
+    issue_per_cycle: usize,
+    fetch: bool,
+    acked: usize,
+    fetched: Vec<(u64, u64)>,
+    ack_time: u64,
+}
+
+impl<T: TraceSink> Machine for Driver<T> {
+    fn step(&mut self, now: Cycle, prof: &mut HostProfiler) {
+        prof.time("inject", || {
             let mut issued = 0;
-            while issued < issue_per_cycle {
-                let Some(req) = pending.pop_front() else {
+            while issued < self.issue_per_cycle {
+                let Some(req) = self.pending.pop_front() else {
                     break;
                 };
-                match node.inject_traced(req, now) {
+                match self.node.inject_traced(req, now) {
                     Ok(()) => issued += 1,
                     Err(req) => {
-                        pending.push_front(req);
+                        self.pending.push_front(req);
                         break;
                     }
                 }
             }
         });
-        probe.profiler.time("tick", || node.tick(now));
-        probe.profiler.time("drain", || {
-            while let Some(c) = node.pop_completion() {
-                acked += 1;
-                if fetch {
-                    fetched.push((c.id, c.bits));
+        prof.time("tick", || self.node.tick(now));
+        prof.time("drain", || {
+            while let Some(c) = self.node.pop_completion() {
+                self.acked += 1;
+                if self.fetch {
+                    self.fetched.push((c.id, c.bits));
                 }
-                if acked == n {
-                    ack_time = c.at.raw();
+                if self.acked == self.total {
+                    self.ack_time = c.at.raw();
                 }
             }
         });
-        if probe.recorder.due(now.raw()) {
-            let mut reg = ProbeRegistry::new();
-            reg.register("node0", &node);
-            probe.recorder.record(reg, now.raw(), skipped_cycles);
-        }
-        if probe.progress.is_on() && now.raw() & 0x3FFF == 0 {
-            let elapsed = probe.progress.elapsed().as_secs_f64();
-            probe.progress.heartbeat(|o| {
-                o.push("cycle", Json::UInt(now.raw()));
-                o.push("acked", Json::UInt(acked as u64));
-                o.push("total", Json::UInt(n as u64));
-                o.push("skipped_cycles", Json::UInt(skipped_cycles));
-                let rate = if elapsed > 0.0 {
-                    now.raw() as f64 / elapsed
-                } else {
-                    0.0
-                };
-                o.push("sim_cycles_per_sec", Json::Num(rate));
-                let ff = if now.raw() > 0 {
-                    skipped_cycles as f64 / now.raw() as f64
-                } else {
-                    0.0
-                };
-                o.push("ff_ratio", Json::Num(ff));
-            });
-        }
-        if pending.is_empty() && node.is_idle() {
-            break;
-        }
-        // Event-horizon fast-forward: once everything is issued, jump to the
-        // cycle before the node's next event. While requests are still
-        // pending, every cycle retries injection (mutating queue-rejection
-        // counters), so the loop must tick through those cycles. The horizon
-        // is clamped to the next due probe cycle so snapshot cadence sees
-        // every due cycle ticked regardless of skipping.
-        if fast_forward && pending.is_empty() {
-            if let Some(mut h) = node.next_event(now) {
-                if let Some(due) = probe.recorder.next_due() {
-                    h = h.min(Cycle(due.max(now.raw() + 1)));
-                }
-                if h > now + 1 {
-                    let k = h.raw() - now.raw() - 1;
-                    probe.profiler.time("skip", || {
-                        node.skip_cycles(now, k);
-                    });
-                    clock.skip_to(Cycle(h.raw() - 1));
-                    skipped_cycles += k;
-                }
-            }
+    }
+
+    fn end_of_cycle(&mut self, _: &mut HostProfiler) -> bool {
+        self.pending.is_empty() && self.node.is_idle()
+    }
+
+    /// While requests are still pending, every cycle retries injection
+    /// (mutating queue-rejection counters), so those cycles are ticked.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.pending.is_empty() {
+            self.node.next_event(now)
+        } else {
+            None
         }
     }
 
-    // Materialize the coherent memory image for result extraction.
-    node.flush_to_store();
+    fn skip(&mut self, now: Cycle, k: u64) {
+        self.node.skip_cycles(now, k);
+    }
 
-    let startup = u64::from(cfg.ag.startup_cycles);
-    RunResult {
-        cycles: ack_time + startup,
-        drain_cycles: clock.now().raw() + startup,
-        skipped_cycles,
-        stats: node.stats(),
-        fetched,
-        base_word: kernel.base_word,
-        node,
+    fn register(&self, reg: &mut ProbeRegistry) {
+        reg.register("node0", &self.node);
+    }
+
+    fn heartbeat_fields(&self, o: &mut Json) {
+        o.push("acked", Json::UInt(self.acked as u64));
+        o.push("total", Json::UInt(self.total as u64));
     }
 }
 
@@ -505,8 +489,8 @@ mod tests {
         on.set_fast_forward(true);
         let mut off = NodeMemSys::new(merrimac(), 0, false);
         off.set_fast_forward(false);
-        let a = drive_scatter_with(on, &kernel, false);
-        let b = drive_scatter_with(off, &kernel, false);
+        let a = drive_scatter_probed(on, &kernel, false, &mut Introspect::off());
+        let b = drive_scatter_probed(off, &kernel, false, &mut Introspect::off());
         assert_eq!(b.skipped_cycles, 0, "ff off must tick every cycle");
         assert!(a.skipped_cycles > 0, "drain phase should fast-forward");
         assert_eq!(a.cycles, b.cycles);
@@ -559,7 +543,7 @@ mod tests {
         let indices: Vec<u64> = (0..1024u64).map(|i| (i * 13) % 512).collect();
         let kernel = ScatterKernel::histogram(0, indices);
         let node = NodeMemSys::with_tracer(merrimac(), 0, false, ChromeTrace::new());
-        let run = drive_scatter_with(node, &kernel, false);
+        let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
         let series = run.node.series();
         assert!(!series.is_empty(), "sampling must produce series");
         assert!(series.iter().any(|(n, _)| n.contains("sa.cs_residency")));

@@ -53,8 +53,8 @@ pub mod sync;
 mod unit;
 
 pub use driver::{
-    drive_scatter, drive_scatter_probed, drive_scatter_with, scatter_reference, RunResult,
-    ScatterKernel, StallBreakdown,
+    drive_scatter, drive_scatter_probed, scatter_reference, RunResult, ScatterKernel,
+    StallBreakdown,
 };
 pub use node::{NodeMemSys, NodeStats, DEFAULT_SAMPLE_INTERVAL};
 pub use rig::{SensitivityResult, SensitivityRig};

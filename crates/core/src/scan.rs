@@ -23,7 +23,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sa_sim::{Addr, Clock, MachineConfig, MemOp, MemRequest, Origin, ScalarKind};
+use sa_sim::{Addr, Cycle, Machine, MachineConfig, MemOp, MemRequest, Origin, ScalarKind};
+use sa_telemetry::{HostProfiler, Introspect};
 
 use crate::node::{NodeMemSys, NodeStats};
 
@@ -59,62 +60,88 @@ impl ScanResult {
     }
 }
 
-/// Run an inclusive prefix sum over `n` words starting at `base_word`,
-/// writing the results over the inputs — in hardware, on a fresh node
-/// preloaded with `input`.
+/// Run an inclusive prefix sum over `input`, written at word 0 of a fresh
+/// node, in hardware — writing the results over the inputs.
 ///
 /// # Panics
 ///
 /// Panics if `input` is empty or the simulation deadlocks.
 pub fn drive_scan(cfg: &MachineConfig, input: &[u64], kind: ScalarKind) -> ScanResult {
+    scan_on(NodeMemSys::new(*cfg, 0, false), input, kind).0
+}
+
+/// [`drive_scan`] on a caller-built node (tests override its fast-forward
+/// flag), also returning the cycles fast-forwarded over.
+fn scan_on(mut node: NodeMemSys, input: &[u64], kind: ScalarKind) -> (ScanResult, u64) {
     assert!(!input.is_empty(), "empty scan");
-    let base_word = 0u64;
-    let n = input.len();
-    let mut node = NodeMemSys::new(*cfg, 0, false);
-    match kind {
-        ScalarKind::I64 => {
-            let v: Vec<i64> = input.iter().map(|&b| b as i64).collect();
-            node.store_mut()
-                .load_i64(Addr::from_word_index(base_word), &v);
-        }
-        ScalarKind::F64 => {
-            let v: Vec<f64> = input.iter().map(|&b| f64::from_bits(b)).collect();
-            node.store_mut()
-                .load_f64(Addr::from_word_index(base_word), &v);
-        }
+    node.store_mut().write_line(Addr(0), input);
+    let cfg = *node.config();
+    let fast_forward = node.fast_forward();
+    let mut m = ScanEngine {
+        node,
+        kind,
+        issue_width: (cfg.ag.count as u32 * cfg.ag.width) as usize,
+        lanes: cfg.cache.banks,
+        next_read: 0,
+        rob: HashMap::new(),
+        consume_at: 0,
+        acc: sa_sim::identity_bits(kind, sa_sim::ScatterOp::Add),
+        prefix: vec![0u64; input.len()],
+        writes_pending: VecDeque::new(),
+        writes_acked: 0,
+        read_ids: HashMap::new(),
+        next_id: 0,
+    };
+    let end = sa_sim::run(&mut m, fast_forward, &mut Introspect::off());
+    m.node.flush_to_store();
+    let result = ScanResult {
+        cycles: end.cycles,
+        prefix: m.prefix,
+        stats: m.node.stats(),
+    };
+    (result, end.skipped_cycles)
+}
+
+/// The scan engine's run state.
+struct ScanEngine {
+    node: NodeMemSys,
+    kind: ScalarKind,
+    issue_width: usize,
+    lanes: usize,           // bank-lane accumulators
+    next_read: usize,       // next element whose read we may issue
+    rob: HashMap<u64, u64>, // element index -> bits
+    consume_at: usize,      // next element the accumulator takes
+    acc: u64,
+    prefix: Vec<u64>,
+    writes_pending: VecDeque<(usize, u64)>,
+    writes_acked: usize,
+    read_ids: HashMap<u64, usize>,
+    next_id: u64,
+}
+
+impl ScanEngine {
+    /// Whether a read may issue: elements left and room in the window.
+    fn can_read(&self) -> bool {
+        self.next_read < self.prefix.len() && (self.next_read - self.consume_at) < SCAN_ROB_ENTRIES
     }
+}
 
-    let issue_width = (cfg.ag.count as u32 * cfg.ag.width) as usize;
-    let mut clock = Clock::with_limit(4_000_000_000);
-
-    // Engine state.
-    let mut next_read = 0usize; // next element whose read we may issue
-    let mut rob: HashMap<u64, u64> = HashMap::new(); // element index -> bits
-    let mut consume_at = 0usize; // next element the accumulator takes
-    let mut acc = sa_sim::identity_bits(kind, sa_sim::ScatterOp::Add);
-    let mut prefix = vec![0u64; n];
-    let mut writes_pending: VecDeque<(usize, u64)> = VecDeque::new();
-    let mut writes_acked = 0usize;
-    let mut read_ids: HashMap<u64, usize> = HashMap::new();
-    let mut next_id = 0u64;
-
-    while writes_acked < n {
-        let now = clock.advance();
-
+impl Machine for ScanEngine {
+    fn step(&mut self, now: Cycle, _: &mut HostProfiler) {
         // Issue reads while the reorder window has room.
         let mut issued = 0;
-        while issued < issue_width && next_read < n && (next_read - consume_at) < SCAN_ROB_ENTRIES {
-            next_id += 1;
+        while issued < self.issue_width && self.can_read() {
+            self.next_id += 1;
             let req = MemRequest {
-                id: next_id,
-                addr: Addr::from_word_index(base_word + next_read as u64),
+                id: self.next_id,
+                addr: Addr::from_word_index(self.next_read as u64),
                 op: MemOp::Read,
                 origin: Origin::AddrGen { node: 0, ag: 0 },
             };
-            match node.inject(req) {
+            match self.node.inject(req) {
                 Ok(()) => {
-                    read_ids.insert(next_id, next_read);
-                    next_read += 1;
+                    self.read_ids.insert(self.next_id, self.next_read);
+                    self.next_read += 1;
                     issued += 1;
                 }
                 Err(_) => break,
@@ -123,62 +150,69 @@ pub fn drive_scan(cfg: &MachineConfig, input: &[u64], kind: ScalarKind) -> ScanR
 
         // Consume in-order elements — one per bank-lane accumulator per
         // cycle (the correction merge keeps them coherent).
-        for _ in 0..cfg.cache.banks {
-            let Some(bits) = rob.remove(&(consume_at as u64)) else {
+        for _ in 0..self.lanes {
+            let Some(bits) = self.rob.remove(&(self.consume_at as u64)) else {
                 break;
             };
-            acc = sa_sim::combine(acc, bits, kind, sa_sim::ScatterOp::Add);
-            prefix[consume_at] = acc;
-            writes_pending.push_back((consume_at, acc));
-            consume_at += 1;
+            self.acc = sa_sim::combine(self.acc, bits, self.kind, sa_sim::ScatterOp::Add);
+            self.prefix[self.consume_at] = self.acc;
+            self.writes_pending.push_back((self.consume_at, self.acc));
+            self.consume_at += 1;
         }
 
         // Issue prefix write-backs, one per lane per cycle.
-        for _ in 0..cfg.cache.banks {
-            let Some(&(idx, bits)) = writes_pending.front() else {
+        for _ in 0..self.lanes {
+            let Some(&(idx, bits)) = self.writes_pending.front() else {
                 break;
             };
-            next_id += 1;
+            self.next_id += 1;
             let req = MemRequest {
-                id: next_id,
-                addr: Addr::from_word_index(base_word + idx as u64),
+                id: self.next_id,
+                addr: Addr::from_word_index(idx as u64),
                 op: MemOp::Write { bits },
                 origin: Origin::SaUnit { node: 0, bank: 0 },
             };
-            match node.inject(req) {
+            match self.node.inject(req) {
                 Ok(()) => {
-                    writes_pending.pop_front();
+                    self.writes_pending.pop_front();
                 }
                 Err(_) => break,
             }
         }
 
-        node.tick(now);
+        self.node.tick(now);
 
-        while let Some(c) = node.pop_completion() {
+        while let Some(c) = self.node.pop_completion() {
             match c.origin {
                 Origin::AddrGen { .. } => {
-                    let idx = read_ids.remove(&c.id).expect("read id known");
-                    rob.insert(idx as u64, c.bits);
+                    let idx = self.read_ids.remove(&c.id).expect("read id known");
+                    self.rob.insert(idx as u64, c.bits);
                 }
-                Origin::SaUnit { .. } => writes_acked += 1,
+                Origin::SaUnit { .. } => self.writes_acked += 1,
                 _ => {}
             }
         }
     }
 
-    // Drain the machine and materialize memory.
-    while !node.is_idle() {
-        let now = clock.advance();
-        node.tick(now);
-        while node.pop_completion().is_some() {}
+    /// Every prefix written back and acknowledged, and the machine drained.
+    fn end_of_cycle(&mut self, _: &mut HostProfiler) -> bool {
+        self.writes_acked == self.prefix.len() && self.node.is_idle()
     }
-    node.flush_to_store();
 
-    ScanResult {
-        cycles: clock.now().raw(),
-        prefix,
-        stats: node.stats(),
+    /// Skippable only when the engine would do nothing next cycle: no read
+    /// to issue, the next element not yet returned, no write-back queued.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.can_read()
+            || self.rob.contains_key(&(self.consume_at as u64))
+            || !self.writes_pending.is_empty()
+        {
+            return None;
+        }
+        self.node.next_event(now)
+    }
+
+    fn skip(&mut self, now: Cycle, k: u64) {
+        self.node.skip_cycles(now, k);
     }
 }
 
@@ -252,6 +286,25 @@ mod tests {
             (2.0..8.0).contains(&ratio),
             "O(n) scan, got ratio {ratio:.2}"
         );
+    }
+
+    #[test]
+    fn fast_forward_is_byte_identical() {
+        let mut rng = Rng64::new(3);
+        for (n, range) in [(500, 100), (3000, 1 << 20)] {
+            let input: Vec<u64> = (0..n).map(|_| rng.below(range)).collect();
+            let run = |ff: bool| {
+                let mut node = NodeMemSys::new(cfg(), 0, false);
+                node.set_fast_forward(ff);
+                scan_on(node, &input, ScalarKind::I64)
+            };
+            let ((on, skipped_on), (off, skipped_off)) = (run(true), run(false));
+            assert!(skipped_on > 0, "the drain tail should fast-forward");
+            assert_eq!(skipped_off, 0, "ff off must tick every cycle");
+            assert_eq!(on.prefix, off.prefix);
+            assert_eq!(on.cycles, off.cycles);
+            assert_eq!(on.stats, off.stats);
+        }
     }
 
     #[test]

@@ -33,10 +33,10 @@ use sa_core::{NodeMemSys, NodeStats};
 use sa_faults::{Backoff, FaultPlan, ResilienceStats};
 use sa_net::{Crossbar, Message, NetStats};
 use sa_sim::{
-    Addr, Clock, Cycle, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId, ScalarKind,
-    ScatterOp, WORD_BYTES,
+    Addr, Cycle, Machine, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId,
+    ScalarKind, ScatterOp, WORD_BYTES,
 };
-use sa_telemetry::{Introspect, Json, ProbeRegistry, Progress, ReqTracer};
+use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry, ReqTracer};
 
 /// Messages exchanged between nodes.
 #[derive(Clone, Debug)]
@@ -266,16 +266,9 @@ impl MultiNode {
         self.run_trace(trace, values)
     }
 
-    /// [`MultiNode::run_trace`] with live introspection attached: probe
-    /// snapshots at the recorder's cadence (taken after every node has
-    /// stepped and before the sync decision, with the event-horizon skip
-    /// clamped to due cycles — snapshot bytes are identical with
-    /// fast-forward on or off), wall-clock-throttled heartbeats, and
-    /// host-time attribution of the net/step/sync/skip phases. With
-    /// [`Introspect::off`] every introspection site reduces to one branch.
-    ///
-    /// Every cycle ticks the crossbar, then steps each node in index order
-    /// through [`step_node`], then runs the quiescence/flush decision.
+    /// [`MultiNode::run_trace`] with live introspection attached (see
+    /// [`sa_sim::run`]): probe snapshots, heartbeats, and host-time
+    /// attribution of the net/step/sync/skip phases.
     ///
     /// # Panics
     ///
@@ -301,7 +294,7 @@ impl MultiNode {
 
         // Block partition: node i owns trace[lo_i..hi_i]. All mutable
         // per-node run state lives in the node's context.
-        let mut ctxs: Vec<NodeCtx> = self
+        let ctxs: Vec<NodeCtx> = self
             .nodes
             .drain(..)
             .enumerate()
@@ -330,42 +323,15 @@ impl MultiNode {
             })
             .collect();
 
-        let mut clock = Clock::with_limit(4_000_000_000);
-        let mut flush_rounds = 0u32;
-        let mut skipped_cycles = 0u64;
-        let fast_forward = self.fast_forward;
-
-        loop {
-            let now = clock.advance();
-            probe.profiler.time("net", || self.net.tick(now));
-            probe.profiler.time("step", || {
-                for ctx in &mut ctxs {
-                    step_node(ctx, &mut self.net, now, &params);
-                }
-            });
-            if probe.recorder.due(now.raw()) {
-                let mut reg = ProbeRegistry::new();
-                reg.register("net", &self.net);
-                for ctx in &ctxs {
-                    reg.register(&format!("node{}", ctx.index), &ctx.node);
-                }
-                probe.recorder.record(reg, now.raw(), skipped_cycles);
-            }
-            if probe.progress.is_on() && now.raw() & 0x3FF == 0 {
-                emit_trace_heartbeat(&probe.progress, now, skipped_cycles, n);
-            }
-            if probe.profiler.time("sync", || {
-                sync_phase(&self.net, &mut ctxs, total, &params, &mut flush_rounds)
-            }) {
-                break;
-            }
-            if fast_forward {
-                let cap = probe.recorder.next_due();
-                skipped_cycles += probe.profiler.time("skip", || {
-                    fast_forward_skip(&mut clock, &mut self.net, &mut ctxs, now, cap)
-                });
-            }
-        }
+        let mut m = TraceRun {
+            net: &mut self.net,
+            ctxs,
+            total,
+            params,
+            flush_rounds: 0,
+        };
+        let end = sa_sim::run(&mut m, self.fast_forward, probe);
+        let flush_rounds = m.flush_rounds;
 
         // Materialize coherent per-node memory for verification reads, and
         // fold every node's lifecycle records into the run-level tracer in
@@ -375,7 +341,7 @@ impl MultiNode {
         let mut req_trace = ReqTracer::every(sample);
         let mut sum_back_lines = 0u64;
         let mut net_retries = 0u64;
-        for ctx in ctxs {
+        for ctx in m.ctxs {
             sum_back_lines += ctx.sum_back_lines;
             net_retries += ctx.net_retries;
             let mut node = ctx.node;
@@ -394,8 +360,8 @@ impl MultiNode {
         }
 
         TraceReport {
-            cycles: clock.now().raw(),
-            skipped_cycles,
+            cycles: end.cycles,
+            skipped_cycles: end.skipped_cycles,
             adds: total as u64,
             nodes: n,
             sum_back_lines,
@@ -685,125 +651,108 @@ fn step_node(ctx: &mut NodeCtx, net: &mut Crossbar<NetMsg>, now: Cycle, p: &Step
     }
 }
 
-/// Event-horizon fast-forward for the coordinator: when every node has
-/// issued its whole trace share, holds nothing staged or outboxed, and
-/// neither the fabric nor any node can change state before cycle `h`, jump
-/// the clock to `h - 1` (the next [`Clock::advance`] lands exactly on the
-/// horizon). Returns the number of cycles skipped (0 when any retry or
-/// state change is possible next cycle).
-///
-/// Any cycle this skips is one in which `step_node` would only have ticked
-/// idle components: delivery queues empty (fabric horizon covers them),
-/// nothing to inject or forward (checked here), and no completions pending
-/// (node horizon covers them). Per-cycle stall counters cannot advance in
-/// such a cycle, and the time-weighted integrals are folded by
-/// [`NodeMemSys::skip_cycles`] / [`Crossbar::skip_cycles`], so reports stay
-/// byte-identical.
-fn fast_forward_skip(
-    clock: &mut Clock,
-    net: &mut Crossbar<NetMsg>,
-    ctxs: &mut [NodeCtx],
-    now: Cycle,
-    probe_cap: Option<u64>,
-) -> u64 {
-    if ctxs
-        .iter()
-        .any(|c| c.inj.staged.is_some() || c.inj.cursor < c.inj.items.len() || !c.outbox.is_empty())
-    {
-        return 0;
-    }
-    let mut horizon = net.next_event(now);
-    for c in ctxs.iter() {
-        if let Some(t) = c.node.next_event(now) {
-            horizon = Some(horizon.map_or(t, |h| h.min(t)));
-        }
-    }
-    let Some(mut h) = horizon else { return 0 };
-    // Never skip past a due probe cycle: snapshot cadence must see every
-    // due cycle ticked regardless of skipping.
-    if let Some(due) = probe_cap {
-        h = h.min(Cycle(due.max(now.raw() + 1)));
-    }
-    if h <= now + 1 {
-        return 0;
-    }
-    let k = h.raw() - now.raw() - 1;
-    for ctx in ctxs.iter_mut() {
-        ctx.node.skip_cycles(now, k);
-    }
-    net.skip_cycles(now, k);
-    clock.skip_to(Cycle(h.raw() - 1));
-    k
-}
-
-/// Emit one trace-replay heartbeat (wall-clock throttled inside
-/// [`Progress::heartbeat`]).
-fn emit_trace_heartbeat(progress: &Progress, now: Cycle, skipped_cycles: u64, nodes: usize) {
-    let elapsed = progress.elapsed().as_secs_f64();
-    progress.heartbeat(|o| {
-        o.push("cycle", Json::UInt(now.raw()));
-        o.push("nodes", Json::UInt(nodes as u64));
-        o.push("skipped_cycles", Json::UInt(skipped_cycles));
-        let rate = if elapsed > 0.0 {
-            now.raw() as f64 / elapsed
-        } else {
-            0.0
-        };
-        o.push("sim_cycles_per_sec", Json::Num(rate));
-        let ff = if now.raw() > 0 {
-            skipped_cycles as f64 / now.raw() as f64
-        } else {
-            0.0
-        };
-        o.push("ff_ratio", Json::Num(ff));
-    });
-}
-
-/// The end-of-cycle phase: decide quiescence from the summed per-node
-/// counters and, when quiescent, run one flush-with-sum-back
-/// synchronization round (§3.2). Returns `true` when the run is complete.
-fn sync_phase(
-    net: &Crossbar<NetMsg>,
-    ctxs: &mut [NodeCtx],
+/// One trace replay's state: the fabric, every node's context, and the
+/// flush rounds run so far.
+struct TraceRun<'a> {
+    net: &'a mut Crossbar<NetMsg>,
+    ctxs: Vec<NodeCtx>,
     total: usize,
-    p: &StepParams,
-    flush_rounds: &mut u32,
-) -> bool {
-    let injected_all = ctxs.iter().all(|c| c.inj.cursor == c.inj.items.len());
-    let app_acks: usize = ctxs.iter().map(|c| c.app_acks).sum();
-    let apply_pending: usize = ctxs.iter().map(|c| c.apply_pending).sum();
-    let quiescent = injected_all
-        && app_acks == total
-        && apply_pending == 0
-        && net.is_idle()
-        && ctxs.iter().all(|c| c.outbox.is_empty())
-        && ctxs.iter().all(|c| c.node.is_idle());
-    if !quiescent {
-        return false;
+    params: StepParams,
+    flush_rounds: u32,
+}
+
+impl Machine for TraceRun<'_> {
+    /// Tick the crossbar, then step each node in index order through
+    /// [`step_node`].
+    fn step(&mut self, now: Cycle, prof: &mut HostProfiler) {
+        prof.time("net", || self.net.tick(now));
+        prof.time("step", || {
+            for ctx in &mut self.ctxs {
+                step_node(ctx, self.net, now, &self.params);
+            }
+        });
     }
 
-    // Flush-with-sum-back synchronization: every node evicts its remaining
-    // partial lines toward their homes. Under the hypercube topology
-    // partials move one dimension per round and merge at intermediate
-    // nodes, so rounds repeat until no node holds partial lines
-    // (≤ log₂ n + 1).
-    let mut produced = false;
-    for ctx in ctxs.iter_mut() {
-        let i = ctx.index;
-        for sb in ctx.node.flush_sum_backs() {
-            let home = home_of_line(sb.base, p.line_bytes, p.n);
-            let dst = hop_toward(p.topology, i, home);
-            ctx.sum_back_lines += 1;
-            produced = true;
-            ctx.outbox
-                .push_back(Message::new(i, dst, p.line_words, NetMsg::SumBack(sb)));
+    /// Decide quiescence from the summed per-node counters and, when
+    /// quiescent, run one flush-with-sum-back synchronization round (§3.2).
+    fn end_of_cycle(&mut self, prof: &mut HostProfiler) -> bool {
+        prof.time("sync", || {
+            let (ctxs, p) = (&mut self.ctxs, &self.params);
+            let injected_all = ctxs.iter().all(|c| c.inj.cursor == c.inj.items.len());
+            let app_acks: usize = ctxs.iter().map(|c| c.app_acks).sum();
+            let apply_pending: usize = ctxs.iter().map(|c| c.apply_pending).sum();
+            let quiescent = injected_all
+                && app_acks == self.total
+                && apply_pending == 0
+                && self.net.is_idle()
+                && ctxs.iter().all(|c| c.outbox.is_empty())
+                && ctxs.iter().all(|c| c.node.is_idle());
+            if !quiescent {
+                return false;
+            }
+
+            // Flush-with-sum-back synchronization: every node evicts its
+            // remaining partial lines toward their homes. Under the
+            // hypercube topology partials move one dimension per round and
+            // merge at intermediate nodes, so rounds repeat until no node
+            // holds partial lines (≤ log₂ n + 1).
+            let mut produced = false;
+            for ctx in ctxs.iter_mut() {
+                let i = ctx.index;
+                for sb in ctx.node.flush_sum_backs() {
+                    let home = home_of_line(sb.base, p.line_bytes, p.n);
+                    let dst = hop_toward(p.topology, i, home);
+                    ctx.sum_back_lines += 1;
+                    produced = true;
+                    ctx.outbox
+                        .push_back(Message::new(i, dst, p.line_words, NetMsg::SumBack(sb)));
+                }
+            }
+            if produced {
+                self.flush_rounds += 1;
+            }
+            !produced
+        })
+    }
+
+    /// Skippable once every node has issued its whole trace share and holds
+    /// nothing staged or outboxed. Any cycle before the fabric's and every
+    /// node's next event is then one in which `step_node` would only tick
+    /// idle components: delivery queues empty (fabric horizon covers them),
+    /// nothing to inject or forward, and no completions pending (node
+    /// horizon covers them).
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.ctxs.iter().any(|c| {
+            c.inj.staged.is_some() || c.inj.cursor < c.inj.items.len() || !c.outbox.is_empty()
+        }) {
+            return None;
+        }
+        self.ctxs
+            .iter()
+            .filter_map(|c| c.node.next_event(now))
+            .chain(self.net.next_event(now))
+            .min()
+    }
+
+    /// Per-cycle stall counters cannot advance in a skippable cycle; the
+    /// time-weighted integrals are folded by [`NodeMemSys::skip_cycles`] /
+    /// [`Crossbar::skip_cycles`].
+    fn skip(&mut self, now: Cycle, k: u64) {
+        for ctx in &mut self.ctxs {
+            ctx.node.skip_cycles(now, k);
+        }
+        self.net.skip_cycles(now, k);
+    }
+
+    fn register(&self, reg: &mut ProbeRegistry) {
+        reg.register("net", &*self.net);
+        for ctx in &self.ctxs {
+            reg.register(&format!("node{}", ctx.index), &ctx.node);
         }
     }
-    if produced {
-        *flush_rounds += 1;
-        false
-    } else {
-        true
+
+    fn heartbeat_fields(&self, o: &mut Json) {
+        o.push("nodes", Json::UInt(self.ctxs.len() as u64));
     }
 }
 

@@ -2,7 +2,8 @@
 
 use fxhash::FxHashMap;
 use sa_core::NodeMemSys;
-use sa_sim::{Clock, Cycle, MachineConfig, MemOp, MemRequest, Origin, ReqId};
+use sa_sim::{Cycle, Machine, MachineConfig, MemOp, MemRequest, Origin, ReqId, RunEnd};
+use sa_telemetry::{HostProfiler, Introspect};
 
 use crate::program::{OpId, StreamOp, StreamProgram};
 
@@ -178,250 +179,268 @@ impl Executor {
         node: &mut NodeMemSys<T>,
     ) -> ExecReport {
         let n_ops = prog.len();
-        let mut state = vec![OpState::Waiting; n_ops];
-        let mut spans = vec![OpSpan::default(); n_ops];
-        let mut ags: Vec<Option<MemRun>> = (0..self.cfg.ag.count).map(|_| None).collect();
-        let mut kernel: Option<KernelRun> = None;
-        let mut req_owner: FxHashMap<ReqId, OpId> = FxHashMap::default();
-        let mut next_id: ReqId = 0;
-        let mut clock = Clock::with_limit(8_000_000_000);
-        let mut remaining = n_ops;
-        let mut live_srf: u64 = 0;
-        let mut peak_srf: u64 = 0;
         let fast_forward = node.fast_forward();
-        let mut skipped_cycles: u64 = 0;
-
-        while remaining > 0 {
-            let now = clock.advance();
-            let t = now.raw();
-
-            // Start ready ops on free resources.
-            for id in 0..n_ops {
-                if state[id] != OpState::Waiting {
-                    continue;
-                }
-                let (op, deps) = prog.op(id);
-                if !deps.iter().all(|&d| state[d] == OpState::Done) {
-                    continue;
-                }
-                match op {
-                    StreamOp::Kernel {
-                        elements,
-                        ops_per_element,
-                        srf_words_per_element,
-                        ..
-                    } => {
-                        if kernel.is_none() {
-                            let dur = self.kernel_cycles(
-                                *elements,
-                                *ops_per_element,
-                                *srf_words_per_element,
-                            );
-                            kernel = Some(KernelRun {
-                                op: id,
-                                end_at: t + dur,
-                            });
-                            state[id] = OpState::Running;
-                            spans[id].start = t;
-                            live_srf += srf_footprint(op);
-                            peak_srf = peak_srf.max(live_srf);
-                        }
-                    }
-                    _ => {
-                        if let Some(slot) = ags.iter().position(|a| a.is_none()) {
-                            let total = op.mem_refs();
-                            ags[slot] = Some(MemRun {
-                                op: id,
-                                issue_from: t + u64::from(self.cfg.ag.startup_cycles),
-                                cursor: 0,
-                                acked: 0,
-                                total,
-                            });
-                            state[id] = OpState::Running;
-                            spans[id].start = t;
-                            live_srf += srf_footprint(op);
-                            peak_srf = peak_srf.max(live_srf);
-                            if total == 0 {
-                                // Degenerate empty stream: completes at once.
-                                state[id] = OpState::Done;
-                                spans[id].end = t;
-                                remaining -= 1;
-                                ags[slot] = None;
-                                live_srf -= srf_footprint(op);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Kernel completion.
-            if kernel.as_ref().is_some_and(|k| k.end_at <= t) {
-                let k = kernel.take().expect("checked");
-                state[k.op] = OpState::Done;
-                spans[k.op].end = t;
-                remaining -= 1;
-                live_srf -= srf_footprint(prog.op(k.op).0);
-            }
-
-            // Issue memory requests from each busy AG.
-            for (slot, ag) in ags.iter_mut().enumerate() {
-                let Some(run) = ag.as_mut() else { continue };
-                if run.issue_from > t {
-                    continue;
-                }
-                let (op, _) = prog.op(run.op);
-                for _ in 0..self.cfg.ag.width {
-                    if run.cursor >= run.total {
-                        break;
-                    }
-                    let i = run.cursor;
-                    let req = match op {
-                        StreamOp::Gather { pattern } => MemRequest {
-                            id: next_id,
-                            addr: pattern.addr(i),
-                            op: MemOp::Read,
-                            origin: Origin::AddrGen { node: 0, ag: slot },
-                        },
-                        StreamOp::Scatter { pattern, values } => MemRequest {
-                            id: next_id,
-                            addr: pattern.addr(i),
-                            op: MemOp::Write {
-                                bits: values[i as usize],
-                            },
-                            origin: Origin::AddrGen { node: 0, ag: slot },
-                        },
-                        StreamOp::ScatterAdd {
-                            pattern,
-                            values,
-                            kind,
-                            op,
-                        } => MemRequest {
-                            id: next_id,
-                            addr: pattern.addr(i),
-                            op: MemOp::Scatter {
-                                bits: values[i as usize],
-                                kind: *kind,
-                                op: *op,
-                                fetch: false,
-                            },
-                            origin: Origin::AddrGen { node: 0, ag: slot },
-                        },
-                        StreamOp::Kernel { .. } => unreachable!("kernels don't use AGs"),
-                    };
-                    match node.inject_traced(req, now) {
-                        Ok(()) => {
-                            req_owner.insert(next_id, run.op);
-                            next_id += 1;
-                            run.cursor += 1;
-                        }
-                        Err(_) => break, // bank queue full: stall this AG
-                    }
-                }
-            }
-
-            node.tick(now);
-
-            // Completions retire requests and, eventually, their ops.
-            while let Some(c) = node.pop_completion() {
-                let Some(op) = req_owner.remove(&c.id) else {
-                    continue;
-                };
-                for ag in ags.iter_mut() {
-                    if let Some(run) = ag.as_mut() {
-                        if run.op == op {
-                            run.acked += 1;
-                            if run.acked == run.total {
-                                state[op] = OpState::Done;
-                                spans[op].end = t;
-                                remaining -= 1;
-                                *ag = None;
-                                live_srf -= srf_footprint(prog.op(op).0);
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Fast-forward: when no op can start next cycle and no AG is
-            // actively issuing, nothing on the scoreboard changes until the
-            // next kernel/AG wakeup or node event — jump the clock there.
-            if fast_forward && remaining > 0 {
-                let can_start = (0..n_ops).any(|id| {
-                    state[id] == OpState::Waiting && {
-                        let (op, deps) = prog.op(id);
-                        deps.iter().all(|&d| state[d] == OpState::Done)
-                            && match op {
-                                StreamOp::Kernel { .. } => kernel.is_none(),
-                                _ => ags.iter().any(|a| a.is_none()),
-                            }
-                    }
-                });
-                let issuing = ags
-                    .iter()
-                    .flatten()
-                    .any(|run| run.issue_from <= t && run.cursor < run.total);
-                if !can_start && !issuing {
-                    let mut horizon: Option<u64> = None;
-                    let mut fold = |v: u64| horizon = Some(horizon.map_or(v, |h| h.min(v)));
-                    if let Some(k) = &kernel {
-                        fold(k.end_at); // > t: completion was checked above
-                    }
-                    for run in ags.iter().flatten() {
-                        if run.issue_from > t && run.cursor < run.total {
-                            fold(run.issue_from);
-                        }
-                    }
-                    if let Some(e) = node.next_event(now) {
-                        fold(e.raw());
-                    }
-                    if let Some(h) = horizon {
-                        if h > t + 1 {
-                            let k = h - t - 1;
-                            node.skip_cycles(now, k);
-                            clock.skip_to(Cycle(h - 1));
-                            skipped_cycles += k;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Drain any in-flight write-backs so the machine is quiescent, then
-        // materialize the coherent memory image.
-        while !node.is_idle() {
-            let now = clock.advance();
-            node.tick(now);
-            while node.pop_completion().is_some() {}
-            if fast_forward {
-                if let Some(h) = node.next_event(now) {
-                    if h > now + 1 {
-                        let k = h.raw() - now.raw() - 1;
-                        node.skip_cycles(now, k);
-                        clock.skip_to(Cycle(h.raw() - 1));
-                        skipped_cycles += k;
-                    }
-                }
-            }
-        }
-        node.flush_to_store();
+        let mut m = Scoreboard {
+            exec: self,
+            prog,
+            node,
+            state: vec![OpState::Waiting; n_ops],
+            spans: vec![OpSpan::default(); n_ops],
+            ags: (0..self.cfg.ag.count).map(|_| None).collect(),
+            kernel: None,
+            req_owner: FxHashMap::default(),
+            next_id: 0,
+            remaining: n_ops,
+            live_srf: 0,
+            peak_srf: 0,
+        };
+        // A finished program on a drained node takes no cycles.
+        let end = if m.end_of_cycle(&mut HostProfiler::off()) {
+            RunEnd::default()
+        } else {
+            sa_sim::run(&mut m, fast_forward, &mut Introspect::off())
+        };
+        // The run ends with the machine quiescent; materialize the
+        // coherent memory image.
+        m.node.flush_to_store();
 
         let srf_capacity = self.cfg.compute.srf_bytes / sa_sim::WORD_BYTES;
         ExecReport {
-            cycles: clock.now().raw(),
-            spans,
-            stats: node.stats(),
+            cycles: end.cycles,
+            spans: m.spans,
+            stats: m.node.stats(),
             program: ProgramCounters {
                 flops: prog.total_flops(),
                 mem_refs: prog.total_mem_refs(),
             },
             srf: SrfUsage {
-                peak_words: peak_srf,
-                overflow: peak_srf > srf_capacity,
+                peak_words: m.peak_srf,
+                overflow: m.peak_srf > srf_capacity,
             },
-            req_trace: node.take_req_trace(),
-            skipped_cycles,
+            req_trace: m.node.take_req_trace(),
+            skipped_cycles: end.skipped_cycles,
         }
+    }
+}
+
+/// One program run's scoreboard: op states, the address generators and
+/// the kernel slot, and the node they drive.
+struct Scoreboard<'a, T: sa_telemetry::TraceSink> {
+    exec: &'a Executor,
+    prog: &'a StreamProgram,
+    node: &'a mut NodeMemSys<T>,
+    state: Vec<OpState>,
+    spans: Vec<OpSpan>,
+    ags: Vec<Option<MemRun>>,
+    kernel: Option<KernelRun>,
+    req_owner: FxHashMap<ReqId, OpId>,
+    next_id: ReqId,
+    remaining: usize,
+    live_srf: u64,
+    peak_srf: u64,
+}
+
+impl<T: sa_telemetry::TraceSink> Machine for Scoreboard<'_, T> {
+    fn step(&mut self, now: Cycle, _: &mut HostProfiler) {
+        let t = now.raw();
+        let cfg = self.exec.cfg;
+        let prog = self.prog;
+
+        // Start ready ops on free resources.
+        for id in 0..prog.len() {
+            if self.state[id] != OpState::Waiting {
+                continue;
+            }
+            let (op, deps) = prog.op(id);
+            if !deps.iter().all(|&d| self.state[d] == OpState::Done) {
+                continue;
+            }
+            match op {
+                StreamOp::Kernel {
+                    elements,
+                    ops_per_element,
+                    srf_words_per_element,
+                    ..
+                } => {
+                    if self.kernel.is_none() {
+                        let dur = self.exec.kernel_cycles(
+                            *elements,
+                            *ops_per_element,
+                            *srf_words_per_element,
+                        );
+                        self.kernel = Some(KernelRun {
+                            op: id,
+                            end_at: t + dur,
+                        });
+                        self.state[id] = OpState::Running;
+                        self.spans[id].start = t;
+                        self.live_srf += srf_footprint(op);
+                        self.peak_srf = self.peak_srf.max(self.live_srf);
+                    }
+                }
+                _ => {
+                    if let Some(slot) = self.ags.iter().position(|a| a.is_none()) {
+                        let total = op.mem_refs();
+                        self.ags[slot] = Some(MemRun {
+                            op: id,
+                            issue_from: t + u64::from(cfg.ag.startup_cycles),
+                            cursor: 0,
+                            acked: 0,
+                            total,
+                        });
+                        self.state[id] = OpState::Running;
+                        self.spans[id].start = t;
+                        self.live_srf += srf_footprint(op);
+                        self.peak_srf = self.peak_srf.max(self.live_srf);
+                        if total == 0 {
+                            // Degenerate empty stream: completes at once.
+                            self.state[id] = OpState::Done;
+                            self.spans[id].end = t;
+                            self.remaining -= 1;
+                            self.ags[slot] = None;
+                            self.live_srf -= srf_footprint(op);
+                        }
+                    }
+                }
+            }
+        }
+
+        // Kernel completion.
+        if self.kernel.as_ref().is_some_and(|k| k.end_at <= t) {
+            let k = self.kernel.take().expect("checked");
+            self.state[k.op] = OpState::Done;
+            self.spans[k.op].end = t;
+            self.remaining -= 1;
+            self.live_srf -= srf_footprint(prog.op(k.op).0);
+        }
+
+        // Issue memory requests from each busy AG.
+        for (slot, ag) in self.ags.iter_mut().enumerate() {
+            let Some(run) = ag.as_mut() else { continue };
+            if run.issue_from > t {
+                continue;
+            }
+            let (op, _) = prog.op(run.op);
+            for _ in 0..cfg.ag.width {
+                if run.cursor >= run.total {
+                    break;
+                }
+                let i = run.cursor;
+                let req = match op {
+                    StreamOp::Gather { pattern } => MemRequest {
+                        id: self.next_id,
+                        addr: pattern.addr(i),
+                        op: MemOp::Read,
+                        origin: Origin::AddrGen { node: 0, ag: slot },
+                    },
+                    StreamOp::Scatter { pattern, values } => MemRequest {
+                        id: self.next_id,
+                        addr: pattern.addr(i),
+                        op: MemOp::Write {
+                            bits: values[i as usize],
+                        },
+                        origin: Origin::AddrGen { node: 0, ag: slot },
+                    },
+                    StreamOp::ScatterAdd {
+                        pattern,
+                        values,
+                        kind,
+                        op,
+                    } => MemRequest {
+                        id: self.next_id,
+                        addr: pattern.addr(i),
+                        op: MemOp::Scatter {
+                            bits: values[i as usize],
+                            kind: *kind,
+                            op: *op,
+                            fetch: false,
+                        },
+                        origin: Origin::AddrGen { node: 0, ag: slot },
+                    },
+                    StreamOp::Kernel { .. } => unreachable!("kernels don't use AGs"),
+                };
+                match self.node.inject_traced(req, now) {
+                    Ok(()) => {
+                        self.req_owner.insert(self.next_id, run.op);
+                        self.next_id += 1;
+                        run.cursor += 1;
+                    }
+                    Err(_) => break, // bank queue full: stall this AG
+                }
+            }
+        }
+
+        self.node.tick(now);
+
+        // Completions retire requests and, eventually, their ops.
+        while let Some(c) = self.node.pop_completion() {
+            let Some(op) = self.req_owner.remove(&c.id) else {
+                continue;
+            };
+            for ag in self.ags.iter_mut() {
+                if let Some(run) = ag.as_mut() {
+                    if run.op == op {
+                        run.acked += 1;
+                        if run.acked == run.total {
+                            self.state[op] = OpState::Done;
+                            self.spans[op].end = t;
+                            self.remaining -= 1;
+                            *ag = None;
+                            self.live_srf -= srf_footprint(prog.op(op).0);
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every op done and every in-flight write-back drained.
+    fn end_of_cycle(&mut self, _: &mut HostProfiler) -> bool {
+        self.remaining == 0 && self.node.is_idle()
+    }
+
+    /// When no op can start next cycle and no AG is actively issuing,
+    /// nothing on the scoreboard changes until the next kernel/AG wakeup
+    /// or node event.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        let t = now.raw();
+        let prog = self.prog;
+        let can_start = (0..prog.len()).any(|id| {
+            self.state[id] == OpState::Waiting && {
+                let (op, deps) = prog.op(id);
+                deps.iter().all(|&d| self.state[d] == OpState::Done)
+                    && match op {
+                        StreamOp::Kernel { .. } => self.kernel.is_none(),
+                        _ => self.ags.iter().any(|a| a.is_none()),
+                    }
+            }
+        });
+        let issuing = self
+            .ags
+            .iter()
+            .flatten()
+            .any(|run| run.issue_from <= t && run.cursor < run.total);
+        if can_start || issuing {
+            return None;
+        }
+        // A running kernel ends after `t`: completion was checked in `step`.
+        let kernel = self.kernel.as_ref().map(|k| Cycle(k.end_at));
+        let wakeups = self
+            .ags
+            .iter()
+            .flatten()
+            .filter(|run| run.issue_from > t && run.cursor < run.total)
+            .map(|run| Cycle(run.issue_from));
+        kernel
+            .into_iter()
+            .chain(wakeups)
+            .chain(self.node.next_event(now))
+            .min()
+    }
+
+    fn skip(&mut self, now: Cycle, k: u64) {
+        self.node.skip_cycles(now, k);
     }
 }
 

@@ -13,6 +13,8 @@
 //!   the simplified configurations used by the sensitivity study (§4.4).
 //! * [`Rng64`] — a tiny deterministic PRNG so that every experiment is
 //!   reproducible down to the cycle.
+//! * [`run`] — the one event-horizon run loop every simulated machine is
+//!   stepped by, through the [`Machine`] hooks.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@ mod ff;
 mod queue;
 mod req;
 mod rng;
+mod run;
 mod stats;
 
 pub use config::{
@@ -52,4 +55,5 @@ pub use req::{
     ScatterOp, WORD_BYTES,
 };
 pub use rng::Rng64;
+pub use run::{run, Machine, RunEnd};
 pub use stats::{Counter, QueueStats};

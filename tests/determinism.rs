@@ -9,10 +9,7 @@ use sa_apps::histogram::{run_hw, run_sort_scan_default, HistogramInput};
 use sa_apps::md::WaterSystem;
 use sa_apps::mesh::Mesh;
 use sa_apps::spmv::{run_ebe_hw, Csr, Ebe};
-use sa_core::{
-    drive_scatter, drive_scatter_probed, drive_scatter_with, NodeMemSys, ScatterKernel,
-    SensitivityRig,
-};
+use sa_core::{drive_scatter, drive_scatter_probed, NodeMemSys, ScatterKernel, SensitivityRig};
 use sa_multinode::{MultiNode, Topology, TraceReport};
 use sa_sim::{MachineConfig, NetworkConfig, Rng64, SensitivityConfig};
 use sa_telemetry::{validate_probe_json, HostProfiler, Introspect, Json, ProbeRecorder};
@@ -129,24 +126,6 @@ fn multinode_stats_json_is_fast_forward_invariant() {
     }
 }
 
-#[test]
-fn rig_sweep_is_thread_count_invariant() {
-    let mut rng = Rng64::new(10);
-    let indices: Vec<u64> = (0..512).map(|_| rng.below(4096)).collect();
-    let configs: Vec<SensitivityConfig> = [2usize, 8, 64]
-        .iter()
-        .map(|&cs| SensitivityConfig {
-            cs_entries: cs,
-            ..SensitivityConfig::default()
-        })
-        .collect();
-    let serial = SensitivityRig::run_histogram_sweep(&configs, &indices, 4096, 1);
-    for threads in [2usize, 8] {
-        let parallel = SensitivityRig::run_histogram_sweep(&configs, &indices, 4096, threads);
-        assert_eq!(serial, parallel, "threads={threads}");
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum FfWorkload {
     Histogram,
@@ -235,7 +214,7 @@ proptest! {
         let run_mode = |ff: bool| {
             let mut node = NodeMemSys::new(cfg, 0, false);
             node.set_fast_forward(ff);
-            let run = drive_scatter_with(node, &kernel, fetch);
+            let run = drive_scatter_probed(node, &kernel, fetch, &mut Introspect::off());
             (run_stats_json(&run), run.skipped_cycles)
         };
         let (on, _skipped_on) = run_mode(true);
@@ -401,7 +380,7 @@ fn occupancy_accounting_covers_every_cycle_under_fast_forward() {
     let elapsed_for = |ff: bool| {
         let mut node = NodeMemSys::new(cfg, 0, false);
         node.set_fast_forward(ff);
-        let run = drive_scatter_with(node, &kernel, false);
+        let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
         let json = run_stats_json(&run);
         let mut elapsed = Vec::new();
         for family in ["sa", "cache", "dram"] {
@@ -466,7 +445,7 @@ proptest! {
             if let Some(p) = &plan {
                 node.set_fault_plan(p);
             }
-            run_stats_json(&drive_scatter_with(node, &kernel, false))
+            run_stats_json(&drive_scatter_probed(node, &kernel, false, &mut Introspect::off()))
         };
         let none = run_plan(None);
         let empty = run_plan(Some(sa_faults::FaultPlan::empty()));
@@ -566,7 +545,7 @@ proptest! {
             let mut node = NodeMemSys::new(cfg, 0, false);
             node.set_fast_forward(ff);
             node.set_fault_plan(&plan);
-            let r = drive_scatter_with(node, &kernel, false);
+            let r = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
             (strip_skipped(&run_stats_json(&r)), r.result_i64(256))
         };
         let (base_stats, base_image) = run(false);
@@ -598,7 +577,7 @@ proptest! {
         let run = |ff: bool| {
             let mut node = NodeMemSys::new(machine(), 0, false);
             node.set_fast_forward(ff);
-            let json = run_stats_json(&drive_scatter_with(node, &kernel, false));
+            let json = run_stats_json(&drive_scatter_probed(node, &kernel, false, &mut Introspect::off()));
             ["sa", "cache", "dram"].map(|f| occ_triple(&json, f))
         };
         prop_assert_eq!(run(true), run(false));

@@ -188,13 +188,14 @@ fn bottleneck_bound_flips_with_index_range_like_fig8() {
 /// The full v5 bottleneck section (not just the bound) for a histogram run
 /// over `range`-wide indices with fast-forward on or off.
 fn bottleneck_report(range: u64, n: u64, ff: bool) -> String {
-    use sa_core::{drive_scatter_with, NodeMemSys};
+    use sa_core::{drive_scatter_probed, NodeMemSys};
+    use sa_telemetry::Introspect;
     use sa_telemetry::{bottleneck_json, validate_bottleneck_json, Json, MetricsRegistry};
     let mut rng = Rng64::new(0xF11B_0002);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(range)).collect());
     let mut node = NodeMemSys::new(machine(), 0, false);
     node.set_fast_forward(ff);
-    let run = drive_scatter_with(node, &kernel, false);
+    let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
     let mut reg = MetricsRegistry::new();
     {
         let mut scope = reg.scope("run");
