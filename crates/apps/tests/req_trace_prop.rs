@@ -9,7 +9,7 @@ use sa_apps::mesh::Mesh;
 use sa_apps::spmv::Ebe;
 use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
-use sa_telemetry::{Introspect, NullTrace, ReqStage};
+use sa_telemetry::{Introspect, ReqStage};
 
 #[derive(Clone, Copy, Debug)]
 enum Workload {
@@ -42,7 +42,7 @@ proptest! {
         let mut cfg = MachineConfig::merrimac();
         cfg.req_sample = sample;
         let kernel = ScatterKernel::histogram(0, trace_of(workload, seed));
-        let node = NodeMemSys::with_tracer(cfg, 0, false, NullTrace);
+        let node = NodeMemSys::new(cfg, 0, false);
         let run = drive_scatter_probed(node, &kernel, fetch, &mut Introspect::off());
         let tracer = run.node.req_tracer();
 

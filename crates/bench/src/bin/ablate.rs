@@ -1,6 +1,6 @@
 //! Simulated-cycle ablations of the scatter-add design choices.
 //!
-//! The Criterion benches measure the *simulator's* wall time; this binary
+//! The repository benchmark measures the *simulator's* wall time; this binary
 //! reports the *simulated machine's* cycles as each design parameter moves
 //! away from the Table 1 point, one axis at a time:
 //!

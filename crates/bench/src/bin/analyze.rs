@@ -25,12 +25,8 @@
 //! * `analyze bottleneck <stats.json>` renders the v5 `bottleneck`
 //!   attribution section — dominant resource with utilization evidence,
 //!   per-resource occupancy table, critical path, analytic what-if table.
-//!   Documents written before v5 (no occupancy counters) are recomputed on
-//!   the fly when possible;
-//! * `analyze trend [N]` prints the last N (default 10) entries of the
-//!   local perf-trajectory ledger `bench/history/trajectory.ndjson`
-//!   appended by `hotloop`; when no ledger exists yet it prints the usage
-//!   block and exits 2, like any other usage error;
+//!   A document without the section is recomputed on the fly from its
+//!   occupancy counters;
 //! * `analyze summarize` runs the trace-locality analytics that explain
 //!   Figure 13 (the locality statistics of the four reference traces,
 //!   computed with `sa_apps::traces::TraceStats` — the quantities the
@@ -72,11 +68,8 @@ positional modes:
   summarize                           trace-locality analytics behind Figure 13
                                       (--quick for smaller inputs)
   bottleneck <stats.json>             render the bottleneck attribution report
-                                      (sa-stats v5; older docs recomputed when
-                                      occupancy counters are present)
-  trend [N]                           last N entries (default 10) of the perf
-                                      trajectory ledger
-                                      bench/history/trajectory.ndjson
+                                      (sa-stats v5; recomputed from occupancy
+                                      counters when the section is absent)
   cache ls|stats|gc|clear             manage the --cache result store
                                       (--dir DIR, else SA_CACHE_DIR, else
                                       .sa-cache; gc bound: --max-bytes N,
@@ -100,8 +93,6 @@ const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7411";
 
 /// Default `analyze cache gc` size bound: 1 GiB.
 const DEFAULT_GC_BYTES: u64 = 1 << 30;
-
-use sa_bench::TRAJECTORY_PATH;
 
 fn load_stats(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -127,8 +118,6 @@ fn summarize_stats(path: &str) -> Result<(), String> {
     let doc = load_stats(path)?;
     validate_stats_json(&doc)?;
     let bench = doc.get("bench").and_then(Json::as_str).unwrap_or("?");
-    // The document's own version, not this binary's: the validator accepts
-    // every schema since v1, so old baselines summarize too.
     let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
     let metrics = doc
         .get("metrics")
@@ -234,52 +223,13 @@ fn bottleneck_mode(path: &str) -> Result<(), String> {
             None => {
                 return Err(format!(
                     "{path}: no bottleneck section and no occupancy counters to \
-                     derive one from (document predates sa-stats v5?)"
+                     derive one from"
                 ))
             }
         },
     };
     validate_bottleneck_json(section).map_err(|e| format!("{path}: {e}"))?;
     print!("{}", render_bottleneck(section));
-    Ok(())
-}
-
-/// `trend [N]`: tail of the local perf-trajectory ledger appended by
-/// `hotloop` runs. Wall-clock numbers, machine-local by design.
-fn trend_mode(n: usize) -> Result<(), String> {
-    let text = match std::fs::read_to_string(TRAJECTORY_PATH) {
-        Ok(text) => text,
-        // No ledger yet is a usage problem (nothing has been benchmarked on
-        // this machine), not a data error: print the usage block and exit 2
-        // so CI wiring can tell the two apart.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => usage_exit(&format!(
-            "no perf-trajectory ledger at {TRAJECTORY_PATH} (run `hotloop` to append an entry)"
-        )),
-        Err(e) => return Err(format!("reading {TRAJECTORY_PATH}: {e}")),
-    };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let start = lines.len().saturating_sub(n);
-    println!(
-        "perf trajectory: last {} of {} entries ({TRAJECTORY_PATH})",
-        lines.len() - start,
-        lines.len()
-    );
-    for line in &lines[start..] {
-        let doc = Json::parse(line)
-            .map_err(|e| format!("invalid NDJSON line in {TRAJECTORY_PATH}: {e}"))?;
-        let mut parts = Vec::new();
-        for (k, v) in doc.as_obj().unwrap_or(&[]) {
-            if k == "schema" || k == "version" {
-                continue;
-            }
-            if let Some(s) = v.as_str() {
-                parts.push(format!("{k}={s}"));
-            } else if let Some(x) = v.as_f64() {
-                parts.push(format!("{k}={x}"));
-            }
-        }
-        println!("  {}", parts.join("  "));
-    }
     Ok(())
 }
 
@@ -763,19 +713,6 @@ fn main() {
         }
         Some("cache") => {
             if let Err(e) = cache_mode(&args) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        Some("trend") => {
-            let n = match args.positional().get(1) {
-                None => 10,
-                Some(raw) => match raw.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => usage_exit(&format!("trend count '{raw}' is not a number")),
-                },
-            };
-            if let Err(e) = trend_mode(n) {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }

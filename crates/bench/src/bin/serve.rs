@@ -30,9 +30,10 @@ usage: serve [flags]
   --tenant-inflight N  concurrent job quota per tenant, 0 = unlimited
   --cache[=DIR]        memoize results (SA_CACHE_DIR / .sa-cache default)
 
-run-control flags (--fast-forward, --faults, ...) install
-process-wide defaults exactly as they do for the figure binaries; a job
-spec's exec section still overrides them per job.
+--fast-forward installs the process-wide default exactly as it does for
+the figure binaries; a job spec's exec section still overrides it per job.
+Served jobs take their fault plan only from their spec: --faults does not
+apply to them.
 ";
 
 fn main() {

@@ -180,7 +180,7 @@ mod tests {
     fn doc(p99: u64, cycles: u64) -> Json {
         Json::parse(&format!(
             r#"{{
-                "schema": "sa-stats", "version": 2, "bench": "fig9",
+                "schema": "sa-stats", "version": 5, "bench": "fig9",
                 "config": {{"ghz": 1.0}},
                 "metrics": {{"ebe_hw.cycles": {cycles}, "ebe_hw.flops": 99}},
                 "latency": {{"ebe_hw": {{

@@ -1,5 +1,4 @@
-//! Shared harness for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! Shared harness for the figure/table regeneration binaries.
 //!
 //! Every figure and table of the paper's evaluation section has a binary in
 //! `src/bin/` that prints the same rows or series the paper reports:
@@ -23,11 +22,6 @@
 #![warn(missing_docs)]
 
 use std::fmt::Display;
-
-/// The local perf-trajectory ledger: `hotloop` appends one NDJSON entry per
-/// measured run, `analyze trend` prints the tail. Wall-clock numbers, so
-/// machine-local by design — the file is gitignored, never diffed in CI.
-pub const TRAJECTORY_PATH: &str = "bench/history/trajectory.ndjson";
 
 /// Whether the caller asked for a reduced-size run (`--quick` argument or
 /// `SA_QUICK=1` in the environment).

@@ -4,11 +4,12 @@
 //! Every figure/ablation binary parses its flags through [`Cli`], so the
 //! hook lives there: when `--spec` is present the binary loads the JSON job
 //! description, overlays any execution knobs given explicitly on the
-//! command line (`--fast-forward`, `--probe-interval`), runs the session through the same cache/progress
-//! plumbing as the HTTP daemon, prints a deterministic summary, and exits —
-//! the same job file therefore means the same simulation whether it is
-//! submitted to `sa-serve`, replayed by `fig6 --spec job.json`, or
-//! fingerprinted by the result cache. A malformed spec follows the shared
+//! command line (`--fast-forward`, `--probe-interval`) and an explicit
+//! `--faults` plan (re-seeded by `--fault-seed`), runs the session through
+//! the same cache/progress plumbing as the HTTP daemon, prints a
+//! deterministic summary, and exits — the same job file therefore means the
+//! same simulation whether it is submitted to `sa-serve`, replayed by
+//! `fig6 --spec job.json`, or fingerprinted by the result cache. A malformed spec follows the shared
 //! usage convention: `error: ...` plus a usage block, exit status 2.
 
 use std::sync::Arc;
@@ -24,8 +25,10 @@ usage: <bin> --spec JOB.json [run-control flags]
   runs the serialized session the file describes instead of the binary's
   built-in experiment (schema: sa-session-spec v1, see docs/SERVING.md).
   execution knobs given explicitly on the command line override the spec's
-  exec section: --fast-forward on|off, --probe-interval N. --cache[=DIR] and --progress attach as usual; with a
-  cache, a warm spec replays without simulating.
+  exec section: --fast-forward on|off, --probe-interval N. --faults PLAN
+  (with --fault-seed N) replaces the spec's fault plan, and so its cache
+  key. --cache[=DIR] and --progress attach as usual; with a cache, a warm
+  spec replays without simulating.
   --stats-json PATH additionally writes the job's sa-stats document.
 ";
 
@@ -76,6 +79,11 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
     }
     if args.raw("probe-interval").is_some() {
         spec.probe_interval = cli.probe_interval();
+    }
+    // The session never reads the process-wide plan, so an explicit
+    // `--faults` must ride in the spec (and its fingerprint) to apply.
+    if let Some(plan) = cli.fault_plan() {
+        spec.faults = Some(plan.clone());
     }
 
     let digest = spec.fingerprint().digest();

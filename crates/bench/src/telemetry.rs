@@ -473,7 +473,7 @@ impl BenchRun {
         self.attribution
             .push(("canonical".to_owned(), attribution.clone()));
         let series = run.node.series().clone();
-        let trace = run.node.into_tracer();
+        let trace = run.node.into_tracer().expect("traced node");
         let trace_json = trace.to_json_string();
         let trace_events = trace.event_count() as u64;
         let mut payload = Json::obj();

@@ -5,7 +5,7 @@ use sa_bench::args::Args;
 use sa_bench::telemetry::{machine_config_json, BenchRun};
 use sa_core::{drive_scatter, drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
-use sa_telemetry::{validate_stats_json, ChromeTrace, Introspect, Json};
+use sa_telemetry::{validate_stats_json, ChromeTrace, Introspect, Json, ProbeRecorder, Progress};
 
 fn args(s: &str) -> Args {
     Args::parse(s.split_whitespace().map(str::to_owned))
@@ -117,7 +117,8 @@ fn request_spans_land_on_node_scoped_tracks() {
     let kernel = ScatterKernel::histogram(0, (0..2048).map(|_| rng.below(1024)).collect());
     let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
     let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
-    let doc = Json::parse(&run.node.tracer().to_json_string()).expect("valid trace JSON");
+    let doc = Json::parse(&run.node.tracer().expect("traced node").to_json_string())
+        .expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let req_tracks = events
         .iter()
@@ -142,7 +143,8 @@ fn trace_has_one_track_per_bank_and_channel() {
     let kernel = ScatterKernel::histogram(0, (0..2048).map(|_| rng.below(1024)).collect());
     let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
     let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
-    let doc = Json::parse(&run.node.tracer().to_json_string()).expect("valid trace JSON");
+    let doc = Json::parse(&run.node.tracer().expect("traced node").to_json_string())
+        .expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let tracks: Vec<&str> = events
         .iter()
@@ -167,9 +169,18 @@ fn tracing_never_changes_simulated_time() {
         node.set_req_sample(1); // trace every request's lifecycle
         drive_scatter_probed(node, &kernel, false, &mut Introspect::off())
     };
-    assert_eq!(plain.cycles, traced.cycles);
-    assert_eq!(plain.drain_cycles, traced.drain_cycles);
-    assert_eq!(plain.stats, traced.stats);
+    // Probe snapshots every 512 cycles, streamed to a sink.
+    let mut probe = Introspect::off();
+    let sink = Progress::to_writer(Box::new(std::io::sink()));
+    probe.recorder = ProbeRecorder::every(512).with_sink(sink.clone());
+    probe.progress = sink;
+    let probed = drive_scatter_probed(NodeMemSys::new(cfg, 0, false), &kernel, false, &mut probe);
+    assert!(!probe.recorder.lines().is_empty(), "snapshots were taken");
+    for run in [&traced, &probed] {
+        assert_eq!(plain.cycles, run.cycles);
+        assert_eq!(plain.drain_cycles, run.drain_cycles);
+        assert_eq!(plain.stats, run.stats);
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@ use std::fmt;
 use sa_sim::{
     Addr, Cycle, Machine, MachineConfig, MemOp, MemRequest, Origin, ScalarKind, ScatterOp,
 };
-use sa_telemetry::{HostProfiler, Introspect, Json, NullTrace, ProbeRegistry, TraceSink};
+use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry};
 
 use crate::node::{NodeMemSys, NodeStats};
 
@@ -163,7 +163,7 @@ impl fmt::Display for StallBreakdown {
 
 /// Outcome of [`drive_scatter`].
 #[derive(Debug)]
-pub struct RunResult<T: TraceSink = NullTrace> {
+pub struct RunResult {
     /// Cycles until the last scatter request was acknowledged by a
     /// scatter-add unit (the paper's completion point — the processor may
     /// proceed once all acks arrive).
@@ -180,12 +180,12 @@ pub struct RunResult<T: TraceSink = NullTrace> {
     /// (empty unless `fetch` was set).
     pub fetched: Vec<(u64, u64)>,
     /// The node, for inspecting the final memory image.
-    pub node: NodeMemSys<T>,
+    pub node: NodeMemSys,
     /// Base word of the result array (copied from the kernel).
     pub base_word: u64,
 }
 
-impl<T: TraceSink> RunResult<T> {
+impl RunResult {
     /// Where this run's cycles went (stall attribution).
     pub fn stall_breakdown(&self) -> StallBreakdown {
         StallBreakdown::from_stats(&self.stats, self.drain_cycles)
@@ -197,7 +197,7 @@ impl<T: TraceSink> RunResult<T> {
     }
 }
 
-impl<T: TraceSink> RunResult<T> {
+impl RunResult {
     /// The result array as `n` integers.
     pub fn result_i64(&self, n: usize) -> Vec<i64> {
         self.node
@@ -258,12 +258,12 @@ pub fn drive_scatter(cfg: &MachineConfig, kernel: &ScatterKernel, fetch: bool) -
 /// # Panics
 ///
 /// Panics if `indices` and `values` lengths differ.
-pub fn drive_scatter_probed<T: TraceSink>(
-    node: NodeMemSys<T>,
+pub fn drive_scatter_probed(
+    node: NodeMemSys,
     kernel: &ScatterKernel,
     fetch: bool,
     probe: &mut Introspect,
-) -> RunResult<T> {
+) -> RunResult {
     assert_eq!(
         kernel.indices.len(),
         kernel.values.len(),
@@ -320,8 +320,8 @@ pub fn drive_scatter_probed<T: TraceSink>(
 
 /// The scatter driver's run state: the node and the requests not yet
 /// accepted by it.
-struct Driver<T: TraceSink> {
-    node: NodeMemSys<T>,
+struct Driver {
+    node: NodeMemSys,
     pending: VecDeque<MemRequest>,
     total: usize,
     issue_per_cycle: usize,
@@ -331,7 +331,7 @@ struct Driver<T: TraceSink> {
     ack_time: u64,
 }
 
-impl<T: TraceSink> Machine for Driver<T> {
+impl Machine for Driver {
     fn step(&mut self, now: Cycle, prof: &mut HostProfiler) {
         prof.time("inject", || {
             let mut issued = 0;
@@ -548,7 +548,7 @@ mod tests {
         assert!(!series.is_empty(), "sampling must produce series");
         assert!(series.iter().any(|(n, _)| n.contains("sa.cs_residency")));
         assert!(series.iter().any(|(n, _)| n.contains("dram.bus_util")));
-        let trace = run.node.tracer();
+        let trace = run.node.tracer().expect("traced node");
         assert!(trace.event_count() > 0);
         let doc = Json::parse(&trace.to_json_string()).expect("valid trace JSON");
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();

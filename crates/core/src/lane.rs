@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use sa_cache::{AccessKind, CacheAccess, CacheBank};
 use sa_mem::DramChannel;
 use sa_sim::{Addr, BoundedQueue, Cycle, DramConfig, MemOp, MemRequest, MemResponse, Origin};
-use sa_telemetry::{ReqStage, ReqTracer, TraceSink};
+use sa_telemetry::{ChromeTrace, ReqStage, ReqTracer};
 
 use crate::unit::{ScatterAddUnit, ToMem};
 
@@ -75,16 +75,18 @@ impl LaneParams {
     }
 }
 
-/// Retire a traced request and stream its per-stage spans into the trace
-/// sink (one Perfetto track per request, scoped by node id).
-pub(crate) fn retire_req<S: TraceSink>(
+/// Retire a traced request and stream its per-stage spans into the Chrome
+/// trace, if any (one Perfetto track per request, scoped by node id).
+pub(crate) fn retire_req(
     id: u64,
     now: Cycle,
     req_trace: &mut ReqTracer,
-    tracer: &mut S,
+    tracer: &mut Option<ChromeTrace>,
 ) {
     if let Some(rec) = req_trace.retire(id, now.raw()) {
-        sa_telemetry::emit_req_spans(rec, tracer);
+        if let Some(tracer) = tracer {
+            tracer.req_spans(rec);
+        }
     }
 }
 
@@ -116,13 +118,13 @@ pub(crate) fn lane_front(
 /// arbitration, unit tick, response/ack routing) — steps 4–8 of the
 /// per-bank loop. Never touches the DRAM channels. Completions are pushed
 /// onto `out`, the node's completion queue.
-pub(crate) fn step_lane<S: TraceSink>(
+pub(crate) fn step_lane(
     lane: &mut BankLane,
     now: Cycle,
     p: &LaneParams,
     out: &mut VecDeque<MemResponse>,
     req_trace: &mut ReqTracer,
-    tracer: &mut S,
+    tracer: &mut Option<ChromeTrace>,
 ) {
     let BankLane {
         index,
@@ -228,13 +230,13 @@ fn try_serve_sa(
 /// Serve one bypass (non-scatter) request at the lane's cache port.
 /// Returns whether the port was used (a single conditional pop: the head
 /// request stays queued when the cache port rejects it).
-fn try_serve_bypass<S: TraceSink>(
+fn try_serve_bypass(
     bank: &mut CacheBank,
     bank_in: &mut BoundedQueue<MemRequest>,
     out: &mut VecDeque<MemResponse>,
     now: Cycle,
     req_trace: &mut ReqTracer,
-    tracer: &mut S,
+    tracer: &mut Option<ChromeTrace>,
 ) -> bool {
     let served = bank_in.pop_if(|req| {
         let access = match req.op {

@@ -13,7 +13,7 @@ use sa_mem::{BackingStore, DramChannel, DramStats};
 use sa_sim::{
     Addr, BoundedQueue, Cycle, MachineConfig, MemOp, MemRequest, MemResponse, Origin, QueueStats,
 };
-use sa_telemetry::{NullTrace, ReqStage, ReqTracer, Scope, SeriesSet, TraceSink};
+use sa_telemetry::{ChromeTrace, ReqStage, ReqTracer, Scope, SeriesSet};
 
 use crate::lane::{lane_front, step_lane, BankLane, LaneParams};
 use crate::unit::{SaStats, ScatterAddUnit};
@@ -74,7 +74,7 @@ impl NodeStats {
 /// unit; plain writes are posted (acknowledged on acceptance by the cache);
 /// reads complete when data returns.
 #[derive(Debug)]
-pub struct NodeMemSys<T: TraceSink = NullTrace> {
+pub struct NodeMemSys {
     cfg: MachineConfig,
     node: usize,
     combining: bool,
@@ -91,7 +91,10 @@ pub struct NodeMemSys<T: TraceSink = NullTrace> {
     /// 0"). Without homing, a combining node treats every line as
     /// combinable (the single-node testing configuration).
     n_nodes: Option<usize>,
-    tracer: T,
+    /// Chrome trace of occupancy counters and sampled request spans;
+    /// `None` unless built with [`NodeMemSys::with_tracer`], in which case
+    /// the hot loop pays one branch per retired request and per sample.
+    tracer: Option<ChromeTrace>,
     /// Request-lifecycle tracer (see [`ReqTracer`]); disabled unless
     /// [`MachineConfig::req_sample`] or [`set_req_sample`](Self::set_req_sample)
     /// turns it on. Runtime-gated so the untraced hot loop pays one integer
@@ -118,27 +121,13 @@ pub struct NodeMemSys<T: TraceSink = NullTrace> {
 
 impl NodeMemSys {
     /// Build the memory system of node `node` with configuration `cfg`,
-    /// without tracing (the [`NullTrace`] sink).
+    /// without tracing or occupancy sampling.
     ///
     /// `combining` enables the multi-node cache-combining optimization of
     /// §3.2: scatter-add targets are zero-allocated in the local cache and
     /// evictions become [`SumBack`]s. Combining only supports
     /// [`ScatterOp::Add`](sa_sim::ScatterOp::Add) (zero is its identity).
     pub fn new(cfg: MachineConfig, node: usize, combining: bool) -> NodeMemSys {
-        NodeMemSys::with_tracer(cfg, node, combining, NullTrace)
-    }
-}
-
-impl<T: TraceSink> NodeMemSys<T> {
-    /// Build the memory system with an event-trace sink attached. Sampling
-    /// starts at [`DEFAULT_SAMPLE_INTERVAL`]; tune with
-    /// [`set_sample_interval`](Self::set_sample_interval).
-    pub fn with_tracer(
-        cfg: MachineConfig,
-        node: usize,
-        combining: bool,
-        tracer: T,
-    ) -> NodeMemSys<T> {
         let lanes = (0..cfg.cache.banks)
             .map(|b| BankLane {
                 index: b,
@@ -151,11 +140,6 @@ impl<T: TraceSink> NodeMemSys<T> {
         let channels = (0..cfg.dram.channels)
             .map(|_| DramChannel::new(cfg.dram))
             .collect();
-        let sample_interval = if T::ENABLED {
-            DEFAULT_SAMPLE_INTERVAL
-        } else {
-            0
-        };
         let mut sys = NodeMemSys {
             node,
             combining,
@@ -164,11 +148,11 @@ impl<T: TraceSink> NodeMemSys<T> {
             store: BackingStore::new(),
             completions: VecDeque::new(),
             n_nodes: None,
-            tracer,
+            tracer: None,
             req_trace: ReqTracer::every(cfg.req_sample),
-            sample_interval,
+            sample_interval: 0,
             next_sample: 0,
-            series: SeriesSet::new(sample_interval),
+            series: SeriesSet::new(0),
             last_dram_words: vec![0; cfg.dram.channels],
             fast_forward: sa_sim::fast_forward_default(),
             faults_active: false,
@@ -181,9 +165,24 @@ impl<T: TraceSink> NodeMemSys<T> {
         sys
     }
 
+    /// Build the memory system with a Chrome trace attached. Sampling
+    /// starts at [`DEFAULT_SAMPLE_INTERVAL`]; tune with
+    /// [`set_sample_interval`](Self::set_sample_interval).
+    pub fn with_tracer(
+        cfg: MachineConfig,
+        node: usize,
+        combining: bool,
+        tracer: ChromeTrace,
+    ) -> NodeMemSys {
+        let mut sys = NodeMemSys::new(cfg, node, combining);
+        sys.tracer = Some(tracer);
+        sys.set_sample_interval(DEFAULT_SAMPLE_INTERVAL);
+        sys
+    }
+
     /// Install the fault plan's schedules for this node: per-channel DRAM
     /// ECC faults, per-unit combining-store stalls, and the stall watchdog
-    /// threshold. [`NodeMemSys::with_tracer`] applies the process-wide
+    /// threshold. [`NodeMemSys::new`] applies the process-wide
     /// [`sa_faults::default_plan`] automatically; call this to override it.
     /// Every schedule is keyed by `(plan seed, site, node, component)`, so
     /// fault decisions are reproducible regardless of stepping order or
@@ -227,13 +226,14 @@ impl<T: TraceSink> NodeMemSys<T> {
         &self.series
     }
 
-    /// The attached trace sink.
-    pub fn tracer(&self) -> &T {
-        &self.tracer
+    /// The attached Chrome trace (`None` unless built with
+    /// [`NodeMemSys::with_tracer`]).
+    pub fn tracer(&self) -> Option<&ChromeTrace> {
+        self.tracer.as_ref()
     }
 
-    /// Consume the node and return its trace sink.
-    pub fn into_tracer(self) -> T {
+    /// Consume the node and return its Chrome trace.
+    pub fn into_tracer(self) -> Option<ChromeTrace> {
         self.tracer
     }
 
@@ -434,12 +434,10 @@ impl<T: TraceSink> NodeMemSys<T> {
             queue_occ += q;
             cs_residency += cs;
             fu_depth += lane.sa.fu_depth() as u64;
-            if self.tracer.enabled() {
+            if let Some(tracer) = &mut self.tracer {
                 let track = format!("node{node}.cache.bank{b}");
-                self.tracer
-                    .counter(&track, "queue_occupancy", cycle, q as f64);
-                self.tracer
-                    .counter(&track, "cs_residency", cycle, cs as f64);
+                tracer.counter(&track, "queue_occupancy", cycle, q as f64);
+                tracer.counter(&track, "cs_residency", cycle, cs as f64);
             }
         }
         let mut bus_words = 0u64;
@@ -448,10 +446,9 @@ impl<T: TraceSink> NodeMemSys<T> {
             let delta = words - self.last_dram_words[c];
             self.last_dram_words[c] = words;
             bus_words += delta;
-            if self.tracer.enabled() {
+            if let Some(tracer) = &mut self.tracer {
                 let track = format!("node{node}.dram.chan{c}");
-                self.tracer
-                    .counter(&track, "bus_words", cycle, delta as f64);
+                tracer.counter(&track, "bus_words", cycle, delta as f64);
             }
         }
         // Fraction of the node's peak DRAM bandwidth used this interval.
@@ -649,7 +646,7 @@ impl<T: TraceSink> NodeMemSys<T> {
     }
 }
 
-impl<T: TraceSink> sa_telemetry::Inspectable for NodeMemSys<T> {
+impl sa_telemetry::Inspectable for NodeMemSys {
     fn probe_kind(&self) -> &'static str {
         "node_mem_sys"
     }

@@ -173,11 +173,7 @@ impl Executor {
     ///
     /// Panics if the simulation deadlocks (cycle limit exceeded) — which
     /// would indicate a bug in the machine model, not in the program.
-    pub fn run<T: sa_telemetry::TraceSink>(
-        &self,
-        prog: &StreamProgram,
-        node: &mut NodeMemSys<T>,
-    ) -> ExecReport {
+    pub fn run(&self, prog: &StreamProgram, node: &mut NodeMemSys) -> ExecReport {
         let n_ops = prog.len();
         let fast_forward = node.fast_forward();
         let mut m = Scoreboard {
@@ -225,10 +221,10 @@ impl Executor {
 
 /// One program run's scoreboard: op states, the address generators and
 /// the kernel slot, and the node they drive.
-struct Scoreboard<'a, T: sa_telemetry::TraceSink> {
+struct Scoreboard<'a> {
     exec: &'a Executor,
     prog: &'a StreamProgram,
-    node: &'a mut NodeMemSys<T>,
+    node: &'a mut NodeMemSys,
     state: Vec<OpState>,
     spans: Vec<OpSpan>,
     ags: Vec<Option<MemRun>>,
@@ -240,7 +236,7 @@ struct Scoreboard<'a, T: sa_telemetry::TraceSink> {
     peak_srf: u64,
 }
 
-impl<T: sa_telemetry::TraceSink> Machine for Scoreboard<'_, T> {
+impl Machine for Scoreboard<'_> {
     fn step(&mut self, now: Cycle, _: &mut HostProfiler) {
         let t = now.raw();
         let cfg = self.exec.cfg;

@@ -8,10 +8,8 @@
 //! * **cycle-sampled time series** ([`SeriesSet`]) for occupancies and
 //!   utilizations, so stall phases are visible rather than just lifetime
 //!   averages;
-//! * an **event-trace sink** ([`TraceSink`]) with a zero-cost disabled
-//!   implementation ([`NullTrace`]) and a Chrome `trace_event` JSON
-//!   implementation ([`ChromeTrace`]) that opens in `chrome://tracing` and
-//!   Perfetto;
+//! * an **event trace** ([`ChromeTrace`]) in Chrome `trace_event` JSON that
+//!   opens in `chrome://tracing` and Perfetto;
 //! * **request-lifecycle tracing** ([`ReqTracer`]): a 1-in-N sample of
 //!   requests carries timestamped [`ReqStage`] records from address-generator
 //!   issue to retirement, from which per-stage latency percentiles and an
@@ -68,10 +66,11 @@ pub const STATS_SCHEMA_VERSION: u64 = 5;
 
 /// Oldest stats schema version [`validate_stats_json`] still accepts.
 ///
-/// Readers are backward compatible: every section added since v1 is
-/// optional, so documents written by older tools (checked-in baselines,
-/// archived runs) keep validating and diffing.
-pub const STATS_SCHEMA_MIN_VERSION: u64 = 1;
+/// The only committed document (`bench/baselines/smoke.json`) is v5, and
+/// v5 is the first version whose documents carry the occupancy counters
+/// `analyze bottleneck` derives its report from, so older documents are
+/// rejected rather than half-read.
+pub const STATS_SCHEMA_MIN_VERSION: u64 = 5;
 
 /// Identifier stamped into every stats JSON document as `"schema"`.
 pub const STATS_SCHEMA_NAME: &str = "sa-stats";
@@ -493,75 +492,7 @@ impl SeriesSet {
 // Trace sinks
 // ---------------------------------------------------------------------------
 
-/// Event-trace sink threaded through the hot simulation loop.
-///
-/// Implementations are selected at compile time (the simulator is generic
-/// over `T: TraceSink`), so with [`NullTrace`] every call monomorphizes to an
-/// empty inline function and the loop pays nothing. Guard any work needed to
-/// *compute* an event's arguments behind [`TraceSink::enabled`] (or the
-/// associated const `ENABLED`).
-pub trait TraceSink {
-    /// Compile-time flag: `false` only for the no-op sink.
-    const ENABLED: bool = true;
-
-    /// Runtime mirror of [`Self::ENABLED`].
-    #[inline]
-    fn enabled(&self) -> bool {
-        Self::ENABLED
-    }
-
-    /// Record a counter sample on `track` (one Perfetto counter track per
-    /// distinct `track.name` pair).
-    fn counter(&mut self, track: &str, name: &str, cycle: u64, value: f64);
-
-    /// Record a span `[start, end)` on `track`.
-    fn span(&mut self, track: &str, name: &str, start: u64, end: u64);
-
-    /// Record an instantaneous event on `track`.
-    fn instant(&mut self, track: &str, name: &str, cycle: u64);
-}
-
-/// The always-off sink; all methods compile to nothing.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct NullTrace;
-
-impl TraceSink for NullTrace {
-    const ENABLED: bool = false;
-
-    #[inline]
-    fn counter(&mut self, _track: &str, _name: &str, _cycle: u64, _value: f64) {}
-
-    #[inline]
-    fn span(&mut self, _track: &str, _name: &str, _start: u64, _end: u64) {}
-
-    #[inline]
-    fn instant(&mut self, _track: &str, _name: &str, _cycle: u64) {}
-}
-
-/// Forwarding impl so callers can pass `&mut sink` down a call tree.
-impl<T: TraceSink + ?Sized> TraceSink for &mut T {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    #[inline]
-    fn counter(&mut self, track: &str, name: &str, cycle: u64, value: f64) {
-        (**self).counter(track, name, cycle, value);
-    }
-
-    #[inline]
-    fn span(&mut self, track: &str, name: &str, start: u64, end: u64) {
-        (**self).span(track, name, start, end);
-    }
-
-    #[inline]
-    fn instant(&mut self, track: &str, name: &str, cycle: u64) {
-        (**self).instant(track, name, cycle);
-    }
-}
-
-/// Chrome `trace_event` JSON sink.
+/// Chrome `trace_event` JSON event trace.
 ///
 /// Tracks map to threads: the first event on a track allocates a `tid` and
 /// emits a `thread_name` metadata event, so Perfetto and `chrome://tracing`
@@ -618,10 +549,10 @@ impl ChromeTrace {
         let mut f = File::create(path)?;
         f.write_all(self.to_json_string().as_bytes())
     }
-}
 
-impl TraceSink for ChromeTrace {
-    fn counter(&mut self, track: &str, name: &str, cycle: u64, value: f64) {
+    /// Record a counter sample on `track` (one Perfetto counter track per
+    /// distinct `track.name` pair).
+    pub fn counter(&mut self, track: &str, name: &str, cycle: u64, value: f64) {
         let tid = self.tid(track);
         let counter = Json::Str(format!("{track}.{name}")).to_string_compact();
         let value = Json::Num(value).to_string_compact();
@@ -631,7 +562,8 @@ impl TraceSink for ChromeTrace {
         ));
     }
 
-    fn span(&mut self, track: &str, name: &str, start: u64, end: u64) {
+    /// Record a span `[start, end)` on `track`.
+    pub fn span(&mut self, track: &str, name: &str, start: u64, end: u64) {
         let tid = self.tid(track);
         let name = Json::Str(name.to_string()).to_string_compact();
         let dur = end.saturating_sub(start).max(1);
@@ -640,14 +572,18 @@ impl TraceSink for ChromeTrace {
              \"ts\":{start},\"dur\":{dur}}}"
         ));
     }
-
-    fn instant(&mut self, track: &str, name: &str, cycle: u64) {
-        let tid = self.tid(track);
-        let name = Json::Str(name.to_string()).to_string_compact();
-        self.events.push(format!(
-            "{{\"ph\":\"i\",\"name\":{name},\"pid\":0,\"tid\":{tid},\
-             \"ts\":{cycle},\"s\":\"t\"}}"
-        ));
+    /// Emit one span per stage of `record`, on the per-request track
+    /// `node<N>.req<ID>`.
+    ///
+    /// The node id in the track name keeps multi-node traces from
+    /// interleaving requests of different nodes into one Perfetto lane.
+    pub fn req_spans(&mut self, record: &ReqRecord) {
+        let track = format!("node{}.req{}", record.node, record.id);
+        for pair in record.stamps.windows(2) {
+            let (stage, start) = pair[0];
+            let (_, end) = pair[1];
+            self.span(&track, stage.name(), start, end);
+        }
     }
 }
 
@@ -996,23 +932,6 @@ impl LatencySummary {
         o.push("p99", Json::UInt(self.p99));
         o.push("max", Json::UInt(self.max));
         o
-    }
-}
-
-/// Emit one span per stage of `record` onto `sink`, on the per-request track
-/// `node<N>.req<ID>`.
-///
-/// The node id in the track name keeps multi-node traces from interleaving
-/// requests of different nodes into one Perfetto lane.
-pub fn emit_req_spans<T: TraceSink>(record: &ReqRecord, sink: &mut T) {
-    if !sink.enabled() {
-        return;
-    }
-    let track = format!("node{}.req{}", record.node, record.id);
-    for pair in record.stamps.windows(2) {
-        let (stage, start) = pair[0];
-        let (_, end) = pair[1];
-        sink.span(&track, stage.name(), start, end);
     }
 }
 
@@ -1743,16 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn null_trace_is_disabled() {
-        const { assert!(!NullTrace::ENABLED) }
-        assert!(!NullTrace.enabled());
-        let mut t = NullTrace;
-        t.counter("x", "y", 0, 1.0);
-        t.span("x", "y", 0, 5);
-        t.instant("x", "y", 0);
-    }
-
-    #[test]
     fn chrome_trace_names_tracks() {
         let mut t = ChromeTrace::new();
         t.counter("node0.cache.bank0", "occupancy", 0, 1.0);
@@ -1838,6 +1747,28 @@ mod tests {
         doc.push("schema", Json::Str("sa-stats".to_string()));
         doc.push("version", Json::UInt(99));
         assert!(validate_stats_json(&doc).unwrap_err().contains("version"));
+    }
+
+    #[test]
+    fn stats_doc_rejects_pre_v5_documents() {
+        let doc = stats_json(
+            "fig6",
+            Json::obj(),
+            &MetricsRegistry::new(),
+            None,
+            Json::Arr(vec![]),
+        );
+        validate_stats_json(&doc).expect("a current document validates");
+        let Json::Obj(mut pairs) = doc else {
+            unreachable!("stats_json builds an object")
+        };
+        for (key, value) in &mut pairs {
+            if key == "version" {
+                *value = Json::UInt(4);
+            }
+        }
+        let err = validate_stats_json(&Json::Obj(pairs)).unwrap_err();
+        assert!(err.contains("version is 4"), "{err}");
     }
 
     #[test]
@@ -2003,7 +1934,7 @@ mod tests {
         t.stamp(3, ReqStage::Enqueued, 4);
         let rec = t.retire(3, 9).unwrap().clone();
         let mut sink = ChromeTrace::new();
-        emit_req_spans(&rec, &mut sink);
+        sink.req_spans(&rec);
         let text = sink.to_json_string();
         assert!(text.contains("node2.req3"), "track carries the node id");
         let doc = Json::parse(&text).unwrap();

@@ -21,9 +21,11 @@
 //! assert_eq!(report.result[..3], [1, 3, 1]);
 //! ```
 //!
-//! Fault plans installed with [`SessionBuilder::faults`] apply to exactly
-//! this session's machines (never through the process-wide default), so
-//! concurrent sessions with different plans do not interfere.
+//! A session installs exactly its own fault plan ([`SessionBuilder::faults`],
+//! or the empty plan) on every machine it builds. The process-wide
+//! [`sa_faults::default_plan`] never reaches it, so concurrent sessions with
+//! different plans do not interfere, and a cached report was simulated under
+//! the plan its fingerprint records.
 
 use std::sync::Arc;
 
@@ -724,9 +726,9 @@ impl Session {
                 if let Some(ff) = self.fast_forward {
                     mn.set_fast_forward(ff);
                 }
-                if let Some(plan) = &self.faults {
-                    mn.set_fault_plan(plan);
-                }
+                // Exactly this session's plan, replacing the process-wide
+                // default the constructors applied.
+                mn.set_fault_plan(self.faults.as_ref().unwrap_or(&FaultPlan::empty()));
                 let mut probe = self.introspect("multinode");
                 let r = mn.run_trace_probed(trace, values, &mut probe);
                 let len = trace.iter().copied().max().map_or(0, |m| m as usize + 1);
@@ -770,9 +772,7 @@ impl Session {
         if let Some(ff) = self.fast_forward {
             node.set_fast_forward(ff);
         }
-        if let Some(plan) = &self.faults {
-            node.set_fault_plan(plan);
-        }
+        node.set_fault_plan(self.faults.as_ref().unwrap_or(&FaultPlan::empty()));
         node.set_sample_interval(self.telemetry.sample_interval);
         node.set_req_sample(self.telemetry.req_sample);
         let len = kernel.indices.iter().copied().max().map_or(0, |m| m + 1);
