@@ -13,11 +13,18 @@
 //!   candidate regressed past the threshold (`--threshold 0.05`) — the CI
 //!   perf gate, listing every regressed metric with absolute and relative
 //!   deltas;
-//! * `analyze --watch <socket>` connects to a figure binary started with
-//!   `--probe-listen <socket>` and renders its live heartbeats and
-//!   `sa-probe` snapshots as a refreshing top-style dashboard. Every
-//!   snapshot line is validated against the probe schema and the client
-//!   exits nonzero on the first invalid one, so `--watch --watch-lines N
+//! * `analyze --watch <path>` reads the NDJSON stream a figure binary
+//!   writes with `--progress` from a file or FIFO (`-` = stdin) and renders
+//!   its heartbeats and `sa-probe` snapshots as a refreshing top-style
+//!   dashboard:
+//!
+//!   ```text
+//!   fig13 --progress --probe-interval 4096 2>&1 >/dev/null | analyze --watch -
+//!   ```
+//!
+//!   Lines that are not JSON objects (the binary's other stderr notes) are
+//!   skipped. Every snapshot line is validated against the probe schema
+//!   and the client exits nonzero on the first invalid one, so `--watch -
 //!   --plain` doubles as the CI smoke client.
 //!
 //! Positional modes:
@@ -50,10 +57,8 @@ use sa_bench::{header, quick_mode, row};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{
     bottleneck_json, has_metric_matching, render_bottleneck, validate_bottleneck_json,
-    validate_stats_json, Json,
+    validate_probe_json, validate_stats_json, Json, PROBE_SCHEMA_NAME,
 };
-#[cfg(unix)]
-use sa_telemetry::{validate_probe_json, PROBE_SCHEMA_NAME};
 
 const USAGE: &str = "\
 usage: analyze <mode> [flags]
@@ -62,7 +67,8 @@ flag modes (CI entry points):
   --check <stats.json>                validate schema + required metric families
   --diff <baseline.json> <cand.json>  perf gate (tune with --threshold 0.05)
   --stats-json <stats.json>           summarize a stats document
-  --watch <socket>                    live probe dashboard (--watch-lines N, --plain)
+  --watch <path|->                    live dashboard over a --progress NDJSON
+                                      stream (--watch-lines N, --plain)
 
 positional modes:
   summarize                           trace-locality analytics behind Figure 13
@@ -293,7 +299,6 @@ fn diff_docs(baseline: &str, candidate: &str, args: &Args) -> Result<bool, Strin
 }
 
 /// One status line for a progress event (`heartbeat` / `point` / `row`).
-#[cfg(unix)]
 fn status_line(doc: &Json) -> String {
     let num = |k: &str| doc.get(k).and_then(Json::as_f64).unwrap_or(0.0);
     match doc.get("kind").and_then(Json::as_str).unwrap_or("?") {
@@ -321,7 +326,6 @@ fn status_line(doc: &Json) -> String {
 }
 
 /// Append one component (and its children, indented) to the dashboard.
-#[cfg(unix)]
 fn fmt_component(name: &str, body: &Json, indent: usize, out: &mut String) {
     let kind = body.get("kind").and_then(Json::as_str).unwrap_or("?");
     let mut fields = String::new();
@@ -343,7 +347,6 @@ fn fmt_component(name: &str, body: &Json, indent: usize, out: &mut String) {
 }
 
 /// Redraw the dashboard: latest heartbeat line plus the snapshot tree.
-#[cfg(unix)]
 fn render(snapshot: Option<&Json>, status: &str, plain: bool) {
     use std::io::Write;
     let mut out = String::new();
@@ -369,41 +372,34 @@ fn render(snapshot: Option<&Json>, status: &str, plain: bool) {
     let _ = std::io::stdout().flush();
 }
 
-#[cfg(unix)]
-fn connect_with_retries(path: &str) -> Result<std::os::unix::net::UnixStream, String> {
-    // The client is typically launched alongside the serving binary, so
-    // give the server up to ~10s to bind before giving up.
-    for _ in 0..40 {
-        if let Ok(s) = std::os::unix::net::UnixStream::connect(path) {
-            return Ok(s);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(250));
-    }
-    std::os::unix::net::UnixStream::connect(path).map_err(|e| format!("connecting to {path}: {e}"))
-}
-
-/// `--watch`: live dashboard client for a `--probe-listen` socket.
+/// `--watch`: live dashboard over a `--progress` NDJSON stream read from
+/// `path` (a file or FIFO; `-` = stdin).
 ///
-/// Every `sa-probe` line is schema-validated and the first invalid one
-/// aborts with an error, which makes this the scripted client of the CI
-/// probe smoke job. `--watch-lines N` exits cleanly after N NDJSON lines
-/// (0 = until the server closes); `--plain` appends lines instead of
-/// redrawing the screen.
-#[cfg(unix)]
+/// Lines that do not start with `{` are the producer's other stderr notes
+/// and are skipped. Every `sa-probe` line is schema-validated and the first
+/// invalid one — or a `{` line that is not JSON — aborts with an error,
+/// which makes this the scripted client of the CI probe smoke job.
+/// `--watch-lines N` exits cleanly after N NDJSON lines (0 = until the
+/// stream ends); `--plain` appends lines instead of redrawing the screen.
 fn watch(path: &str, args: &Args) -> Result<(), String> {
     use std::io::BufRead;
     let max_lines = args
         .get_or("watch-lines", 0u64)
         .map_err(|e| e.to_string())?;
     let plain = args.has("plain");
-    let reader = std::io::BufReader::new(connect_with_retries(path)?);
+    let reader: Box<dyn BufRead> = if path == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
+    };
     let mut seen = 0u64;
     let mut snapshots = 0u64;
     let mut last_snapshot: Option<Json> = None;
     let mut last_status = String::from("waiting for events...");
     for line in reader.lines() {
         let line = line.map_err(|e| format!("reading {path}: {e}"))?;
-        if line.trim().is_empty() {
+        if !line.starts_with('{') {
             continue;
         }
         let doc =
@@ -658,19 +654,11 @@ fn main() {
         usage_exit(&format!("unknown flag --{unknown}"));
     }
     if let Some(path) = args.raw("watch") {
-        #[cfg(unix)]
-        {
-            if let Err(e) = watch(path, &args) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-            return;
+        if let Err(e) = watch(path, &args) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
-        #[cfg(not(unix))]
-        {
-            eprintln!("error: --watch {path}: unix sockets unavailable on this platform");
-            std::process::exit(2);
-        }
+        return;
     }
     if let Some(baseline) = args.raw("diff") {
         let Some(candidate) = args.positional().first() else {

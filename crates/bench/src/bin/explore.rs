@@ -12,14 +12,43 @@
 //!
 //! Machine flags (all subcommands): `--banks`, `--cs`, `--fu`, `--ag-width`,
 //! `--line-bytes`, `--cache-kb`. Workload flags: `--n`, `--range`,
-//! `--seed`, `--skew` (Zipf exponent; 0 = uniform).
+//! `--seed`, `--skew` (Zipf exponent; 0 = uniform). The common flags of
+//! every figure binary (`--stats-json`, `--trace`, `--progress`, ...) apply
+//! too; any other flag is a usage error.
 
 use sa_apps::histogram::{run_hw, run_privatization_default, run_sort_scan, HistogramInput};
 use sa_bench::args::Args;
+use sa_bench::cli::Cli;
 use sa_bench::telemetry::BenchRun;
 use sa_core::{drive_scan, drive_scatter, ScatterKernel, SensitivityRig};
 use sa_multinode::{MultiNode, Topology};
 use sa_sim::{MachineConfig, NetworkConfig, Rng64, ScalarKind, SensitivityConfig};
+
+/// `explore`'s own flags, on top of the common ones every binary takes.
+const FLAGS: &[&str] = &[
+    // machine
+    "banks",
+    "cs",
+    "fu",
+    "ag-width",
+    "line-bytes",
+    "cache-kb",
+    // workload
+    "n",
+    "range",
+    "seed",
+    "skew",
+    // subcommand-specific
+    "impl",
+    "batch",
+    "fetch",
+    "nodes",
+    "net",
+    "topology",
+    "combining",
+    "latency",
+    "interval",
+];
 
 fn machine_from(args: &Args) -> Result<MachineConfig, Box<dyn std::error::Error>> {
     let mut cfg = MachineConfig::merrimac();
@@ -45,9 +74,10 @@ fn input_from(args: &Args) -> Result<HistogramInput, Box<dyn std::error::Error>>
     })
 }
 
-fn cmd_histogram(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_histogram(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     let input = input_from(args)?;
     let implementation = args.choice("impl", &["hw", "sortscan", "privatization"], "hw")?;
     let run = match implementation {
@@ -74,9 +104,10 @@ fn cmd_histogram(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_scatter(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_scatter(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     let input = input_from(args)?;
     let kernel = ScatterKernel::histogram(0, input.data.clone());
     let run = drive_scatter(&cfg, &kernel, args.has("fetch"));
@@ -98,7 +129,8 @@ fn cmd_scatter(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_scan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_scan(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
     let n: usize = args.get_or("n", 4096)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -110,15 +142,16 @@ fn cmd_scan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         r.micros(),
         r.cycles as f64 / n as f64
     );
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     bench.scope("scan").counter("cycles", r.cycles);
     bench.finish();
     Ok(())
 }
 
-fn cmd_multinode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_multinode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     let nodes: usize = args.get_or("nodes", 4)?;
     let net = match args.choice("net", &["low", "high"], "high")? {
         "low" => NetworkConfig::low(),
@@ -146,7 +179,8 @@ fn cmd_multinode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_rig(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_rig(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let rig = SensitivityRig::new(SensitivityConfig {
         cs_entries: args.get_or("cs", 8)?,
         fu_latency: args.get_or("fu", 4)?,
@@ -168,7 +202,7 @@ fn cmd_rig(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         r.micros(),
         r.sa.combined
     );
-    let mut bench = BenchRun::from_args("explore", &sa_sim::MachineConfig::merrimac(), args);
+    let mut bench = BenchRun::from_cli("explore", &sa_sim::MachineConfig::merrimac(), cli);
     r.record_metrics(&mut bench.scope("rig"));
     bench.finish();
     Ok(())
@@ -179,13 +213,13 @@ run `explore <subcommand>` with no flags for sensible defaults; see the
 binary's rustdoc header for the full flag list.";
 
 fn main() {
-    let args = Args::from_env();
-    let result = match args.positional().first().map(String::as_str) {
-        Some("histogram") => cmd_histogram(&args),
-        Some("scatter") => cmd_scatter(&args),
-        Some("scan") => cmd_scan(&args),
-        Some("multinode") => cmd_multinode(&args),
-        Some("rig") => cmd_rig(&args),
+    let cli = Cli::from_env(FLAGS);
+    let result = match cli.args().positional().first().map(String::as_str) {
+        Some("histogram") => cmd_histogram(&cli),
+        Some("scatter") => cmd_scatter(&cli),
+        Some("scan") => cmd_scan(&cli),
+        Some("multinode") => cmd_multinode(&cli),
+        Some("rig") => cmd_rig(&cli),
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);

@@ -39,8 +39,8 @@ struct Variant {
 /// Replay one trace for every (variant, node count) point. The points fan
 /// out over the sweep executor (see `docs/PARALLELISM.md`). Each point
 /// carries its own
-/// [`sa_telemetry::Introspect`] so `--probe-listen` streams labelled
-/// snapshots and `--host-profile` attributes wall-clock per phase.
+/// [`sa_telemetry::Introspect`] so `--progress --probe-interval N` streams
+/// labelled snapshots and `--host-profile` attributes wall-clock per phase.
 fn run_series(
     bench: &mut BenchRun,
     machine: &MachineConfig,
@@ -116,7 +116,7 @@ fn run_series(
 
 fn main() {
     let machine = MachineConfig::merrimac();
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let mut bench = BenchRun::from_cli("fig13", &machine, &cli);
     let quick = cli.quick();
     let nodes_list: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };

@@ -37,7 +37,13 @@ apply to them.
 ";
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[
+        "addr",
+        "workers",
+        "queue-depth",
+        "tenant-jobs",
+        "tenant-inflight",
+    ]);
     let args = cli.args();
     let addr = args.raw("addr").unwrap_or("127.0.0.1:7411").to_string();
     let mut cfg = ServeConfig::default();

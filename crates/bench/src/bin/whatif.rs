@@ -21,12 +21,11 @@
 //! * usefulness — the mean |predicted − measured| gap is reported so the
 //!   trajectory of the model's accuracy is visible over time.
 
-use sa_bench::args::Args;
 use sa_bench::telemetry::machine_config_json;
 use sa_bench::{header, quick_mode, row};
 use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
-use sa_telemetry::{attach_bottleneck, stats_json_full, Introspect, Json, MetricsRegistry};
+use sa_telemetry::{attach_bottleneck, stats_json, Introspect, Json, MetricsRegistry};
 
 /// One scaled configuration: the what-if row it validates and how to build
 /// the machine.
@@ -78,7 +77,7 @@ fn run_once(cfg: &MachineConfig, indices: &[u64]) -> (u64, Json) {
     latency.push("canonical", run.node.req_tracer().latency_json());
     let mut attribution = Json::obj();
     attribution.push("canonical", run.stall_breakdown().to_json());
-    let mut doc = stats_json_full(
+    let mut doc = stats_json(
         "whatif",
         machine_config_json(cfg),
         &registry,
@@ -105,7 +104,6 @@ fn predicted_speedup(doc: &Json, change: &str) -> Option<f64> {
 }
 
 fn main() {
-    let _args = Args::from_env();
     let quick = quick_mode();
     let n = if quick { 4096 } else { 16_384 };
     let range = 512;

@@ -8,22 +8,17 @@
 //!
 //! - `--jobs N` — sweep worker threads (beats `SA_JOBS`, defaults to cores)
 //! - `--fast-forward on|off` — event-horizon cycle skipping (default `on`)
-//! - `--stats-json PATH`, `--trace PATH`, `--sample-interval N`,
-//!   `--req-sample N` — telemetry outputs (consumed by
+//! - `--stats-json PATH`, `--trace PATH` — telemetry outputs (consumed by
 //!   [`BenchRun`](crate::telemetry::BenchRun))
 //! - `--faults PLAN.json` — install a fault plan for every machine the
 //!   binary builds (see `docs/RESILIENCE.md`)
 //! - `--fault-seed N` — override the plan's seed without editing the file
 //! - `--quick` — reduced-size smoke run
-//! - `--progress` — NDJSON heartbeats (cycles/sec, ff ratio, sweep ETA) on
-//!   stderr
-//! - `--probe-listen PATH` — serve heartbeats *and* `sa-probe` snapshots on
-//!   a unix socket for `analyze --watch PATH`
-//! - `--probe-wait-client` — with `--probe-listen`, block (up to 30s) until
-//!   a client connects before simulating, so a fast run cannot finish
-//!   before its watcher attaches (the CI smoke job relies on this)
-//! - `--probe-interval N` — snapshot cadence in simulated cycles (defaults
-//!   to [`DEFAULT_PROBE_INTERVAL`] while listening, otherwise 0/off)
+//! - `--progress` — NDJSON heartbeats (cycles/sec, ff ratio, sweep ETA)
+//!   and `sa-probe` snapshots on stderr; pipe them into `analyze --watch -`
+//!   for a live dashboard
+//! - `--probe-interval N` — snapshot cadence in simulated cycles (0/off
+//!   unless given)
 //! - `--host-profile` — collect host wall-clock phase attribution into the
 //!   nondeterministic `host_profile` stats sidecar
 //! - `--spec JOB.json` — run a serialized `SessionSpec` job instead of
@@ -33,6 +28,12 @@
 //!   sweep points and the canonical run (see `docs/PERFORMANCE.md`); a bare
 //!   `--cache` uses `SA_CACHE_DIR` or `.sa-cache`, and setting the
 //!   `SA_CACHE_DIR` environment variable enables the cache without any flag
+//!
+//! The flag set is closed: `COMMON_FLAGS` plus the few a binary declares
+//! for itself (`explore`'s machine and workload knobs, `serve`'s listener
+//! settings). Anything else — a typo such as `--stats-jsno`, or a flag
+//! that no longer exists — is a usage error (exit 2), never silently
+//! ignored.
 //!
 //! Construction has side effects by design: [`Cli::from_args`] applies
 //! `--fast-forward` via [`sa_sim::set_fast_forward_default`], `--faults`
@@ -45,9 +46,38 @@ use crate::args::Args;
 use sa_faults::FaultPlan;
 use sa_telemetry::Progress;
 
-/// Probe snapshot cadence (simulated cycles) used when `--probe-listen` is
-/// given without an explicit `--probe-interval`.
-pub const DEFAULT_PROBE_INTERVAL: u64 = 4096;
+/// The flags every binary that builds a [`Cli`] accepts. `--cache=DIR`
+/// arrives as a switch named `cache=DIR` and is matched by prefix.
+const COMMON_FLAGS: &[&str] = &[
+    "jobs",
+    "fast-forward",
+    "faults",
+    "fault-seed",
+    "quick",
+    "spec",
+    "cache",
+    "stats-json",
+    "trace",
+    "progress",
+    "probe-interval",
+    "host-profile",
+];
+
+/// Usage block printed (to stderr) on any malformed or unknown common flag.
+const USAGE: &str = "\
+common flags:
+  --quick                reduced-size smoke run (also SA_QUICK=1)
+  --jobs N               sweep worker threads (also SA_JOBS; default: cores)
+  --fast-forward on|off  event-horizon cycle skipping (default on)
+  --faults PLAN.json     install a fault plan (--fault-seed N re-seeds it)
+  --spec JOB.json        run a serialized session instead of the experiment
+  --cache[=DIR]          content-addressed result cache (also SA_CACHE_DIR)
+  --stats-json PATH      write the sa-stats document
+  --trace PATH           write a Chrome trace of the canonical run
+  --progress             NDJSON heartbeats and sa-probe snapshots on stderr
+  --probe-interval N     sa-probe snapshot cadence in simulated cycles
+  --host-profile         host wall-clock sidecar in the stats document
+";
 
 /// Resolve the result-cache directory from `--cache[=DIR]` and the
 /// `SA_CACHE_DIR` environment variable; `None` means caching stays off.
@@ -88,17 +118,13 @@ pub struct Cli {
     probe_interval: u64,
     host_profile: bool,
     cache_dir: Option<String>,
-    /// Keeps the `--probe-listen` socket (and its accept thread) alive for
-    /// the binary's lifetime; the socket file is removed when the `Cli`
-    /// drops.
-    #[cfg(unix)]
-    listener: Option<sa_telemetry::ProbeListener>,
 }
 
 impl Cli {
     /// Parse the process arguments and install the process-wide defaults.
-    pub fn from_env() -> Cli {
-        Cli::from_args(Args::from_env())
+    /// `own_flags` are the binary's flags beyond `COMMON_FLAGS`.
+    pub fn from_env(own_flags: &[&str]) -> Cli {
+        Cli::from_args(Args::from_env(), own_flags)
     }
 
     /// Parse pre-collected arguments and install the process-wide defaults.
@@ -107,18 +133,15 @@ impl Cli {
     /// skipped entirely: the serialized session runs through
     /// [`crate::specrun`] and the process exits (status 0, or 2 on a
     /// malformed spec — the shared usage convention).
-    pub fn from_args(args: Args) -> Cli {
-        match Cli::try_from_args(args) {
+    pub fn from_args(args: Args, own_flags: &[&str]) -> Cli {
+        match Cli::try_from_args(args, own_flags) {
             Ok(cli) => {
                 if cli.args().has("spec") || cli.args().raw("spec").is_some() {
                     crate::specrun::run_and_exit(&cli);
                 }
                 cli
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => crate::usage_error(&e, USAGE),
         }
     }
 
@@ -126,9 +149,15 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed flag (bad number, an
-    /// unknown `--fast-forward` mode, or an unreadable/invalid fault plan).
-    pub fn try_from_args(args: Args) -> Result<Cli, String> {
+    /// Returns a description of the first malformed flag: one outside
+    /// `COMMON_FLAGS` and `own_flags`, a bad number, an unknown
+    /// `--fast-forward` mode, or an unreadable/invalid fault plan.
+    pub fn try_from_args(args: Args, own_flags: &[&str]) -> Result<Cli, String> {
+        if let Some(unknown) = args.flags().find(|f| {
+            !COMMON_FLAGS.contains(f) && !own_flags.contains(f) && !f.starts_with("cache=")
+        }) {
+            return Err(format!("unknown flag --{unknown}"));
+        }
         let jobs = crate::sweep::resolve_jobs(match args.get_or("jobs", 0usize) {
             Ok(n) if n > 0 => Some(n),
             Ok(_) => None,
@@ -154,45 +183,16 @@ impl Cli {
         };
         sa_faults::set_default_plan(fault_plan.clone());
 
-        let mut probe_interval = args
+        let probe_interval = args
             .get_or("probe-interval", 0u64)
             .map_err(|e| e.to_string())?;
         let host_profile = args.has("host-profile");
         let cache_dir = resolve_cache_dir(&args);
-
-        #[cfg(unix)]
-        let mut listener = None;
-        let progress = if let Some(path) = args.raw("probe-listen") {
-            #[cfg(unix)]
-            {
-                let l = sa_telemetry::ProbeListener::bind(std::path::Path::new(path))
-                    .map_err(|e| format!("--probe-listen {path}: {e}"))?;
-                if args.has("probe-wait-client")
-                    && !l.wait_for_client(std::time::Duration::from_secs(30))
-                {
-                    return Err(format!(
-                        "--probe-wait-client: no client connected to {path} within 30s"
-                    ));
-                }
-                let p = l.progress();
-                listener = Some(l);
-                if probe_interval == 0 {
-                    probe_interval = DEFAULT_PROBE_INTERVAL;
-                }
-                p
-            }
-            #[cfg(not(unix))]
-            {
-                return Err(format!(
-                    "--probe-listen {path}: unix sockets unavailable on this platform"
-                ));
-            }
-        } else if args.has("progress") {
+        sa_telemetry::set_global_progress(if args.has("progress") {
             Progress::stderr()
         } else {
             Progress::off()
-        };
-        sa_telemetry::set_global_progress(progress);
+        });
 
         Ok(Cli {
             args,
@@ -202,8 +202,6 @@ impl Cli {
             probe_interval,
             host_profile,
             cache_dir,
-            #[cfg(unix)]
-            listener,
         })
     }
 
@@ -250,15 +248,9 @@ impl Cli {
     }
 
     /// The process-wide progress sink installed at parse time (off unless
-    /// `--progress` or `--probe-listen` was given).
+    /// `--progress` was given).
     pub fn progress(&self) -> Progress {
         sa_telemetry::global_progress()
-    }
-
-    /// Connected `--probe-listen` clients (0 when not listening).
-    #[cfg(unix)]
-    pub fn probe_clients(&self) -> usize {
-        self.listener.as_ref().map_or(0, |l| l.client_count())
     }
 }
 
@@ -267,7 +259,7 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Result<Cli, String> {
-        Cli::try_from_args(Args::parse(s.split_whitespace().map(str::to_owned)))
+        Cli::try_from_args(Args::parse(s.split_whitespace().map(str::to_owned)), &[])
     }
 
     #[test]
@@ -298,47 +290,6 @@ mod tests {
         assert!(!cli.host_profile());
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn probe_listen_defaults_the_interval_and_binds() {
-        let path = std::env::temp_dir().join(format!("sa-cli-test-{}.sock", std::process::id()));
-        let cli = parse(&format!("--probe-listen {}", path.display())).expect("binds and parses");
-        assert_eq!(cli.probe_interval(), DEFAULT_PROBE_INTERVAL);
-        assert!(cli.progress().is_on());
-        assert_eq!(cli.probe_clients(), 0);
-        drop(cli);
-        assert!(!path.exists(), "socket removed when Cli drops");
-        sa_telemetry::set_global_progress(Progress::off());
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn probe_wait_client_blocks_until_a_watcher_connects() {
-        let path =
-            std::env::temp_dir().join(format!("sa-cli-wait-test-{}.sock", std::process::id()));
-        // Parsing blocks until a client connects, so attach one from a
-        // helper thread as soon as the socket appears.
-        let client_path = path.clone();
-        let client = std::thread::spawn(move || loop {
-            if let Ok(s) = std::os::unix::net::UnixStream::connect(&client_path) {
-                break s;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        });
-        let cli = parse(&format!(
-            "--probe-listen {} --probe-wait-client",
-            path.display()
-        ))
-        .expect("binds, waits, parses");
-        assert!(
-            cli.probe_clients() >= 1,
-            "parse returned with a client attached"
-        );
-        drop(client.join().expect("client thread"));
-        drop(cli);
-        sa_telemetry::set_global_progress(Progress::off());
-    }
-
     #[test]
     fn cache_flag_forms_resolve() {
         // Explicit directory, both spellings.
@@ -363,6 +314,14 @@ mod tests {
             .unwrap_err()
             .contains("fast-forward"));
         assert!(parse("--faults /nonexistent/plan.json").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = parse("--quick --stats-jsno x.json").unwrap_err();
+        assert_eq!(err, "unknown flag --stats-jsno");
+        let own = Args::parse(["--workers".to_owned(), "3".to_owned()]);
+        assert!(Cli::try_from_args(own, &["workers"]).is_ok());
     }
 
     #[test]

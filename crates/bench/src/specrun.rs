@@ -143,7 +143,7 @@ mod tests {
     use scatter_add_repro::Workload;
 
     fn cli(argv: &str) -> Cli {
-        Cli::try_from_args(Args::parse(argv.split_whitespace().map(str::to_owned)))
+        Cli::try_from_args(Args::parse(argv.split_whitespace().map(str::to_owned)), &[])
             .expect("argv parses")
     }
 

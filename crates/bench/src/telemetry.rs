@@ -7,7 +7,6 @@
 //! ```text
 //! fig6 --stats-json fig6.json          # versioned sa-stats v1 document
 //! fig6 --trace fig6.trace.json         # Chrome trace_event file (Perfetto)
-//! fig6 --sample-interval 16 --trace t  # denser cycle sampling
 //! fig6 --fast-forward off              # disable event-horizon skipping
 //! ```
 //!
@@ -19,11 +18,12 @@
 //!
 //! With neither flag the run does no extra work. With either flag, `finish`
 //! replays a small deterministic histogram — the *canonical workload* — on
-//! the binary's machine configuration with tracing and cycle sampling
-//! enabled. That run guarantees the stats document always carries
-//! scatter-unit, cache, DRAM and queue metrics (under the `canonical.`
-//! prefix) regardless of which experiment the binary sweeps, and it is the
-//! workload whose timeline `--trace` captures.
+//! the binary's machine configuration with tracing on, cycle series sampled
+//! every [`sa_core::DEFAULT_SAMPLE_INTERVAL`] cycles and 1 in
+//! [`DEFAULT_REQ_SAMPLE`] requests traced. That run guarantees the stats
+//! document always carries scatter-unit, cache, DRAM and queue metrics
+//! (under the `canonical.` prefix) regardless of which experiment the
+//! binary sweeps, and it is the workload whose timeline `--trace` captures.
 
 use std::fmt::Display;
 use std::sync::Arc;
@@ -33,8 +33,8 @@ use sa_faults::FaultPlan;
 use sa_memo::{Fingerprint, ResultCache};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{
-    global_progress, progress_enabled, stats_json_full, validate_stats_json, ChromeTrace,
-    HostProfiler, Introspect, Json, MetricsRegistry, ProbeRecorder, ReqTracer, Scope, SeriesSet,
+    global_progress, progress_enabled, stats_json, validate_stats_json, ChromeTrace, HostProfiler,
+    Introspect, Json, MetricsRegistry, ProbeRecorder, ReqTracer, Scope, SeriesSet,
 };
 
 use crate::args::Args;
@@ -46,9 +46,8 @@ pub const CANONICAL_ELEMENTS: u64 = 4096;
 pub const CANONICAL_RANGE: u64 = 512;
 const CANONICAL_SEED: u64 = 0x7E1E_0001;
 
-/// Default request-lifecycle sampling interval when stats or trace output is
+/// Request-lifecycle sampling interval when stats or trace output is
 /// requested: one in this many requests gets a full stage-by-stage timeline.
-/// Override with `--req-sample N` (0 disables request tracing).
 pub const DEFAULT_REQ_SAMPLE: u64 = 64;
 
 /// Machine parameters as a JSON object — the `config` block of the stats
@@ -83,8 +82,6 @@ pub struct BenchRun {
     rows: Vec<Json>,
     stats_path: Option<String>,
     trace_path: Option<String>,
-    sample_interval: u64,
-    req_sample: u64,
     latency: Vec<(String, Json)>,
     attribution: Vec<(String, Json)>,
     probe_interval: u64,
@@ -105,34 +102,22 @@ struct CanonicalArtifacts {
 }
 
 impl BenchRun {
-    /// A collector reading `--stats-json`, `--trace` and `--sample-interval`
-    /// from the process arguments. Also installs the process-wide run
-    /// controls (`--fast-forward`, `--faults`) via [`Cli`].
+    /// A collector reading `--stats-json` and `--trace` from the process
+    /// arguments, which may hold only the common flags. Also installs the
+    /// process-wide run controls (`--fast-forward`, `--faults`) via [`Cli`].
     pub fn from_env(bench: &str, cfg: &MachineConfig) -> BenchRun {
-        BenchRun::from_cli(bench, cfg, &Cli::from_env())
+        BenchRun::from_cli(bench, cfg, &Cli::from_env(&[]))
     }
 
     /// A collector reading its flags from pre-parsed `args` (routed through
     /// [`Cli`], which installs the process-wide run controls).
     pub fn from_args(bench: &str, cfg: &MachineConfig, args: &Args) -> BenchRun {
-        BenchRun::from_cli(bench, cfg, &Cli::from_args(args.clone()))
+        BenchRun::from_cli(bench, cfg, &Cli::from_args(args.clone(), &[]))
     }
 
     /// A collector reading its flags from an already-parsed [`Cli`].
     pub fn from_cli(bench: &str, cfg: &MachineConfig, cli: &Cli) -> BenchRun {
         let args = cli.args();
-        let sample_interval = args
-            .get_or("sample-interval", sa_core::DEFAULT_SAMPLE_INTERVAL)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-        let req_sample = args
-            .get_or("req-sample", DEFAULT_REQ_SAMPLE)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
         let cache = match cli.cache_dir() {
             None => None,
             Some(dir) if cli.probe_interval() > 0 => {
@@ -160,8 +145,6 @@ impl BenchRun {
             rows: Vec::new(),
             stats_path: args.raw("stats-json").map(str::to_owned),
             trace_path: args.raw("trace").map(str::to_owned),
-            sample_interval,
-            req_sample,
             latency: Vec::new(),
             attribution: Vec::new(),
             probe_interval: cli.probe_interval(),
@@ -176,11 +159,6 @@ impl BenchRun {
     /// 0 = off); binaries pass it to their own [`Introspect`] bundles.
     pub fn probe_interval(&self) -> u64 {
         self.probe_interval
-    }
-
-    /// Whether the `host_profile` sidecar was requested (`--host-profile`).
-    pub fn host_profile_enabled(&self) -> bool {
-        self.host_profile
     }
 
     /// Fold a run's host-time phase attribution into this binary's
@@ -235,19 +213,19 @@ impl BenchRun {
     }
 
     /// The request-lifecycle sampling interval the binary should run its
-    /// kernels with (`MachineConfig::req_sample`): the `--req-sample` flag,
-    /// or [`DEFAULT_REQ_SAMPLE`] when any output file was requested and 0
-    /// (off) otherwise — disabled runs must not pay for tracing.
+    /// kernels with (`MachineConfig::req_sample`): [`DEFAULT_REQ_SAMPLE`]
+    /// when any telemetry consumer exists and 0 (off) otherwise — disabled
+    /// runs must not pay for tracing.
     pub fn req_sample(&self) -> u64 {
         if self.enabled() {
-            self.req_sample
+            DEFAULT_REQ_SAMPLE
         } else {
             0
         }
     }
 
     /// Whether any telemetry consumer exists: an output file, or a live
-    /// probe cadence (`--probe-interval`/`--probe-listen`) — a watcher
+    /// probe cadence (`--probe-interval`) — a watcher
     /// with no snapshots to look at would defeat the point, so the
     /// canonical run in [`BenchRun::finish`] fires for probes too.
     pub fn enabled(&self) -> bool {
@@ -343,7 +321,7 @@ impl BenchRun {
             } else {
                 None
             };
-            let mut doc = stats_json_full(
+            let mut doc = stats_json(
                 &self.bench,
                 machine_config_json(&self.cfg),
                 &self.registry,
@@ -402,10 +380,11 @@ impl BenchRun {
     }
 
     /// The canonical-run cache fingerprint: the workload constants, the
-    /// full machine configuration, the fault plan, and the two telemetry
-    /// knobs that shape the recorded document (`--sample-interval`,
-    /// `--req-sample`). Execution-irrelevant knobs are excluded — a cached
-    /// replay answers for any `--jobs`/`--fast-forward` combination.
+    /// full machine configuration, the fault plan, and the two sampling
+    /// intervals that shape the recorded document (fixed now, but kept in
+    /// the key so entries written while they were flags still hit).
+    /// Execution-irrelevant knobs are excluded — a cached replay answers
+    /// for any `--jobs`/`--fast-forward` combination.
     fn canonical_key(&self) -> Fingerprint {
         Fingerprint::new("bench-canonical")
             .u64("elements", CANONICAL_ELEMENTS)
@@ -413,7 +392,7 @@ impl BenchRun {
             .u64("seed", CANONICAL_SEED)
             .field("config", self.cfg.fingerprint_json())
             .field("faults", self.fault_key.clone())
-            .u64("sample_interval", self.sample_interval)
+            .u64("sample_interval", sa_core::DEFAULT_SAMPLE_INTERVAL)
             .u64("req_sample", self.req_sample())
     }
 
@@ -446,7 +425,6 @@ impl BenchRun {
             .collect();
         let kernel = ScatterKernel::histogram(0, indices);
         let mut node = NodeMemSys::with_tracer(self.cfg, 0, false, ChromeTrace::new());
-        node.set_sample_interval(self.sample_interval);
         node.set_req_sample(self.req_sample());
         let mut probe = self.introspect("canonical");
         let run = drive_scatter_probed(node, &kernel, false, &mut probe);
@@ -532,12 +510,12 @@ mod tests {
 
     #[test]
     fn flags_are_parsed() {
-        let a = parse("--stats-json out.json --trace t.json --sample-interval 16");
+        let a = parse("--stats-json out.json --trace t.json");
         let b = BenchRun::from_args("t", &MachineConfig::merrimac(), &a);
         assert!(b.enabled());
         assert_eq!(b.stats_path.as_deref(), Some("out.json"));
         assert_eq!(b.trace_path.as_deref(), Some("t.json"));
-        assert_eq!(b.sample_interval, 16);
+        assert_eq!(b.req_sample(), DEFAULT_REQ_SAMPLE);
     }
 
     #[test]

@@ -1,14 +1,20 @@
-//! Golden tests for the `analyze --diff` perf gate: a document diffed
-//! against itself is clean (exit 0); a +20% perturbation of the canonical
-//! scatter workload's p99 latency fails (exit nonzero) naming the metric.
+//! Golden tests for the binaries' command-line gates:
+//!
+//! - `analyze --diff`: a document diffed against itself is clean (exit 0);
+//!   a +20% perturbation of the canonical scatter workload's p99 latency
+//!   fails (exit nonzero) naming the metric;
+//! - `analyze --watch -`: a `--progress` stream on stdin is rendered, and
+//!   an invalid `sa-probe` snapshot fails it (exit 1);
+//! - the closed flag set: an unknown or removed flag exits 2.
 
+use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use sa_bench::args::Args;
 use sa_bench::telemetry::BenchRun;
 use sa_sim::MachineConfig;
-use sa_telemetry::Json;
+use sa_telemetry::{Json, ProbeRegistry};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -84,4 +90,65 @@ fn self_diff_passes_and_perturbed_p99_fails_naming_the_metric() {
 
     std::fs::remove_file(&base_path).ok();
     std::fs::remove_file(&cand_path).ok();
+}
+
+/// Run `analyze --watch - --plain` with `input` on stdin.
+fn watch_stdin(input: &str) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .args(["--watch", "-", "--plain"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("analyze runs");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("write stream");
+    let out = child.wait_with_output().expect("analyze exits");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn watch_reads_a_progress_stream_from_stdin() {
+    let snapshot = ProbeRegistry::new()
+        .into_snapshot("canonical", 4096, 0)
+        .to_string_compact();
+    let stream = format!(
+        "wrote sa-stats v5 document to x.json\n\
+         {{\"kind\":\"heartbeat\",\"elapsed_ms\":3,\"cycle\":4096}}\n\
+         {snapshot}\n"
+    );
+    let (code, stdout) = watch_stdin(&stream);
+    assert_eq!(code, Some(0), "stdout was:\n{stdout}");
+    assert!(stdout.contains("1 valid snapshot(s)"), "{stdout}");
+
+    let bad = format!("{stream}{{\"schema\":\"sa-probe\",\"version\":1}}\n");
+    let (code, _) = watch_stdin(&bad);
+    assert_eq!(code, Some(1), "an invalid sa-probe snapshot must fail");
+}
+
+#[test]
+fn unknown_and_removed_flags_exit_2() {
+    for flag in [["--stats-jsno", "x.json"], ["--probe-listen", "/tmp/x"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+            .args(flag)
+            .output()
+            .expect("table1 runs");
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {}", flag[0])),
+            "{flag:?}: stderr was:\n{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{flag:?} must fail before any output"
+        );
+    }
 }

@@ -738,12 +738,6 @@ impl CacheBank {
         !self.mem_out.is_empty()
     }
 
-    /// Peek the next outgoing DRAM command without removing it (so the node
-    /// can check the target channel's queue before committing).
-    pub fn peek_mem_cmd(&self) -> Option<&DramCommand> {
-        self.mem_out.front()
-    }
-
     /// Next read completion whose latency has elapsed.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<MemResponse> {
         if self.ready.front().is_some_and(|r| r.at <= now) {

@@ -91,12 +91,6 @@ impl StallBreakdown {
         }
     }
 
-    /// Add network-credit stalls (multi-node runs).
-    pub fn with_net_credit(mut self, net_credit: u64) -> StallBreakdown {
-        self.net_credit = net_credit;
-        self
-    }
-
     /// `events` as a percentage of run cycles, capped at 100.
     pub fn pct(&self, events: u64) -> f64 {
         if self.cycles == 0 {

@@ -43,12 +43,6 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Total DRAM words moved (the "Mem References" the paper reports count
-    /// word accesses issued by the program; this counts actual DRAM traffic).
-    pub fn dram_words(&self) -> u64 {
-        self.dram.words_transferred
-    }
-
     /// Record the aggregated counters into a telemetry scope, under the
     /// `sa.*`, `cache.*`, `dram.*`, and `queue.bank_in.*` sub-scopes.
     /// Resilience counters appear under `resilience.*` only when nonzero,
@@ -279,11 +273,6 @@ impl NodeMemSys {
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// This node's index.
-    pub fn node_index(&self) -> usize {
-        self.node
     }
 
     /// The bank that serves `addr`.

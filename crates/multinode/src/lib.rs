@@ -233,11 +233,6 @@ impl MultiNode {
         self.net.set_fault_plan(plan);
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The home node of a word address.
     pub fn home_of(&self, addr: Addr) -> usize {
         home_of_line(addr, self.machine.cache.line_bytes, self.nodes.len())

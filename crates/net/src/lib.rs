@@ -265,39 +265,12 @@ impl<T> Crossbar<T> {
             })
     }
 
-    /// Queue a message at its source port, stamping [`ReqStage::Crossbar`]
-    /// on the carried request's lifecycle record when it enters the fabric.
+    /// [`Crossbar::try_send`], stamping [`ReqStage::Crossbar`] on the
+    /// carried request's lifecycle record when it enters the fabric.
     ///
     /// The crossbar is generic over its payload, so the caller names the
     /// request id (if the message carries one); pass `None` for traffic with
     /// no single originating request, such as evicted partial-sum lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back when the source queue is full (nothing is
-    /// stamped in that case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src`/`dst` are out of range.
-    pub fn try_inject_traced(
-        &mut self,
-        msg: Message<T>,
-        now: Cycle,
-        req: Option<ReqId>,
-        tracer: &mut ReqTracer,
-    ) -> Result<(), Message<T>> {
-        let r = self.try_inject(msg);
-        if r.is_ok() {
-            if let Some(id) = req {
-                tracer.stamp(id, ReqStage::Crossbar, now.raw());
-            }
-        }
-        r
-    }
-
-    /// [`Crossbar::try_send`] with the lifecycle stamping of
-    /// [`Crossbar::try_inject_traced`].
     ///
     /// # Errors
     ///
@@ -611,10 +584,10 @@ mod tests {
         let mut net: Crossbar<u32> = Crossbar::new(2, high());
         let mut tracer = ReqTracer::every(1);
         tracer.issue(42, 0, 3);
-        net.try_inject_traced(Message::new(0, 1, 1, 7), Cycle(5), Some(42), &mut tracer)
+        net.try_send_traced(Message::new(0, 1, 1, 7), Cycle(5), Some(42), &mut tracer)
             .unwrap();
         // Traffic without an originating request stamps nothing.
-        net.try_inject_traced(Message::new(0, 1, 1, 8), Cycle(6), None, &mut tracer)
+        net.try_send_traced(Message::new(0, 1, 1, 8), Cycle(6), None, &mut tracer)
             .unwrap();
         let rec = tracer.retire(42, 9).expect("record is live");
         assert_eq!(rec.stamp_at(ReqStage::Crossbar), Some(5));

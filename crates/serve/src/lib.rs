@@ -540,6 +540,9 @@ pub fn job_stats_json(spec: &SessionSpec, report: &SessionReport) -> Json {
         spec.config.fingerprint_json(),
         &registry,
         None,
+        None,
+        None,
+        None,
         Json::Arr(Vec::new()),
     );
     sa_telemetry::attach_bottleneck(&mut doc);

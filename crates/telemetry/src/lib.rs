@@ -25,9 +25,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, Write as _};
-use std::path::Path;
 
 pub mod bottleneck;
 pub mod probe;
@@ -36,8 +33,6 @@ pub use bottleneck::{
     attach_bottleneck, bottleneck_json, render_bottleneck, validate_bottleneck_json, OccClass,
     OccupancyStats, StallCause, BOUND_KINDS, STAGE_NAMES, STALL_CAUSES,
 };
-#[cfg(unix)]
-pub use probe::ProbeListener;
 pub use probe::{
     global_progress, progress_enabled, set_global_progress, validate_probe_json, HostProfiler,
     Inspectable, Introspect, ProbeRecorder, ProbeRegistry, Progress, PROBE_SCHEMA_NAME,
@@ -542,12 +537,6 @@ impl ChromeTrace {
         }
         out.push_str("\n]}\n");
         out
-    }
-
-    /// Write the trace to `path`.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let mut f = File::create(path)?;
-        f.write_all(self.to_json_string().as_bytes())
     }
 
     /// Record a counter sample on `track` (one Perfetto counter track per
@@ -1351,53 +1340,20 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 ///   "series": { "interval": 256, "series": { ... } },
 ///   "latency": { "<kernel>": { "sample": 64, "stages": { ... }, ... } },
 ///   "attribution": { "<kernel>": { "cycles": 1234, "mshr_full": { ... } } },
+///   "host_profile": { "total_ns": 5678, "phases": { ... } },
 ///   "rows": [ {"label": "...", "cells": {"col": "val"}}, ... ]
 /// }
 /// ```
 ///
-/// `latency` and `attribution` (new in v2) are optional; [`stats_json`]
-/// omits them, [`stats_json_with`] takes them explicitly.
-pub fn stats_json(
-    bench: &str,
-    config: Json,
-    metrics: &MetricsRegistry,
-    series: Option<&SeriesSet>,
-    rows: Json,
-) -> Json {
-    stats_json_with(bench, config, metrics, series, None, None, rows)
-}
-
-/// [`stats_json`] plus the v2 `latency` and `attribution` sections: objects
-/// keyed by kernel name holding [`ReqTracer::latency_json`] reports and
-/// stall-attribution tables respectively.
-pub fn stats_json_with(
-    bench: &str,
-    config: Json,
-    metrics: &MetricsRegistry,
-    series: Option<&SeriesSet>,
-    latency: Option<Json>,
-    attribution: Option<Json>,
-    rows: Json,
-) -> Json {
-    stats_json_full(
-        bench,
-        config,
-        metrics,
-        series,
-        latency,
-        attribution,
-        None,
-        rows,
-    )
-}
-
-/// [`stats_json_with`] plus the v4 `host_profile` sidecar: a
-/// [`HostProfiler::to_json`] report attributing host wall-clock to run-loop
-/// phases. The sidecar is nondeterministic by declaration — timing-metric
-/// extraction ([`crate`]-external diff tooling) and byte-determinism gates
-/// must exclude it, which is why it is opt-in rather than always present.
+/// The sections between `metrics` and `rows` are omitted when `None`:
+/// `series`, the v2 `latency` and `attribution` objects (keyed by kernel
+/// name, holding [`ReqTracer::latency_json`] reports and stall-attribution
+/// tables), and the v4 `host_profile` sidecar — a [`HostProfiler::to_json`]
+/// report attributing host wall-clock to run-loop phases. The sidecar is
+/// nondeterministic by declaration: timing-metric extraction and
+/// byte-determinism gates must exclude it, which is why it is opt-in.
 #[allow(clippy::too_many_arguments)]
-pub fn stats_json_full(
+pub fn stats_json(
     bench: &str,
     config: Json,
     metrics: &MetricsRegistry,
@@ -1730,6 +1686,9 @@ mod tests {
             Json::obj(),
             &reg,
             Some(&series),
+            None,
+            None,
+            None,
             Json::Arr(vec![Json::obj()]),
         );
         validate_stats_json(&doc).expect("valid");
@@ -1755,6 +1714,9 @@ mod tests {
             "fig6",
             Json::obj(),
             &MetricsRegistry::new(),
+            None,
+            None,
+            None,
             None,
             Json::Arr(vec![]),
         );
@@ -1877,12 +1839,13 @@ mod tests {
         // The report embeds in a valid v2 document.
         let mut latency = Json::obj();
         latency.push("kern", j);
-        let doc = stats_json_with(
+        let doc = stats_json(
             "t",
             Json::obj(),
             &MetricsRegistry::new(),
             None,
             Some(latency),
+            None,
             None,
             Json::Arr(vec![]),
         );
@@ -1899,13 +1862,14 @@ mod tests {
         table.push("mshr_full", cause);
         let mut attribution = Json::obj();
         attribution.push("kern", table);
-        let doc = stats_json_with(
+        let doc = stats_json(
             "t",
             Json::obj(),
             &MetricsRegistry::new(),
             None,
             None,
             Some(attribution),
+            None,
             Json::Arr(vec![]),
         );
         validate_stats_json(&doc).expect("valid");
@@ -1915,13 +1879,14 @@ mod tests {
         bad.push("mshr_full", Json::UInt(7));
         let mut attribution = Json::obj();
         attribution.push("kern", bad);
-        let doc = stats_json_with(
+        let doc = stats_json(
             "t",
             Json::obj(),
             &MetricsRegistry::new(),
             None,
             None,
             Some(attribution),
+            None,
             Json::Arr(vec![]),
         );
         assert!(validate_stats_json(&doc).is_err());
@@ -1957,8 +1922,17 @@ mod tests {
             reg.gauge("m.mid", 0.125);
             let mut series = SeriesSet::new(8);
             series.push("s.one", 8, 1.5);
-            stats_json("det", Json::obj(), &reg, Some(&series), Json::Arr(vec![]))
-                .to_string_pretty()
+            stats_json(
+                "det",
+                Json::obj(),
+                &reg,
+                Some(&series),
+                None,
+                None,
+                None,
+                Json::Arr(vec![]),
+            )
+            .to_string_pretty()
         };
         assert_eq!(build(), build());
     }

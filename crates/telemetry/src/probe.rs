@@ -12,7 +12,7 @@
 //!   bytes are identical across `--jobs` and `--fast-forward` (modulo the `skipped_cycles` tally, exactly like the
 //!   stats documents).
 //! * **Progress** — a [`Progress`] handle emits NDJSON heartbeat/point
-//!   events to stderr or a [`ProbeListener`] unix socket, throttled by
+//!   events to stderr (`--progress`) or a caller's writer, throttled by
 //!   wall-clock. Heartbeats are *explicitly nondeterministic* (they carry
 //!   wall-clock rates and ETAs) and never enter a stats document.
 //! * **Host profiling** — a [`HostProfiler`] attributes wall-clock to named
@@ -264,7 +264,7 @@ struct ProgressInner {
 /// single atomic lines so concurrent emitters never interleave mid-line.
 ///
 /// Everything a `Progress` writes carries wall-clock content and is
-/// **explicitly nondeterministic** — it goes to stderr or a live socket,
+/// **explicitly nondeterministic** — it goes to stderr or a live stream,
 /// never into a stats document or any byte-compared output.
 #[derive(Clone, Default)]
 pub struct Progress {
@@ -288,8 +288,8 @@ impl Progress {
         Progress::to_writer(Box::new(std::io::stderr()))
     }
 
-    /// Emit NDJSON to an arbitrary writer (e.g. a [`ProbeListener`]
-    /// broadcast).
+    /// Emit NDJSON to an arbitrary writer (e.g. `sa-serve`'s streamed
+    /// HTTP response).
     pub fn to_writer(writer: Box<dyn Write + Send>) -> Progress {
         Progress {
             inner: Some(Arc::new(ProgressInner {
@@ -388,8 +388,8 @@ fn global_progress_cell() -> &'static Mutex<Progress> {
     CELL.get_or_init(|| Mutex::new(Progress::off()))
 }
 
-/// Install the process-wide progress sink (the `--progress` /
-/// `--probe-listen` flags route through this, in the same idiom as
+/// Install the process-wide progress sink (the `--progress` flag routes
+/// through this, in the same idiom as
 /// `sa_sim::set_fast_forward_default`).
 pub fn set_global_progress(p: Progress) {
     GLOBAL_PROGRESS_ON.store(p.is_on(), Ordering::Release);
@@ -519,109 +519,6 @@ impl Introspect {
     }
 }
 
-/// A unix-domain-socket NDJSON broadcaster: the `--probe-listen PATH` sink.
-/// Clients (`analyze --watch PATH`) connect and receive every heartbeat,
-/// point event, and probe snapshot line from the moment they attach. Dead
-/// clients are dropped on the next write; the socket file is removed on
-/// drop.
-#[cfg(unix)]
-pub struct ProbeListener {
-    path: std::path::PathBuf,
-    clients: Arc<Mutex<Vec<std::os::unix::net::UnixStream>>>,
-}
-
-#[cfg(unix)]
-impl std::fmt::Debug for ProbeListener {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ProbeListener({})", self.path.display())
-    }
-}
-
-#[cfg(unix)]
-impl ProbeListener {
-    /// Bind `path` (removing any stale socket file) and start accepting
-    /// clients on a background thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error (bad path, permissions).
-    pub fn bind(path: &std::path::Path) -> std::io::Result<ProbeListener> {
-        let _ = std::fs::remove_file(path);
-        let listener = std::os::unix::net::UnixListener::bind(path)?;
-        let clients: Arc<Mutex<Vec<std::os::unix::net::UnixStream>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let accept_clients = Arc::clone(&clients);
-        std::thread::Builder::new()
-            .name("sa-probe-listen".to_owned())
-            .spawn(move || {
-                for stream in listener.incoming().flatten() {
-                    accept_clients.lock().expect("probe clients").push(stream);
-                }
-            })?;
-        Ok(ProbeListener {
-            path: path.to_owned(),
-            clients,
-        })
-    }
-
-    /// A [`Progress`] handle broadcasting to every connected client.
-    pub fn progress(&self) -> Progress {
-        Progress::to_writer(Box::new(Broadcast {
-            clients: Arc::clone(&self.clients),
-        }))
-    }
-
-    /// Currently connected clients.
-    pub fn client_count(&self) -> usize {
-        self.clients.lock().expect("probe clients").len()
-    }
-
-    /// Block until at least one client is connected (polling the accept
-    /// thread's roster), or `timeout` elapses. Returns whether a client
-    /// arrived. Lines emitted before the first client connects are not
-    /// buffered, so a producer that wants a watcher to see the run from
-    /// cycle zero calls this before simulating (`--probe-wait-client`).
-    pub fn wait_for_client(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.client_count() > 0 {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for ProbeListener {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-#[cfg(unix)]
-struct Broadcast {
-    clients: Arc<Mutex<Vec<std::os::unix::net::UnixStream>>>,
-}
-
-#[cfg(unix)]
-impl Write for Broadcast {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut clients = self.clients.lock().expect("probe clients");
-        clients.retain_mut(|c| c.write_all(buf).is_ok());
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut clients = self.clients.lock().expect("probe clients");
-        clients.retain_mut(|c| c.flush().is_ok());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,29 +641,5 @@ mod tests {
             prof.to_json().get("total_ns").and_then(Json::as_u64),
             Some(0)
         );
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn listener_broadcasts_to_clients() {
-        use std::io::{BufRead, BufReader};
-        let path = std::env::temp_dir().join(format!("sa-probe-test-{}.sock", std::process::id()));
-        let listener = ProbeListener::bind(&path).expect("bind");
-        let client = std::os::unix::net::UnixStream::connect(&path).expect("connect");
-        // Wait for the accept thread to register the client.
-        for _ in 0..100 {
-            if listener.client_count() > 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(listener.client_count(), 1);
-        let p = listener.progress();
-        p.emit_line(r#"{"kind":"hello"}"#);
-        let mut line = String::new();
-        BufReader::new(client).read_line(&mut line).expect("read");
-        assert_eq!(line.trim(), r#"{"kind":"hello"}"#);
-        drop(listener);
-        assert!(!path.exists(), "socket file removed on drop");
     }
 }

@@ -526,8 +526,8 @@ impl SessionBuilder {
 
     /// Attach a live progress sink for heartbeats and probe streaming
     /// (default: the process-wide sink installed by
-    /// [`sa_telemetry::set_global_progress`], off unless a `--progress` or
-    /// `--probe-listen` flag enabled it).
+    /// [`sa_telemetry::set_global_progress`], off unless a `--progress`
+    /// flag enabled it).
     pub fn progress(mut self, progress: Progress) -> SessionBuilder {
         self.progress = Some(progress);
         self
