@@ -424,8 +424,11 @@ impl BenchRun {
             .map(|_| rng.below(CANONICAL_RANGE))
             .collect();
         let kernel = ScatterKernel::histogram(0, indices);
-        let mut node = NodeMemSys::with_tracer(self.cfg, 0, false, ChromeTrace::new());
-        node.set_req_sample(self.req_sample());
+        let cfg = MachineConfig {
+            req_sample: self.req_sample(),
+            ..self.cfg
+        };
+        let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
         let mut probe = self.introspect("canonical");
         let run = drive_scatter_probed(node, &kernel, false, &mut probe);
         self.profiler.absorb(&probe.profiler);

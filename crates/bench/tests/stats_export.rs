@@ -164,9 +164,13 @@ fn tracing_never_changes_simulated_time() {
     let kernel = ScatterKernel::histogram(0, (0..4096).map(|_| rng.below(512)).collect());
     let plain = drive_scatter(&cfg, &kernel, false);
     let traced = {
-        let mut node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
-        node.set_sample_interval(1); // densest possible sampling
-        node.set_req_sample(1); // trace every request's lifecycle
+        // Occupancy sampling at the default interval, and every request's
+        // lifecycle traced.
+        let cfg = MachineConfig {
+            req_sample: 1,
+            ..cfg
+        };
+        let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
         drive_scatter_probed(node, &kernel, false, &mut Introspect::off())
     };
     // Probe snapshots every 512 cycles, streamed to a sink.

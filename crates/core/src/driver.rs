@@ -333,7 +333,7 @@ impl Machine for Driver {
                 let Some(req) = self.pending.pop_front() else {
                     break;
                 };
-                match self.node.inject_traced(req, now) {
+                match self.node.inject(req, now) {
                     Ok(()) => issued += 1,
                     Err(req) => {
                         self.pending.push_front(req);

@@ -27,6 +27,7 @@ use sa_mem::DramChannel;
 use sa_sim::{Addr, BoundedQueue, Cycle, DramConfig, MemOp, MemRequest, MemResponse, Origin};
 use sa_telemetry::{ChromeTrace, ReqStage, ReqTracer};
 
+use crate::node::home_of_line;
 use crate::unit::{ScatterAddUnit, ToMem};
 
 /// One cache bank's slice of the node: the bank, the scatter-add unit in
@@ -70,7 +71,7 @@ impl LaneParams {
         self.combining
             && match self.n_nodes {
                 None => true,
-                Some(n) => (addr.line_index(self.line_bytes) % n as u64) as usize != self.node,
+                Some(n) => home_of_line(addr, self.line_bytes, n) != self.node,
             }
     }
 }
@@ -138,8 +139,10 @@ pub(crate) fn step_lane(
     // 4. Ingest a scatter request into the scatter-add unit (does not
     //    consume the cache port; Figure 4a places the unit in front of the
     //    bank). Single conditional pop: the head is consumed exactly when
-    //    the unit accepts it.
-    bank_in.pop_if(|req| req.op.is_scatter() && sa.try_submit_traced(*req, now, req_trace).is_ok());
+    //    the unit accepts it, which is when it enters the combining store.
+    if let Some(req) = bank_in.pop_if(|req| req.op.is_scatter() && sa.try_submit(*req).is_ok()) {
+        req_trace.stamp(req.id, ReqStage::CombStore, now.raw());
+    }
 
     // 5. One cache access per bank per cycle, round-robin between the
     //    scatter-add unit's internal traffic and bypass traffic.

@@ -56,7 +56,7 @@ pub use driver::{
     drive_scatter, drive_scatter_probed, scatter_reference, RunResult, ScatterKernel,
     StallBreakdown,
 };
-pub use node::{NodeMemSys, NodeStats, DEFAULT_SAMPLE_INTERVAL};
+pub use node::{home_of_line, NodeMemSys, NodeStats, DEFAULT_SAMPLE_INTERVAL};
 pub use rig::{SensitivityResult, SensitivityRig};
 pub use scan::{drive_scan, scan_reference, ScanResult};
 pub use sync::{allocate_slots, simulate_barrier, BarrierResult, SlotAllocation};

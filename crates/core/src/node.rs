@@ -22,9 +22,15 @@ use crate::unit::{SaStats, ScatterAddUnit};
 /// and, in multi-node runs, the network interface).
 const BANK_IN_DEPTH: usize = 8;
 
-/// Sampling interval (cycles) used when a tracer is installed without an
-/// explicit [`NodeMemSys::set_sample_interval`] call.
+/// Occupancy sampling interval (cycles) of a node built with
+/// [`NodeMemSys::with_tracer`]; untraced nodes never sample.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 64;
+
+/// The home node of `addr` in an `n`-node machine under line-interleaved
+/// homing (`home = line mod n`).
+pub fn home_of_line(addr: Addr, line_bytes: u64, n: usize) -> usize {
+    (addr.line_index(line_bytes) % n as u64) as usize
+}
 
 /// Aggregated statistics of a [`NodeMemSys`] run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -87,16 +93,13 @@ pub struct NodeMemSys {
     n_nodes: Option<usize>,
     /// Chrome trace of occupancy counters and sampled request spans;
     /// `None` unless built with [`NodeMemSys::with_tracer`], in which case
-    /// the hot loop pays one branch per retired request and per sample.
+    /// the node also samples occupancy every [`DEFAULT_SAMPLE_INTERVAL`]
+    /// cycles. The untraced hot loop pays one branch per tick.
     tracer: Option<ChromeTrace>,
     /// Request-lifecycle tracer (see [`ReqTracer`]); disabled unless
-    /// [`MachineConfig::req_sample`] or [`set_req_sample`](Self::set_req_sample)
-    /// turns it on. Runtime-gated so the untraced hot loop pays one integer
-    /// compare per stamp site.
+    /// [`MachineConfig::req_sample`] turns it on. Runtime-gated so the
+    /// untraced hot loop pays one integer compare per stamp site.
     req_trace: ReqTracer,
-    /// Cycles between occupancy samples; 0 disables sampling entirely, so
-    /// the untraced hot loop pays a single integer compare per tick.
-    sample_interval: u64,
     next_sample: u64,
     series: SeriesSet,
     /// Per-channel `words_transferred` at the previous sample, for bus
@@ -144,7 +147,6 @@ impl NodeMemSys {
             n_nodes: None,
             tracer: None,
             req_trace: ReqTracer::every(cfg.req_sample),
-            sample_interval: 0,
             next_sample: 0,
             series: SeriesSet::new(0),
             last_dram_words: vec![0; cfg.dram.channels],
@@ -159,9 +161,8 @@ impl NodeMemSys {
         sys
     }
 
-    /// Build the memory system with a Chrome trace attached. Sampling
-    /// starts at [`DEFAULT_SAMPLE_INTERVAL`]; tune with
-    /// [`set_sample_interval`](Self::set_sample_interval).
+    /// Build the memory system with a Chrome trace attached, sampling
+    /// occupancy every [`DEFAULT_SAMPLE_INTERVAL`] cycles.
     pub fn with_tracer(
         cfg: MachineConfig,
         node: usize,
@@ -170,7 +171,7 @@ impl NodeMemSys {
     ) -> NodeMemSys {
         let mut sys = NodeMemSys::new(cfg, node, combining);
         sys.tracer = Some(tracer);
-        sys.set_sample_interval(DEFAULT_SAMPLE_INTERVAL);
+        sys.series = SeriesSet::new(DEFAULT_SAMPLE_INTERVAL);
         sys
     }
 
@@ -208,13 +209,6 @@ impl NodeMemSys {
         self.fast_forward
     }
 
-    /// Set the occupancy sampling interval in cycles (0 disables sampling).
-    pub fn set_sample_interval(&mut self, interval: u64) {
-        self.sample_interval = interval;
-        self.next_sample = 0;
-        self.series = SeriesSet::new(interval);
-    }
-
     /// The cycle-sampled occupancy series gathered so far.
     pub fn series(&self) -> &SeriesSet {
         &self.series
@@ -231,21 +225,16 @@ impl NodeMemSys {
         self.tracer
     }
 
-    /// Set the request-lifecycle sampling interval: one in `sample` requests
-    /// is traced (0 disables). Overrides [`MachineConfig::req_sample`].
-    pub fn set_req_sample(&mut self, sample: u64) {
-        self.req_trace = ReqTracer::every(sample);
-    }
-
     /// The request-lifecycle records gathered so far.
     pub fn req_tracer(&self) -> &ReqTracer {
         &self.req_trace
     }
 
-    /// Take the request-lifecycle tracer, leaving a disabled one behind
-    /// (harvested into run reports at the end of a kernel).
+    /// Take the request-lifecycle tracer, leaving an empty one at
+    /// [`MachineConfig::req_sample`] behind (harvested into run reports at
+    /// the end of a kernel).
     pub fn take_req_trace(&mut self) -> ReqTracer {
-        std::mem::take(&mut self.req_trace)
+        std::mem::replace(&mut self.req_trace, ReqTracer::every(self.cfg.req_sample))
     }
 
     /// Declare this node part of an `n`-node machine with line-interleaved
@@ -259,15 +248,6 @@ impl NodeMemSys {
         assert!(n > 0, "need at least one node");
         assert!(self.node < n, "node index {} out of range {n}", self.node);
         self.n_nodes = Some(n);
-    }
-
-    /// The home node of an address under line-interleaved homing
-    /// (this node when homing is not installed).
-    pub fn home_of(&self, addr: Addr) -> usize {
-        match self.n_nodes {
-            Some(n) => (addr.line_index(self.cfg.cache.line_bytes) % n as u64) as usize,
-            None => self.node,
-        }
     }
 
     /// The machine configuration.
@@ -305,7 +285,10 @@ impl NodeMemSys {
         }
     }
 
-    /// Inject one request into its bank's input queue.
+    /// Inject one request into its bank's input queue at cycle `now`,
+    /// recording its lifecycle: an [`ReqStage::Issued`] stamp on the first
+    /// attempt (idempotent across stall retries) and an
+    /// [`ReqStage::Enqueued`] stamp on acceptance.
     ///
     /// # Errors
     ///
@@ -316,7 +299,7 @@ impl NodeMemSys {
     ///
     /// Panics if a scatter request uses a non-`Add` reduction while the node
     /// is in combining mode (zero-allocate assumes the additive identity).
-    pub fn inject(&mut self, req: MemRequest) -> Result<(), MemRequest> {
+    pub fn inject(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
         if self.combining {
             if let MemOp::Scatter { op, .. } = req.op {
                 assert_eq!(
@@ -326,26 +309,10 @@ impl NodeMemSys {
                 );
             }
         }
-        let bank = self.bank_of(req.addr);
-        self.lanes[bank].bank_in.try_push(req)
-    }
-
-    /// [`inject`](Self::inject), recording the request's lifecycle: an
-    /// [`ReqStage::Issued`] stamp on the first attempt (idempotent across
-    /// stall retries) and an [`ReqStage::Enqueued`] stamp on acceptance.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request back when the bank queue is full, exactly as
-    /// [`inject`](Self::inject) does.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`inject`](Self::inject).
-    pub fn inject_traced(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
         let id = req.id;
         self.req_trace.issue(id, self.node, now.raw());
-        let r = self.inject(req);
+        let bank = self.bank_of(req.addr);
+        let r = self.lanes[bank].bank_in.try_push(req);
         if r.is_ok() {
             self.req_trace.stamp(id, ReqStage::Enqueued, now.raw());
         }
@@ -402,16 +369,19 @@ impl NodeMemSys {
             step_lane(lane, now, &params, completions, req_trace, tracer);
         }
 
-        // Occupancy sampling (off unless a sample interval is set).
-        if self.sample_interval != 0 && now.raw() >= self.next_sample {
-            self.next_sample = now.raw() + self.sample_interval;
+        // Occupancy sampling (traced nodes only).
+        if self.tracer.is_some() && now.raw() >= self.next_sample {
+            self.next_sample = now.raw() + DEFAULT_SAMPLE_INTERVAL;
             self.sample(now);
         }
     }
 
-    /// Take one occupancy sample: per-bank queue and combining-store levels,
-    /// per-channel bus words, and whole-node series.
+    /// Take one occupancy sample on a traced node: per-bank queue and
+    /// combining-store levels, per-channel bus words, and whole-node series.
     fn sample(&mut self, now: Cycle) {
+        let Some(tracer) = &mut self.tracer else {
+            return;
+        };
         let node = self.node;
         let cycle = now.raw();
         let mut queue_occ = 0u64;
@@ -423,11 +393,9 @@ impl NodeMemSys {
             queue_occ += q;
             cs_residency += cs;
             fu_depth += lane.sa.fu_depth() as u64;
-            if let Some(tracer) = &mut self.tracer {
-                let track = format!("node{node}.cache.bank{b}");
-                tracer.counter(&track, "queue_occupancy", cycle, q as f64);
-                tracer.counter(&track, "cs_residency", cycle, cs as f64);
-            }
+            let track = format!("node{node}.cache.bank{b}");
+            tracer.counter(&track, "queue_occupancy", cycle, q as f64);
+            tracer.counter(&track, "cs_residency", cycle, cs as f64);
         }
         let mut bus_words = 0u64;
         for c in 0..self.channels.len() {
@@ -435,15 +403,13 @@ impl NodeMemSys {
             let delta = words - self.last_dram_words[c];
             self.last_dram_words[c] = words;
             bus_words += delta;
-            if let Some(tracer) = &mut self.tracer {
-                let track = format!("node{node}.dram.chan{c}");
-                tracer.counter(&track, "bus_words", cycle, delta as f64);
-            }
+            let track = format!("node{node}.dram.chan{c}");
+            tracer.counter(&track, "bus_words", cycle, delta as f64);
         }
         // Fraction of the node's peak DRAM bandwidth used this interval.
         let peak_words = self.cfg.dram.channel_rate.words_per_cycle()
             * self.channels.len() as f64
-            * self.sample_interval as f64;
+            * DEFAULT_SAMPLE_INTERVAL as f64;
         let bus_util = if peak_words > 0.0 {
             bus_words as f64 / peak_words
         } else {
@@ -537,7 +503,7 @@ impl NodeMemSys {
     /// * otherwise the horizon is the minimum `next_event` over every
     ///   scatter-add unit, cache bank, and DRAM channel (the units'
     ///   acknowledgement queues need no term: they drain every cycle);
-    /// * when occupancy sampling is on, the horizon is clamped to the next
+    /// * on a traced node, the horizon is clamped to the next occupancy
     ///   sample cycle so sampled series stay byte-identical under skipping.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let t = now.raw();
@@ -560,7 +526,7 @@ impl NodeMemSys {
                 fold(e.raw());
             }
         }
-        if self.sample_interval != 0 {
+        if self.tracer.is_some() {
             fold(self.next_sample.max(t + 1));
         }
         horizon.map(Cycle)
@@ -721,7 +687,7 @@ mod tests {
         for _ in 0..100_000 {
             now += 1;
             while let Some(req) = pending.pop_front() {
-                if let Err(req) = node.inject(req) {
+                if let Err(req) = node.inject(req, now) {
                     pending.push_front(req);
                     break;
                 }
@@ -748,19 +714,25 @@ mod tests {
     fn reads_and_writes_bypass_the_unit() {
         let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, false);
         node.store_mut().write_i64(Addr::from_word_index(3), 42);
-        node.inject(MemRequest {
-            id: 1,
-            addr: Addr::from_word_index(3),
-            op: MemOp::Read,
-            origin: Origin::AddrGen { node: 0, ag: 0 },
-        })
+        node.inject(
+            MemRequest {
+                id: 1,
+                addr: Addr::from_word_index(3),
+                op: MemOp::Read,
+                origin: Origin::AddrGen { node: 0, ag: 0 },
+            },
+            Cycle(0),
+        )
         .unwrap();
-        node.inject(MemRequest {
-            id: 2,
-            addr: Addr::from_word_index(100),
-            op: MemOp::Write { bits: 7 },
-            origin: Origin::AddrGen { node: 0, ag: 0 },
-        })
+        node.inject(
+            MemRequest {
+                id: 2,
+                addr: Addr::from_word_index(100),
+                op: MemOp::Write { bits: 7 },
+                origin: Origin::AddrGen { node: 0, ag: 0 },
+            },
+            Cycle(0),
+        )
         .unwrap();
         let (done, _) = run_until_idle(&mut node, Cycle(0), 100_000);
         assert_eq!(done.len(), 2);
@@ -777,16 +749,19 @@ mod tests {
         // issued only after completions confirm the adds are done.
         let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, false);
         for i in 0..8 {
-            node.inject(sa_req(i, 0, 1)).unwrap();
+            node.inject(sa_req(i, 0, 1), Cycle(0)).unwrap();
         }
         let (done, now) = run_until_idle(&mut node, Cycle(0), 100_000);
         assert_eq!(done.len(), 8);
-        node.inject(MemRequest {
-            id: 100,
-            addr: Addr::from_word_index(0),
-            op: MemOp::Read,
-            origin: Origin::AddrGen { node: 0, ag: 0 },
-        })
+        node.inject(
+            MemRequest {
+                id: 100,
+                addr: Addr::from_word_index(0),
+                op: MemOp::Read,
+                origin: Origin::AddrGen { node: 0, ag: 0 },
+            },
+            now,
+        )
         .unwrap();
         let (done, _) = run_until_idle(&mut node, now, 100_000);
         assert_eq!(done[0].bits as i64, 8);
@@ -802,7 +777,7 @@ mod tests {
         for _ in 0..1_000_000 {
             now += 1;
             while let Some(req) = pending.pop_front() {
-                if let Err(req) = node.inject(req) {
+                if let Err(req) = node.inject(req, now) {
                     pending.push_front(req);
                     break;
                 }
@@ -830,7 +805,7 @@ mod tests {
     fn combining_mode_zero_allocates_and_sums_back() {
         let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, true);
         for i in 0..8 {
-            node.inject(sa_req(i, i % 2, 1)).unwrap();
+            node.inject(sa_req(i, i % 2, 1), Cycle(0)).unwrap();
         }
         let (_, _) = run_until_idle(&mut node, Cycle(0), 100_000);
         // In combining mode nothing reaches DRAM; the sums sit in the cache
@@ -866,7 +841,7 @@ mod tests {
             loop {
                 now += 1;
                 while let Some(req) = pending.pop_front() {
-                    if let Err(req) = node.inject(req) {
+                    if let Err(req) = node.inject(req, now) {
                         pending.push_front(req);
                         break;
                     }
@@ -901,7 +876,7 @@ mod tests {
             },
             origin: Origin::AddrGen { node: 0, ag: 0 },
         };
-        let _ = node.inject(req);
+        let _ = node.inject(req, Cycle(0));
     }
 
     #[test]
@@ -910,7 +885,7 @@ mod tests {
         // All to one bank (same line), never ticking.
         let mut rejected = false;
         for i in 0..100 {
-            if node.inject(sa_req(i, 0, 1)).is_err() {
+            if node.inject(sa_req(i, 0, 1), Cycle(0)).is_err() {
                 rejected = true;
                 break;
             }
@@ -928,7 +903,7 @@ mod tests {
         for _ in 0..100_000 {
             now += 1;
             while let Some(req) = pending.pop_front() {
-                if let Err(req) = node.inject_traced(req, now) {
+                if let Err(req) = node.inject(req, now) {
                     pending.push_front(req);
                     break;
                 }
@@ -972,13 +947,13 @@ mod tests {
         let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, false);
         let mut now = Cycle(0);
         for i in 0..8 {
-            node.inject_traced(sa_req(i, i, 1), now).unwrap();
+            node.inject(sa_req(i, i, 1), now).unwrap();
         }
         let mut pending: VecDeque<MemRequest> = VecDeque::new();
         for _ in 0..100_000 {
             now += 1;
             while let Some(req) = pending.pop_front() {
-                if let Err(req) = node.inject_traced(req, now) {
+                if let Err(req) = node.inject(req, now) {
                     pending.push_front(req);
                     break;
                 }
@@ -1017,7 +992,7 @@ mod tests {
             for _ in 0..1_000_000 {
                 now += 1;
                 while let Some(req) = pending.pop_front() {
-                    if let Err(req) = node.inject(req) {
+                    if let Err(req) = node.inject(req, now) {
                         pending.push_front(req);
                         break;
                     }
@@ -1058,7 +1033,7 @@ mod tests {
     fn stats_aggregate_across_banks() {
         let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, false);
         for i in 0..32 {
-            node.inject(sa_req(i, i, 1)).unwrap();
+            node.inject(sa_req(i, i, 1), Cycle(0)).unwrap();
         }
         let (_, _) = run_until_idle(&mut node, Cycle(0), 100_000);
         let s = node.stats();

@@ -138,7 +138,7 @@ impl Machine for ScanEngine {
                 op: MemOp::Read,
                 origin: Origin::AddrGen { node: 0, ag: 0 },
             };
-            match self.node.inject(req) {
+            match self.node.inject(req, now) {
                 Ok(()) => {
                     self.read_ids.insert(self.next_id, self.next_read);
                     self.next_read += 1;
@@ -172,7 +172,7 @@ impl Machine for ScanEngine {
                 op: MemOp::Write { bits },
                 origin: Origin::SaUnit { node: 0, bank: 0 },
             };
-            match self.node.inject(req) {
+            match self.node.inject(req, now) {
                 Ok(()) => {
                     self.writes_pending.pop_front();
                 }

@@ -318,30 +318,6 @@ impl ScatterAddUnit {
         Ok(())
     }
 
-    /// [`try_submit`](Self::try_submit), stamping the request's
-    /// combining-store entry time into `tracer` on acceptance.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request back when the combining store is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request is not a [`MemOp::Scatter`].
-    pub fn try_submit_traced(
-        &mut self,
-        req: MemRequest,
-        now: Cycle,
-        tracer: &mut ReqTracer,
-    ) -> Result<(), MemRequest> {
-        let id = req.id;
-        let r = self.try_submit(req);
-        if r.is_ok() {
-            tracer.stamp(id, ReqStage::CombStore, now.raw());
-        }
-        r
-    }
-
     /// Feed a current value fetched from memory back into the unit
     /// (steps 4–5, c of Figure 4b).
     pub fn on_value(&mut self, addr: Addr, bits: u64) {
@@ -973,12 +949,13 @@ mod tests {
     }
 
     #[test]
-    fn traced_submit_and_tick_stamp_stages() {
+    fn traced_tick_stamps_fu_entry() {
         let mut u = unit(8, 2);
         let mut tracer = ReqTracer::every(1);
         tracer.issue(7, 0, 1);
-        u.try_submit_traced(sa_req(7, 3, 1), Cycle(2), &mut tracer)
-            .unwrap();
+        u.try_submit(sa_req(7, 3, 1)).unwrap();
+        // The lane stamps combining-store entry when the unit accepts.
+        tracer.stamp(7, ReqStage::CombStore, 2);
         let mut mem = std::collections::HashMap::new();
         let mut now = Cycle(2);
         for _ in 0..100 {

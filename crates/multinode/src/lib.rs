@@ -29,14 +29,14 @@
 use std::collections::VecDeque;
 
 use sa_cache::SumBack;
-use sa_core::{NodeMemSys, NodeStats};
+use sa_core::{home_of_line, NodeMemSys, NodeStats};
 use sa_faults::{Backoff, FaultPlan, ResilienceStats};
 use sa_net::{Crossbar, Message, NetStats};
 use sa_sim::{
     Addr, Cycle, Machine, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId,
     ScalarKind, ScatterOp, WORD_BYTES,
 };
-use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry, ReqTracer};
+use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry, ReqStage, ReqTracer};
 
 /// Messages exchanged between nodes.
 #[derive(Clone, Debug)]
@@ -90,15 +90,6 @@ impl TraceReport {
             return 0.0;
         }
         self.adds as f64 * WORD_BYTES as f64 * ghz / self.cycles as f64
-    }
-
-    /// Additions retired per cycle.
-    pub fn adds_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.adds as f64 / self.cycles as f64
-        }
     }
 
     /// Record this run's counters into a telemetry scope: the run summary,
@@ -343,7 +334,6 @@ impl MultiNode {
             node.flush_to_store();
             req_trace.absorb(ctx.tracer);
             req_trace.absorb(node.take_req_trace());
-            node.set_req_sample(sample);
             self.nodes.push(node);
         }
 
@@ -378,11 +368,6 @@ struct StepParams {
     line_bytes: u64,
     combining: bool,
     topology: Topology,
-}
-
-/// The home node of a word address under line interleaving.
-fn home_of_line(addr: Addr, line_bytes: u64, n: usize) -> usize {
-    (addr.line_index(line_bytes) % n as u64) as usize
 }
 
 /// The next hop of a sum-back travelling from `from` toward `home` (see
@@ -438,6 +423,39 @@ impl NodeCtx {
         self.next_seq += 1;
         ((self.index as u64 + 1) << 40) | self.next_seq
     }
+
+    /// Apply each non-zero word of sum-back line `sb` at this node as a
+    /// scatter-add. At the home node this goes through the normal cached
+    /// path; at a hypercube intermediate node the combining cache
+    /// zero-allocates and merges it (the address is still remote there).
+    /// All words of a line share one bank queue, so nothing is injected
+    /// unless its free capacity covers every non-zero word. Returns whether
+    /// the line was applied.
+    fn apply_sum_back(&mut self, sb: &SumBack, now: Cycle) -> bool {
+        let needed = sb.data.iter().filter(|&&b| b != 0).count();
+        if self.node.inject_capacity(sb.base) < needed {
+            return false;
+        }
+        for (w, &bits) in sb.data.iter().enumerate() {
+            if bits == 0 {
+                continue; // additive identity: no work
+            }
+            let req = MemRequest {
+                id: self.mint_id(),
+                addr: Addr(sb.base.0 + w as u64 * WORD_BYTES),
+                op: MemOp::Scatter {
+                    bits,
+                    kind: ScalarKind::F64,
+                    op: ScatterOp::Add,
+                    fetch: false,
+                },
+                origin: Origin::Remote { node: self.index },
+            };
+            self.node.inject(req, now).expect("room checked");
+            self.apply_pending += 1;
+        }
+        true
+    }
 }
 
 /// Advance one node by one cycle: the entire per-node cycle body. The node
@@ -455,43 +473,17 @@ fn step_node(ctx: &mut NodeCtx, net: &mut Crossbar<NetMsg>, now: Cycle, p: &Step
         match &msg.payload {
             NetMsg::Request(req) => {
                 let req = *req;
-                if ctx.node.inject_traced(req, now).is_ok() {
+                if ctx.node.inject(req, now).is_ok() {
                     let _ = net.pop_delivered(i);
                 } else {
                     break;
                 }
             }
             NetMsg::SumBack(sb) => {
-                // Apply each word of the line as a scatter-add. At the home
-                // node this goes through the normal cached path; at a
-                // hypercube intermediate node the combining cache
-                // zero-allocates and merges it (the address is still remote
-                // there). All words of a line share one bank queue, so free
-                // capacity must cover every non-zero word.
-                let sb = sb.clone();
-                let needed = sb.data.iter().filter(|&&b| b != 0).count();
-                if ctx.node.inject_capacity(sb.base) < needed {
+                if !ctx.apply_sum_back(sb, now) {
                     break;
                 }
                 let _ = net.pop_delivered(i);
-                for (w, &bits) in sb.data.iter().enumerate() {
-                    if bits == 0 {
-                        continue; // additive identity: no work
-                    }
-                    let req = MemRequest {
-                        id: ctx.mint_id(),
-                        addr: Addr(sb.base.0 + w as u64 * WORD_BYTES),
-                        op: MemOp::Scatter {
-                            bits,
-                            kind: ScalarKind::F64,
-                            op: ScatterOp::Add,
-                            fetch: false,
-                        },
-                        origin: Origin::Remote { node: i },
-                    };
-                    ctx.node.inject_traced(req, now).expect("room checked");
-                    ctx.apply_pending += 1;
-                }
             }
         }
     }
@@ -522,7 +514,7 @@ fn step_node(ctx: &mut NodeCtx, net: &mut Crossbar<NetMsg>, now: Cycle, p: &Step
         };
         let home = home_of_line(req.addr, p.line_bytes, p.n);
         if p.combining || home == i {
-            match ctx.node.inject_traced(req, now) {
+            match ctx.node.inject(req, now) {
                 Ok(()) => ctx.inj.cursor += 1,
                 Err(r) => {
                     ctx.inj.staged = Some(r);
@@ -547,13 +539,9 @@ fn step_node(ctx: &mut NodeCtx, net: &mut Crossbar<NetMsg>, now: Cycle, p: &Step
                 if ctx.nacked {
                     ctx.net_retries += 1;
                 }
-                match net.try_send_traced(
-                    Message::new(i, home, 1, NetMsg::Request(req)),
-                    now,
-                    Some(req.id),
-                    &mut ctx.tracer,
-                ) {
+                match net.try_send(Message::new(i, home, 1, NetMsg::Request(req))) {
                     Ok(()) => {
+                        ctx.tracer.stamp(req.id, ReqStage::Crossbar, now.raw());
                         ctx.inj.cursor += 1;
                         ctx.nacked = false;
                         ctx.backoff.reset();
@@ -602,36 +590,12 @@ fn step_node(ctx: &mut NodeCtx, net: &mut Crossbar<NetMsg>, now: Cycle, p: &Step
     // Apply locally-homed sum-backs directly.
     while ctx.outbox.front().is_some_and(|m| m.dst == i) {
         let msg = ctx.outbox.pop_front().expect("front checked");
-        let Message {
-            payload: NetMsg::SumBack(sb),
-            ..
-        } = msg
-        else {
+        let NetMsg::SumBack(sb) = &msg.payload else {
             unreachable!("only sum-backs are self-addressed");
         };
-        let needed = sb.data.iter().filter(|&&b| b != 0).count();
-        if ctx.node.inject_capacity(sb.base) < needed {
-            ctx.outbox
-                .push_front(Message::new(i, i, p.line_words, NetMsg::SumBack(sb)));
+        if !ctx.apply_sum_back(sb, now) {
+            ctx.outbox.push_front(msg);
             break;
-        }
-        for (w, &bits) in sb.data.iter().enumerate() {
-            if bits == 0 {
-                continue;
-            }
-            let req = MemRequest {
-                id: ctx.mint_id(),
-                addr: Addr(sb.base.0 + w as u64 * WORD_BYTES),
-                op: MemOp::Scatter {
-                    bits,
-                    kind: ScalarKind::F64,
-                    op: ScatterOp::Add,
-                    fetch: false,
-                },
-                origin: Origin::Remote { node: i },
-            };
-            ctx.node.inject_traced(req, now).expect("room checked");
-            ctx.apply_pending += 1;
         }
     }
 
@@ -1050,10 +1014,10 @@ mod tests {
         let mut mn = MultiNode::new(machine(), 2, NetworkConfig::high(), false);
         let r = mn.run_trace(&trace, &values);
         assert_eq!(r.nodes, 2);
-        assert!(r.adds_per_cycle() > 0.0);
         assert_eq!(r.node_stats.len(), 2);
         let gbps = r.throughput_gbps(1.0);
-        assert!((gbps - r.adds_per_cycle() * 8.0).abs() < 1e-9);
+        assert!(gbps > 0.0);
+        assert!((gbps - r.adds as f64 * 8.0 / r.cycles as f64).abs() < 1e-9);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 use std::collections::VecDeque;
 
 use sa_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, ResilienceStats};
-use sa_sim::{BoundedQueue, Cycle, NetworkConfig, QueueStats, ReqId};
-use sa_telemetry::{OccClass, OccupancyStats, ReqStage, ReqTracer};
+use sa_sim::{BoundedQueue, Cycle, NetworkConfig, QueueStats};
+use sa_telemetry::{OccClass, OccupancyStats};
 
 /// A message travelling between nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -263,37 +263,6 @@ impl<T> Crossbar<T> {
                 msg: m,
                 nack: false,
             })
-    }
-
-    /// [`Crossbar::try_send`], stamping [`ReqStage::Crossbar`] on the
-    /// carried request's lifecycle record when it enters the fabric.
-    ///
-    /// The crossbar is generic over its payload, so the caller names the
-    /// request id (if the message carries one); pass `None` for traffic with
-    /// no single originating request, such as evicted partial-sum lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back (nothing stamped) with `nack` telling a
-    /// fault-injected NACK from a full source queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src`/`dst` are out of range.
-    pub fn try_send_traced(
-        &mut self,
-        msg: Message<T>,
-        now: Cycle,
-        req: Option<ReqId>,
-        tracer: &mut ReqTracer,
-    ) -> Result<(), SendError<T>> {
-        let r = self.try_send(msg);
-        if r.is_ok() {
-            if let Some(id) = req {
-                tracer.stamp(id, ReqStage::Crossbar, now.raw());
-            }
-        }
-        r
     }
 
     /// Classify the fabric's state at the start of a cycle for occupancy
@@ -577,21 +546,6 @@ mod tests {
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert!(net.is_idle());
-    }
-
-    #[test]
-    fn traced_injection_stamps_crossbar_entry() {
-        let mut net: Crossbar<u32> = Crossbar::new(2, high());
-        let mut tracer = ReqTracer::every(1);
-        tracer.issue(42, 0, 3);
-        net.try_send_traced(Message::new(0, 1, 1, 7), Cycle(5), Some(42), &mut tracer)
-            .unwrap();
-        // Traffic without an originating request stamps nothing.
-        net.try_send_traced(Message::new(0, 1, 1, 8), Cycle(6), None, &mut tracer)
-            .unwrap();
-        let rec = tracer.retire(42, 9).expect("record is live");
-        assert_eq!(rec.stamp_at(ReqStage::Crossbar), Some(5));
-        assert_eq!(tracer.issued_len(), 1);
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl ExecReport {
     pub fn mem_refs(&self) -> u64 {
         self.program.mem_refs
     }
-
-    /// Peak SRF footprint in words (`srf.peak_words`).
-    pub fn peak_srf_words(&self) -> u64 {
-        self.srf.peak_words
-    }
-
-    /// Whether the peak SRF footprint exceeded capacity (`srf.overflow`).
-    pub fn srf_overflow(&self) -> bool {
-        self.srf.overflow
-    }
 }
 
 /// SRF words a running op holds: a memory op stages its whole stream; a
@@ -355,7 +345,7 @@ impl Machine for Scoreboard<'_> {
                     },
                     StreamOp::Kernel { .. } => unreachable!("kernels don't use AGs"),
                 };
-                match self.node.inject_traced(req, now) {
+                match self.node.inject(req, now) {
                     Ok(()) => {
                         self.req_owner.insert(self.next_id, run.op);
                         self.next_id += 1;
@@ -666,8 +656,8 @@ mod tests {
             &[],
         );
         let r = Executor::new(cfg()).run(&p, &mut n);
-        assert_eq!(r.peak_srf_words(), 8192);
-        assert!(!r.srf_overflow(), "8192 words fit the 128K-word SRF");
+        assert_eq!(r.srf.peak_words, 8192);
+        assert!(!r.srf.overflow, "8192 words fit the 128K-word SRF");
     }
 
     #[test]
@@ -683,8 +673,8 @@ mod tests {
             &[],
         );
         let r = Executor::new(cfg()).run(&p, &mut n);
-        assert!(r.srf_overflow(), "oversized stage must be flagged");
-        assert_eq!(r.peak_srf_words(), 200_000);
+        assert!(r.srf.overflow, "oversized stage must be flagged");
+        assert_eq!(r.srf.peak_words, 200_000);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Throughput {
         }
     }
 
-    /// One word per `cycles` cycles.
-    pub fn one_per(cycles: u32) -> Throughput {
-        Throughput::new(1, cycles)
-    }
-
     /// Average words per cycle as a float (for reporting).
     pub fn words_per_cycle(&self) -> f64 {
         f64::from(self.words) / f64::from(self.cycles)
@@ -689,7 +684,7 @@ mod tests {
 
     #[test]
     fn throughput_full_rate() {
-        let mut t = Throughput::one_per(1);
+        let mut t = Throughput::new(1, 1);
         t.tick();
         assert!(t.try_consume());
         assert!(!t.try_consume(), "only one word per cycle");

@@ -91,7 +91,7 @@ impl From<u64> for Cycle {
 ///
 /// ```
 /// use sa_sim::Clock;
-/// let mut clk = Clock::new();
+/// let mut clk = Clock::with_limit(1_000);
 /// assert_eq!(clk.now().raw(), 0);
 /// clk.advance();
 /// assert_eq!(clk.now().raw(), 1);
@@ -102,24 +102,7 @@ pub struct Clock {
     limit: u64,
 }
 
-impl Default for Clock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Clock {
-    /// Default safety limit on simulated cycles (one simulated second).
-    pub const DEFAULT_LIMIT: u64 = 1_000_000_000;
-
-    /// Create a clock at cycle zero with the default safety limit.
-    pub fn new() -> Clock {
-        Clock {
-            now: Cycle::ZERO,
-            limit: Self::DEFAULT_LIMIT,
-        }
-    }
-
     /// Create a clock with an explicit runaway limit.
     ///
     /// # Panics
@@ -210,7 +193,7 @@ mod tests {
 
     #[test]
     fn clock_advances() {
-        let mut c = Clock::new();
+        let mut c = Clock::with_limit(1_000);
         for i in 1..=100 {
             assert_eq!(c.advance().raw(), i);
         }

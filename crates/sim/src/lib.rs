@@ -56,4 +56,4 @@ pub use req::{
 };
 pub use rng::Rng64;
 pub use run::{run, Machine, RunEnd};
-pub use stats::{Counter, QueueStats};
+pub use stats::QueueStats;

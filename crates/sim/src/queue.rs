@@ -156,16 +156,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Remove and return the first item matching `pred`, preserving the order
-    /// of the others.
-    ///
-    /// Used by response routing where a stage must claim the response for a
-    /// specific request id out of a shared queue.
-    pub fn take_first<F: FnMut(&T) -> bool>(&mut self, pred: F) -> Option<T> {
-        let idx = self.items.iter().position(pred)?;
-        self.items.remove(idx)
-    }
-
     /// Remove and return the item at position `idx` (0 = oldest), preserving
     /// the order of the others. Returns `None` when out of range.
     pub fn take_at(&mut self, idx: usize) -> Option<T> {
@@ -209,17 +199,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = BoundedQueue::<u8>::new(0);
-    }
-
-    #[test]
-    fn take_first_preserves_order() {
-        let mut q = BoundedQueue::new(4);
-        for i in 1..=4 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.take_first(|&x| x % 2 == 0), Some(2));
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(rest, vec![1, 3, 4]);
     }
 
     #[test]

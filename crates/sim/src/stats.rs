@@ -2,38 +2,6 @@
 
 use sa_telemetry::{HistogramMetric, Scope};
 
-/// A saturating event counter.
-///
-/// ```
-/// use sa_sim::Counter;
-/// let mut c = Counter::default();
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Number of occupancy buckets in [`QueueStats::occ_hist`].
 pub const QUEUE_OCC_BUCKETS: usize = 8;
 
@@ -84,18 +52,6 @@ impl QueueStats {
                 .min(QUEUE_OCC_BUCKETS as u64 - 1)
         };
         self.occ_hist[bucket as usize] += 1;
-    }
-
-    /// Fraction of push attempts that stalled, in `[0, 1]`.
-    ///
-    /// Returns `0.0` when no pushes were attempted.
-    pub fn stall_ratio(&self) -> f64 {
-        let attempts = self.enqueued + self.rejected;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / attempts as f64
-        }
     }
 
     /// Mean fractional occupancy observed at push time, in `[0, 1]`.
@@ -172,41 +128,6 @@ impl QueueStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::default();
-        c.add(u64::MAX);
-        c.incr();
-        c.add(5);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn stall_ratio_handles_empty() {
-        let s = QueueStats::default();
-        assert_eq!(s.stall_ratio(), 0.0);
-    }
-
-    #[test]
-    fn stall_ratio_computes() {
-        let s = QueueStats {
-            enqueued: 3,
-            rejected: 1,
-            peak_occupancy: 2,
-            ..QueueStats::default()
-        };
-        assert!((s.stall_ratio() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn merge_combines() {

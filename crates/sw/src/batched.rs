@@ -205,7 +205,7 @@ pub fn build_sort_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter_add_reference;
+    use sa_core::scatter_reference;
     use sa_core::NodeMemSys;
     use sa_proc::Executor;
     use sa_sim::{Addr, MachineConfig, Rng64};
@@ -226,7 +226,7 @@ mod tests {
             let k = random_kernel(n, range, n as u64);
             assert_eq!(
                 sort_scan_result(&k, range as usize, batch),
-                scatter_add_reference(&k, range as usize),
+                scatter_reference(&k, range as usize),
                 "n={n} range={range} batch={batch}"
             );
         }
@@ -241,7 +241,7 @@ mod tests {
         let indices: Vec<u64> = (0..n).map(|_| rng.below(32)).collect();
         let values: Vec<f64> = (0..n).map(|_| (rng.below(8) as f64) * 0.25).collect();
         let k = ScatterKernel::superposition(0, indices, &values);
-        assert_eq!(sort_scan_result(&k, 32, 256), scatter_add_reference(&k, 32));
+        assert_eq!(sort_scan_result(&k, 32, 256), scatter_reference(&k, 32));
     }
 
     #[test]
@@ -259,7 +259,7 @@ mod tests {
         node.store_mut()
             .load_i64(Addr::from_word_index(layout.idx_base), &idx_i64);
         let report = Executor::new(cfg).run(&prog, &mut node);
-        let expect: Vec<i64> = scatter_add_reference(&k, 64)
+        let expect: Vec<i64> = scatter_reference(&k, 64)
             .iter()
             .map(|&b| b as i64)
             .collect();

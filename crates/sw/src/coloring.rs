@@ -126,7 +126,7 @@ pub fn build_coloring(kernel: &ScatterKernel, range: usize) -> StreamProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter_add_reference;
+    use sa_core::scatter_reference;
     use sa_core::NodeMemSys;
     use sa_proc::Executor;
     use sa_sim::{Addr, MachineConfig, Rng64};
@@ -153,7 +153,7 @@ mod tests {
     fn functional_result_matches_reference() {
         let mut rng = Rng64::new(21);
         let k = ScatterKernel::histogram(0, (0..400).map(|_| rng.below(32)).collect());
-        assert_eq!(coloring_result(&k, 32), scatter_add_reference(&k, 32));
+        assert_eq!(coloring_result(&k, 32), scatter_reference(&k, 32));
     }
 
     #[test]
@@ -164,7 +164,7 @@ mod tests {
         let prog = build_coloring(&k, 16);
         let mut node = NodeMemSys::new(cfg, 0, false);
         Executor::new(cfg).run(&prog, &mut node);
-        let expect: Vec<i64> = scatter_add_reference(&k, 16)
+        let expect: Vec<i64> = scatter_reference(&k, 16)
             .iter()
             .map(|&b| b as i64)
             .collect();

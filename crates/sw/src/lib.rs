@@ -27,12 +27,12 @@
 //! # Example
 //!
 //! ```
-//! use sa_core::ScatterKernel;
-//! use sa_sw::{scatter_add_reference, sort_scan_result};
+//! use sa_core::{scatter_reference, ScatterKernel};
+//! use sa_sw::sort_scan_result;
 //!
 //! let kernel = ScatterKernel::histogram(0, vec![2, 0, 2, 1, 2]);
 //! let sw = sort_scan_result(&kernel, 4, 256);
-//! assert_eq!(sw, scatter_add_reference(&kernel, 4));
+//! assert_eq!(sw, scatter_reference(&kernel, 4));
 //! assert_eq!(sw, vec![1, 1, 3, 0]);
 //! ```
 
@@ -54,14 +54,3 @@ pub use scan::{
 pub use sort::{
     bitonic_sort_pairs, is_sorted_by_key, merge_sorted_runs, sort_pairs_by_key, SortStats,
 };
-
-use sa_core::ScatterKernel;
-
-/// Scalar reference semantics: what a sequential loop computes, as raw bits.
-///
-/// All software implementations and the hardware unit must agree with this
-/// for integer kinds, and agree up to floating-point reassociation for
-/// [`ScalarKind::F64`](sa_sim::ScalarKind).
-pub fn scatter_add_reference(kernel: &ScatterKernel, result_len: usize) -> Vec<u64> {
-    sa_core::scatter_reference(kernel, result_len)
-}

@@ -122,7 +122,7 @@ pub fn build_privatization(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter_add_reference;
+    use sa_core::scatter_reference;
     use sa_core::NodeMemSys;
     use sa_proc::Executor;
     use sa_sim::{Addr, MachineConfig, Rng64};
@@ -138,7 +138,7 @@ mod tests {
             let k = random_kernel(n, range as u64, (n + range) as u64);
             assert_eq!(
                 privatization_result(&k, range, tile),
-                scatter_add_reference(&k, range),
+                scatter_reference(&k, range),
                 "n={n} range={range} tile={tile}"
             );
         }
@@ -151,7 +151,7 @@ mod tests {
         let prog = build_privatization(&k, 1 << 14, 64, DEFAULT_TILE);
         let mut node = NodeMemSys::new(cfg, 0, false);
         Executor::new(cfg).run(&prog, &mut node);
-        let expect: Vec<i64> = scatter_add_reference(&k, 64)
+        let expect: Vec<i64> = scatter_reference(&k, 64)
             .iter()
             .map(|&b| b as i64)
             .collect();
@@ -173,10 +173,7 @@ mod tests {
     fn partial_final_tile_handled() {
         let k = random_kernel(50, 10, 13);
         // range 10, tile 4 → tiles of 4, 4, 2.
-        assert_eq!(
-            privatization_result(&k, 10, 4),
-            scatter_add_reference(&k, 10)
-        );
+        assert_eq!(privatization_result(&k, 10, 4), scatter_reference(&k, 10));
         let prog = build_privatization(&k, 1 << 14, 10, 4);
         assert_eq!(prog.len(), 3 * 3);
     }

@@ -21,8 +21,9 @@
 //! remove at most its serial share `s` of the critical path, so
 //! `speedup ≤ 1 / (1 - s·(1 - 1/k))`. It is an *upper bound*, not a
 //! prediction of the realized speedup — contention can shift to another
-//! resource well before the bound is reached. The `whatif` bench bin
-//! measures the realized speedup against this bound.
+//! resource well before the bound is reached. The root package's
+//! `whatif_predictions_bound_measured_speedups` test measures the realized
+//! speedup against this bound.
 
 use crate::{Json, Scope};
 

@@ -228,14 +228,6 @@ impl MetricsRegistry {
         self.metrics.get(path)
     }
 
-    /// The counter value at `path`, or zero if absent or not a counter.
-    pub fn counter_value(&self, path: &str) -> u64 {
-        match self.metrics.get(path) {
-            Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
     /// Iterate metrics in sorted path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
@@ -1555,8 +1547,8 @@ mod tests {
         reg.counter("b.second", 3);
         let paths: Vec<&str> = reg.iter().map(|(p, _)| p).collect();
         assert_eq!(paths, ["a.first", "b.second"]);
-        assert_eq!(reg.counter_value("b.second"), 5);
-        assert_eq!(reg.counter_value("absent"), 0);
+        assert_eq!(reg.get("b.second"), Some(&Metric::Counter(5)));
+        assert_eq!(reg.get("absent"), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reproduction of "Scatter-Add in Data Parallel Architectures" (HPCA 2005).
 //!
 //! The front door is the [`Session`] builder: name a workload, optionally a
-//! machine configuration, a fault plan, and telemetry knobs, then `run()`:
+//! machine configuration, a fault plan, and a probe cadence, then `run()`:
 //!
 //! ```
 //! use scatter_add_repro::{Session, Workload};
@@ -39,7 +39,7 @@ pub use sa_faults::{FaultPlan, ResilienceStats};
 pub use sa_memo::{Fingerprint, ResultCache};
 pub use sa_multinode::Topology;
 pub use sa_sim::{MachineConfig, NetworkConfig};
-pub use session::{Session, SessionBuilder, SessionReport, Telemetry, Workload};
+pub use session::{Session, SessionBuilder, SessionReport, Workload};
 pub use spec::{ExecSpec, SessionSpec, SPEC_SCHEMA_NAME, SPEC_SCHEMA_VERSION};
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Historically each entry point was a separate free function with its own
 //! argument list (`drive_scatter`, `MultiNode::run_trace`, ...), and
-//! cross-cutting concerns — telemetry sampling, fast-forward, fault
-//! injection — were configured through per-type setters or process-wide
+//! cross-cutting concerns — probing, fast-forward, fault injection — were
+//! configured through per-type setters or process-wide
 //! defaults. A `Session` names every knob once and validates the
 //! combination before anything runs:
 //!
@@ -68,16 +68,6 @@ pub enum Workload {
         /// One f64 addend per trace entry.
         values: Vec<f64>,
     },
-}
-
-/// Telemetry knobs for a session (see `docs/OBSERVABILITY.md`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct Telemetry {
-    /// Cycle-series sampling interval (0 disables sampling).
-    pub sample_interval: u64,
-    /// Request-lifecycle sampling: one in `req_sample` requests gets a full
-    /// stage-by-stage timeline (0 disables request tracing).
-    pub req_sample: u64,
 }
 
 /// Everything a finished session reports.
@@ -467,7 +457,6 @@ pub struct SessionBuilder {
     config: Option<MachineConfig>,
     workload: Option<Workload>,
     faults: Option<FaultPlan>,
-    telemetry: Telemetry,
     fast_forward: Option<bool>,
     probe_interval: u64,
     progress: Option<Progress>,
@@ -493,12 +482,6 @@ impl SessionBuilder {
     /// is equivalent to no plan: the run is byte-identical to fault-free.
     pub fn faults(mut self, plan: FaultPlan) -> SessionBuilder {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Telemetry sampling knobs (default: all sampling off).
-    pub fn telemetry(mut self, telemetry: Telemetry) -> SessionBuilder {
-        self.telemetry = telemetry;
         self
     }
 
@@ -546,7 +529,7 @@ impl SessionBuilder {
     /// Deterministic outputs make the cache *exact*: a hit returns a report
     /// equal to what the simulation would produce, for zero simulated work.
     /// The fingerprint covers every execution-relevant input (workload,
-    /// config, fault plan, fetch mode, telemetry cadences) and deliberately
+    /// config, fault plan, fetch mode, probe cadence) and deliberately
     /// excludes knobs the byte-identity contract proves irrelevant
     /// (`fast_forward`, progress sinks).
     /// `skipped_cycles` replays the cached run's value.
@@ -610,7 +593,6 @@ impl SessionBuilder {
             config: self.config.unwrap_or_else(MachineConfig::merrimac),
             workload,
             faults: self.faults,
-            telemetry: self.telemetry,
             fast_forward: self.fast_forward,
             probe_interval: self.probe_interval,
             progress: self.progress,
@@ -626,7 +608,6 @@ pub struct Session {
     config: MachineConfig,
     workload: Workload,
     faults: Option<FaultPlan>,
-    telemetry: Telemetry,
     fast_forward: Option<bool>,
     probe_interval: u64,
     progress: Option<Progress>,
@@ -650,7 +631,6 @@ impl Session {
             workload: self.workload.clone(),
             config: self.config,
             faults: self.faults.clone(),
-            telemetry: self.telemetry,
             probe_interval: self.probe_interval,
             fetch: self.fetch,
             exec: crate::spec::ExecSpec {
@@ -773,8 +753,6 @@ impl Session {
             node.set_fast_forward(ff);
         }
         node.set_fault_plan(self.faults.as_ref().unwrap_or(&FaultPlan::empty()));
-        node.set_sample_interval(self.telemetry.sample_interval);
-        node.set_req_sample(self.telemetry.req_sample);
         let len = kernel.indices.iter().copied().max().map_or(0, |m| m + 1);
         let base = kernel.base_word;
         let adds = kernel.indices.len() as u64;

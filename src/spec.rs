@@ -40,7 +40,7 @@ use sa_multinode::Topology;
 use sa_sim::{MachineConfig, NetworkConfig, ScalarKind, ScatterOp};
 use sa_telemetry::Json;
 
-use crate::session::{SessionBuilder, Telemetry, Workload};
+use crate::session::{SessionBuilder, Workload};
 use sa_core::ScatterKernel;
 
 /// Schema tag carried by every serialized spec.
@@ -66,7 +66,13 @@ pub struct ExecSpec {
 
 /// A versioned, canonical-JSON description of everything a
 /// [`Session`](crate::Session) needs: workload, machine and network
-/// configuration, fault plan, telemetry cadences, and execution knobs.
+/// configuration, fault plan, probe cadence, and execution knobs.
+///
+/// Specs written before the session's own sampling knobs were removed may
+/// carry `telemetry.sample_interval` and `telemetry.req_sample`;
+/// [`SessionSpec::from_json`] still accepts those keys (as unsigned
+/// integers) and ignores them. Request tracing is
+/// [`MachineConfig::req_sample`], part of `config`.
 ///
 /// Round-trips losslessly to and from [`SessionBuilder`] (via
 /// [`SessionSpec::to_builder`] and [`Session::spec`](crate::Session::spec)),
@@ -79,8 +85,6 @@ pub struct SessionSpec {
     pub config: MachineConfig,
     /// Deterministic fault schedule, if any.
     pub faults: Option<FaultPlan>,
-    /// Telemetry sampling cadences.
-    pub telemetry: Telemetry,
     /// `sa-probe` snapshot cadence in simulated cycles (0 = off).
     pub probe_interval: u64,
     /// Whether every scatter request is a fetch-op (single-node only).
@@ -96,7 +100,6 @@ impl SessionSpec {
             workload,
             config: MachineConfig::merrimac(),
             faults: None,
-            telemetry: Telemetry::default(),
             probe_interval: 0,
             fetch: false,
             exec: ExecSpec::default(),
@@ -104,7 +107,7 @@ impl SessionSpec {
     }
 
     /// The complete wire form: schema header, workload with full arrays,
-    /// flat config, fault plan, telemetry, and execution knobs. Serializing
+    /// flat config, fault plan, probe cadence, and execution knobs. Serializing
     /// with [`Json::to_string_compact`] (or pretty) is deterministic, and
     /// [`SessionSpec::from_json`] restores an equal spec.
     pub fn to_json(&self) -> Json {
@@ -114,7 +117,9 @@ impl SessionSpec {
         doc.push("workload", workload_json(&self.workload));
         doc.push("config", self.config.fingerprint_json());
         doc.push("faults", faults_json(&self.faults));
-        doc.push("telemetry", self.telemetry_json());
+        let mut telemetry = Json::obj();
+        telemetry.push("probe_interval", Json::UInt(self.probe_interval));
+        doc.push("telemetry", telemetry);
         doc.push("fetch", Json::Bool(self.fetch));
         let mut exec = Json::obj();
         exec.push(
@@ -143,20 +148,14 @@ impl SessionSpec {
         doc.push("workload", workload_canonical_json(&self.workload));
         doc.push("config", self.config.fingerprint_json());
         doc.push("faults", faults_json(&self.faults));
-        doc.push("telemetry", self.telemetry_json());
+        let mut telemetry = Json::obj();
+        // Retired session sampling knobs: zeros keep every fingerprint.
+        telemetry.push("sample_interval", Json::UInt(0));
+        telemetry.push("req_sample", Json::UInt(0));
+        telemetry.push("probe_interval", Json::UInt(self.probe_interval));
+        doc.push("telemetry", telemetry);
         doc.push("fetch", Json::Bool(self.fetch));
         doc
-    }
-
-    fn telemetry_json(&self) -> Json {
-        let mut t = Json::obj();
-        t.push(
-            "sample_interval",
-            Json::UInt(self.telemetry.sample_interval),
-        );
-        t.push("req_sample", Json::UInt(self.telemetry.req_sample));
-        t.push("probe_interval", Json::UInt(self.probe_interval));
-        t
     }
 
     /// The result-cache fingerprint: the canonical form as the sole payload
@@ -200,19 +199,12 @@ impl SessionSpec {
             plan => Some(FaultPlan::parse(&plan.to_string_compact())?),
         };
         let mut tel = Reader::new("telemetry", top.get("telemetry")?)?;
-        let telemetry = Telemetry {
-            sample_interval: tel.u64("sample_interval")?,
-            req_sample: tel.u64("req_sample")?,
-        };
+        tel.legacy_u64s(&["sample_interval", "req_sample"])?;
         let probe_interval = tel.u64("probe_interval")?;
         tel.finish()?;
         let fetch = top.bool("fetch")?;
         let mut exec = Reader::new("exec", top.get("exec")?)?;
-        for legacy in ["step_threads", "node_threads"] {
-            if exec.has(legacy) {
-                exec.u64(legacy)?;
-            }
-        }
+        exec.legacy_u64s(&["step_threads", "node_threads"])?;
         let exec_spec = ExecSpec {
             fast_forward: match exec.str("fast_forward")? {
                 "default" => None,
@@ -231,7 +223,6 @@ impl SessionSpec {
             workload,
             config,
             faults,
-            telemetry,
             probe_interval,
             fetch,
             exec: exec_spec,
@@ -245,7 +236,6 @@ impl SessionSpec {
         let mut b = SessionBuilder::default()
             .config(self.config)
             .workload(self.workload.clone())
-            .telemetry(self.telemetry)
             .probe(self.probe_interval)
             .fetch(self.fetch);
         if let Some(plan) = &self.faults {
@@ -454,8 +444,15 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn has(&self, key: &str) -> bool {
-        self.pairs.iter().any(|(k, _)| k == key)
+    /// Consume the optional keys a retired field left behind: each must be
+    /// an unsigned integer if present, and its value is ignored.
+    fn legacy_u64s(&mut self, keys: &[&'a str]) -> Result<(), String> {
+        for &key in keys {
+            if self.pairs.iter().any(|(k, _)| k == key) {
+                self.u64(key)?;
+            }
+        }
+        Ok(())
     }
 
     fn get(&mut self, key: &'a str) -> Result<&'a Json, String> {
@@ -544,10 +541,6 @@ mod tests {
             trace: (0..300u64).map(|i| (i * 7) % 64).collect(),
             values: (0..300).map(|i| 0.25 + (i % 3) as f64).collect(),
         });
-        spec.telemetry = Telemetry {
-            sample_interval: 128,
-            req_sample: 16,
-        };
         spec.probe_interval = 512;
         spec.exec = ExecSpec {
             fast_forward: Some(false),
@@ -622,6 +615,31 @@ mod tests {
         assert!(SessionSpec::from_json(&Json::parse(&bad).unwrap())
             .unwrap_err()
             .contains("step_threads"));
+    }
+
+    #[test]
+    fn legacy_telemetry_sampling_keys_are_accepted_and_ignored() {
+        let spec = multinode_spec();
+        let current = spec.to_json().to_string_compact();
+        let tel = "\"telemetry\":{";
+        assert_eq!(current.matches(tel).count(), 1);
+        assert!(!current.contains("sample_interval"), "not in the wire form");
+        let legacy = current.replace(
+            tel,
+            "\"telemetry\":{\"sample_interval\":128,\"req_sample\":16,",
+        );
+        let back = SessionSpec::from_json(&Json::parse(&legacy).unwrap()).unwrap();
+        assert_eq!(back, spec);
+        assert_eq!(back.to_json().to_string_compact(), current);
+        let canonical = spec.canonical_json().to_string_compact();
+        assert!(canonical.contains("\"sample_interval\":0,\"req_sample\":0,"));
+        assert_eq!(back.canonical_json().to_string_compact(), canonical);
+        assert_eq!(back.fingerprint().digest(), spec.fingerprint().digest());
+
+        let bad = current.replace(tel, "\"telemetry\":{\"req_sample\":\"16\",");
+        assert!(SessionSpec::from_json(&Json::parse(&bad).unwrap())
+            .unwrap_err()
+            .contains("req_sample"));
     }
 
     #[test]

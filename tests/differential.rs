@@ -145,7 +145,7 @@ fn software_baselines_agree_exactly_on_integer_streams() {
         assert_eq!(pair[0].1, pair[1].1, "{} vs {}", pair[0].0, pair[1].0);
     }
     // And against the order-free functional oracle.
-    let oracle = sa_sw::scatter_add_reference(&kernel, range);
+    let oracle = sa_core::scatter_reference(&kernel, range);
     assert_eq!(runs[0].1, oracle, "{} vs oracle", runs[0].0);
 }
 
@@ -220,6 +220,80 @@ fn fast_forward_and_per_cycle_stepping_agree_on_bottleneck_reports() {
             bottleneck_report(range, n, false),
             bottleneck_report(range, n, true),
             "range={range}"
+        );
+    }
+}
+
+/// Drain cycles and the v5 bottleneck section of one histogram run on
+/// `cfg`, with one request in 16 traced so the section carries stage
+/// shares.
+fn whatif_run(cfg: MachineConfig, indices: &[u64]) -> (u64, sa_telemetry::Json) {
+    use sa_telemetry::{bottleneck_json, Json, MetricsRegistry};
+    let cfg = MachineConfig {
+        req_sample: 16,
+        ..cfg
+    };
+    let run = drive_scatter(&cfg, &ScatterKernel::histogram(0, indices.to_vec()), false);
+    let mut reg = MetricsRegistry::new();
+    {
+        let mut scope = reg.scope("canonical");
+        run.node.record_metrics(&mut scope);
+        scope.counter("cycles", run.cycles);
+        scope.counter("drain_cycles", run.drain_cycles);
+        scope.counter("skipped_cycles", run.skipped_cycles);
+    }
+    let mut latency = Json::obj();
+    latency.push("canonical", run.node.req_tracer().latency_json());
+    let mut attribution = Json::obj();
+    attribution.push("canonical", run.stall_breakdown().to_json());
+    let mut doc = Json::obj();
+    doc.push("metrics", reg.to_json());
+    doc.push("latency", latency);
+    doc.push("attribution", attribution);
+    let section = bottleneck_json(&doc).expect("occupancy counters present");
+    (run.drain_cycles, section)
+}
+
+#[test]
+fn whatif_predictions_bound_measured_speedups() {
+    // The bottleneck engine's what-if rows are Amdahl upper bounds on the
+    // speedup from scaling one resource, derived from one run's stage
+    // shares. Re-running with each resource actually scaled must not beat
+    // its bound by more than the slack that sampled stage shares carry.
+    use sa_telemetry::Json;
+    const SLACK: f64 = 0.10;
+    let mut rng = Rng64::new(0x3AF_0001);
+    let indices: Vec<u64> = (0..4096).map(|_| rng.below(512)).collect();
+    let (base_cycles, section) = whatif_run(machine(), &indices);
+    let rows = section
+        .get("canonical")
+        .and_then(|r| r.get("whatif"))
+        .and_then(Json::as_arr)
+        .expect("what-if table");
+    type Scale = fn(&mut MachineConfig);
+    let variants: [(&str, Scale); 4] = [
+        ("2x dram_channels", |c| c.dram.channels *= 2),
+        ("2x cache_banks", |c| c.cache.banks *= 2),
+        ("0.5x fu_latency", |c| {
+            c.sa.fu_latency = (c.sa.fu_latency / 2).max(1)
+        }),
+        ("2x cs_entries", |c| c.sa.cs_entries *= 2),
+    ];
+    for (change, scale) in variants {
+        let predicted = rows
+            .iter()
+            .find(|r| r.get("change").and_then(Json::as_str) == Some(change))
+            .and_then(|r| r.get("predicted_speedup_max"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no what-if row for '{change}'"));
+        let mut cfg = machine();
+        scale(&mut cfg);
+        let (cycles, _) = whatif_run(cfg, &indices);
+        let measured = base_cycles as f64 / cycles as f64;
+        eprintln!("{change}: measured {measured:.3} <= predicted {predicted:.3}");
+        assert!(
+            measured <= predicted + SLACK,
+            "{change}: measured {measured:.3}x beats the predicted bound {predicted:.3}x"
         );
     }
 }

@@ -6,10 +6,10 @@
 use sa_apps::histogram::{
     run_hw, run_privatization_default, run_sort_scan_default, HistogramInput,
 };
-use sa_core::{drive_scatter, ScatterKernel, SensitivityRig};
+use sa_core::{drive_scatter, scatter_reference, ScatterKernel, SensitivityRig};
 use sa_multinode::{trace_reference, MultiNode};
 use sa_sim::{Addr, MachineConfig, NetworkConfig, Rng64, SensitivityConfig};
-use sa_sw::{coloring_result, privatization_result, scatter_add_reference, sort_scan_result};
+use sa_sw::{coloring_result, privatization_result, sort_scan_result};
 
 fn machine() -> MachineConfig {
     MachineConfig::merrimac()
@@ -22,7 +22,7 @@ fn all_scatter_add_implementations_agree() {
     let range = 96u64;
     let indices: Vec<u64> = (0..n).map(|_| rng.below(range)).collect();
     let kernel = ScatterKernel::histogram(0, indices.clone());
-    let reference = scatter_add_reference(&kernel, range as usize);
+    let reference = scatter_reference(&kernel, range as usize);
     let expect: Vec<i64> = reference.iter().map(|&b| b as i64).collect();
 
     // Hardware unit in the full node.
@@ -99,7 +99,7 @@ fn reordering_never_changes_integer_sums() {
     }
     let kernel = ScatterKernel::histogram(0, indices);
     let run = drive_scatter(&machine(), &kernel, false);
-    let reference = scatter_add_reference(&kernel, 4096);
+    let reference = scatter_reference(&kernel, 4096);
     let expect: Vec<i64> = reference.iter().map(|&b| b as i64).collect();
     assert_eq!(run.result_i64(4096), expect);
 }
@@ -230,18 +230,18 @@ fn application_programs_fit_the_srf() {
     // concurrently-live streams inside the 1 MB SRF; the executor verifies.
     let cfg = machine();
     let input = HistogramInput::uniform(20_000, 2048, 0xE2E7);
-    assert!(!run_hw(&cfg, &input).report.srf_overflow());
-    assert!(!run_sort_scan_default(&cfg, &input).report.srf_overflow());
+    assert!(!run_hw(&cfg, &input).report.srf.overflow);
+    assert!(!run_sort_scan_default(&cfg, &input).report.srf.overflow);
 
     use sa_apps::mesh::Mesh;
     use sa_apps::spmv::{run_ebe_hw, Csr};
     let mesh = Mesh::generate(300, 20, 1600, 0xE2E8);
     let x = mesh.test_vector(1);
     let csr = Csr::from_mesh(&mesh);
-    assert!(!sa_apps::spmv::run_csr(&cfg, &csr, &x).report.srf_overflow());
-    assert!(!run_ebe_hw(&cfg, &mesh, &x).report.srf_overflow());
+    assert!(!sa_apps::spmv::run_csr(&cfg, &csr, &x).report.srf.overflow);
+    assert!(!run_ebe_hw(&cfg, &mesh, &x).report.srf.overflow);
 
     use sa_apps::md::WaterSystem;
     let sys = WaterSystem::generate(100, 0xE2E9);
-    assert!(!sa_apps::md::run_hw(&cfg, &sys).report.srf_overflow());
+    assert!(!sa_apps::md::run_hw(&cfg, &sys).report.srf.overflow);
 }

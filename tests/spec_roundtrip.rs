@@ -207,3 +207,30 @@ fn spec_sessions_run_like_builder_sessions() {
         "reports must serialize byte-identically"
     );
 }
+
+#[test]
+fn fingerprints_are_pinned() {
+    // Absolute digests: a change to the canonical form or the key salt
+    // shows up here even when every relative fingerprint test still agrees,
+    // and would orphan every stored cache entry.
+    let histogram = SessionSpec::new(Workload::Histogram {
+        base_word: 0,
+        indices: vec![3, 1, 3],
+    });
+    assert_eq!(
+        histogram.fingerprint().digest(),
+        "5dccdc460034688234960655dccb8789ae125878ac95da2e60cab4e6d8aa54fa"
+    );
+    let multinode = SessionSpec::new(Workload::MultiNode {
+        nodes: 2,
+        network: NetworkConfig::low(),
+        combining: true,
+        topology: Topology::Flat,
+        trace: vec![0, 5, 9, 5],
+        values: vec![1.0, 0.5, 2.0, 0.25],
+    });
+    assert_eq!(
+        multinode.fingerprint().digest(),
+        "8ff720cc6e216b6e5399e92b1119f78c3c41cde831c1fee5b9dbe3539fec1d97"
+    );
+}
