@@ -25,7 +25,7 @@
 //!   the binary's built-in experiment (see [`crate::specrun`] and
 //!   `docs/SERVING.md`); handled here so every figure binary gets it
 //! - `--cache[=DIR]` / `--cache DIR` — content-addressed result cache for
-//!   sweep points and the canonical run (see `docs/PERFORMANCE.md`); a bare
+//!   sweep points only (see `docs/PERFORMANCE.md`); a bare
 //!   `--cache` uses `SA_CACHE_DIR` or `.sa-cache`, and setting the
 //!   `SA_CACHE_DIR` environment variable enables the cache without any flag
 //!

@@ -17,13 +17,15 @@
 //! and for measuring the speedup itself.
 //!
 //! With neither flag the run does no extra work. With either flag, `finish`
-//! replays a small deterministic histogram — the *canonical workload* — on
-//! the binary's machine configuration with tracing on, cycle series sampled
-//! every [`sa_core::DEFAULT_SAMPLE_INTERVAL`] cycles and 1 in
+//! simulates a small deterministic histogram — the *canonical workload* —
+//! on the binary's machine configuration with tracing on, cycle series
+//! sampled every [`sa_core::DEFAULT_SAMPLE_INTERVAL`] cycles and 1 in
 //! [`DEFAULT_REQ_SAMPLE`] requests traced. That run guarantees the stats
 //! document always carries scatter-unit, cache, DRAM and queue metrics
 //! (under the `canonical.` prefix) regardless of which experiment the
 //! binary sweeps, and it is the workload whose timeline `--trace` captures.
+//! The result cache ([`BenchRun::cache`]) serves sweep points only, so this
+//! run always simulates.
 
 use std::fmt::Display;
 use std::sync::Arc;
@@ -91,14 +93,6 @@ pub struct BenchRun {
     /// The installed fault plan as JSON (or `Null`) — part of every cache
     /// key, because the plan changes what the simulations compute.
     fault_key: Json,
-}
-
-/// What [`BenchRun::finish`] needs from the canonical run regardless of
-/// whether it was simulated or replayed from the result cache.
-struct CanonicalArtifacts {
-    series: SeriesSet,
-    trace_json: String,
-    trace_events: u64,
 }
 
 impl BenchRun {
@@ -291,13 +285,16 @@ impl BenchRun {
             self.emit_cache_counts();
             return;
         }
-        let art = self.run_canonical();
-        if let Some(path) = self.trace_path.clone() {
-            if let Err(e) = std::fs::write(&path, art.trace_json.as_bytes()) {
+        let (series, trace) = self.run_canonical();
+        if let Some(path) = &self.trace_path {
+            if let Err(e) = std::fs::write(path, trace.to_json_string()) {
                 eprintln!("error: could not write trace to {path}: {e}");
                 std::process::exit(1);
             }
-            eprintln!("wrote Chrome trace ({} events) to {path}", art.trace_events);
+            eprintln!(
+                "wrote Chrome trace ({} events) to {path}",
+                trace.event_count()
+            );
         }
         if let Some(path) = self.stats_path.clone() {
             let section = |entries: Vec<(String, Json)>| {
@@ -325,7 +322,7 @@ impl BenchRun {
                 &self.bench,
                 machine_config_json(&self.cfg),
                 &self.registry,
-                Some(&art.series),
+                Some(&series),
                 latency,
                 attribution,
                 host_profile,
@@ -379,46 +376,11 @@ impl BenchRun {
         }
     }
 
-    /// The canonical-run cache fingerprint: the workload constants, the
-    /// full machine configuration, the fault plan, and the two sampling
-    /// intervals that shape the recorded document (fixed now, but kept in
-    /// the key so entries written while they were flags still hit).
-    /// Execution-irrelevant knobs are excluded — a cached replay answers
-    /// for any `--jobs`/`--fast-forward` combination.
-    fn canonical_key(&self) -> Fingerprint {
-        Fingerprint::new("bench-canonical")
-            .u64("elements", CANONICAL_ELEMENTS)
-            .u64("range", CANONICAL_RANGE)
-            .u64("seed", CANONICAL_SEED)
-            .field("config", self.cfg.fingerprint_json())
-            .field("faults", self.fault_key.clone())
-            .u64("sample_interval", sa_core::DEFAULT_SAMPLE_INTERVAL)
-            .u64("req_sample", self.req_sample())
-    }
-
-    /// The canonical workload's artifacts — replayed from the result cache
-    /// when possible, simulated (and stored) otherwise. Either path leaves
-    /// the registry, latency, and attribution sections in the same state,
-    /// so the finished document is byte-identical.
-    fn run_canonical(&mut self) -> CanonicalArtifacts {
-        let Some(cache) = self.cache.clone() else {
-            return self.compute_canonical().0;
-        };
-        let key = self.canonical_key();
-        if let Some(payload) = cache.lookup(&key) {
-            if let Some(art) = self.adopt_canonical(&payload) {
-                return art;
-            }
-        }
-        let (art, payload) = self.compute_canonical();
-        let _ = cache.store(&key, &payload);
-        art
-    }
-
     /// Simulate the deterministic canonical histogram on this binary's
-    /// machine configuration, traced and cycle-sampled; record its metrics
-    /// under the `canonical.` scope and build the cache payload.
-    fn compute_canonical(&mut self) -> (CanonicalArtifacts, Json) {
+    /// machine configuration, traced and cycle-sampled, and record its
+    /// metrics, latency and attribution under `canonical`. Returns the
+    /// run's cycle series and Chrome trace.
+    fn run_canonical(&mut self) -> (SeriesSet, ChromeTrace) {
         let mut rng = Rng64::new(CANONICAL_SEED);
         let indices: Vec<u64> = (0..CANONICAL_ELEMENTS)
             .map(|_| rng.below(CANONICAL_RANGE))
@@ -432,67 +394,17 @@ impl BenchRun {
         let mut probe = self.introspect("canonical");
         let run = drive_scatter_probed(node, &kernel, false, &mut probe);
         self.profiler.absorb(&probe.profiler);
-        let mut canon = MetricsRegistry::new();
         {
-            let mut scope = canon.scope("canonical");
+            let mut scope = self.registry.scope("canonical");
             run.node.record_metrics(&mut scope);
             scope.counter("cycles", run.cycles);
             scope.counter("drain_cycles", run.drain_cycles);
             scope.counter("skipped_cycles", run.skipped_cycles);
         }
-        self.registry.merge(&canon);
-        let tracer = run.node.req_tracer();
-        let latency = if tracer.issued_len() > 0 {
-            Some(tracer.latency_json())
-        } else {
-            None
-        };
-        if let Some(l) = &latency {
-            self.latency.push(("canonical".to_owned(), l.clone()));
-        }
-        let attribution = run.stall_breakdown().to_json();
-        self.attribution
-            .push(("canonical".to_owned(), attribution.clone()));
+        self.record_latency("canonical", run.node.req_tracer());
+        self.record_attribution("canonical", &run.stall_breakdown());
         let series = run.node.series().clone();
-        let trace = run.node.into_tracer().expect("traced node");
-        let trace_json = trace.to_json_string();
-        let trace_events = trace.event_count() as u64;
-        let mut payload = Json::obj();
-        payload.push("metrics", canon.to_json());
-        payload.push("series", series.to_json());
-        payload.push("latency", latency.unwrap_or(Json::Null));
-        payload.push("attribution", attribution);
-        payload.push("trace_events", Json::UInt(trace_events));
-        payload.push("trace", Json::Str(trace_json.clone()));
-        (
-            CanonicalArtifacts {
-                series,
-                trace_json,
-                trace_events,
-            },
-            payload,
-        )
-    }
-
-    /// Replay a cached canonical payload into this collector; `None` when
-    /// the payload is malformed (the caller recomputes).
-    fn adopt_canonical(&mut self, payload: &Json) -> Option<CanonicalArtifacts> {
-        let canon = MetricsRegistry::from_json(payload.get("metrics")?).ok()?;
-        let series = SeriesSet::from_json(payload.get("series")?).ok()?;
-        let latency = payload.get("latency")?;
-        let attribution = payload.get("attribution")?.clone();
-        let trace_events = payload.get("trace_events")?.as_u64()?;
-        let trace_json = payload.get("trace")?.as_str()?.to_owned();
-        self.registry.merge(&canon);
-        if !matches!(latency, Json::Null) {
-            self.latency.push(("canonical".to_owned(), latency.clone()));
-        }
-        self.attribution.push(("canonical".to_owned(), attribution));
-        Some(CanonicalArtifacts {
-            series,
-            trace_json,
-            trace_events,
-        })
+        (series, run.node.into_tracer().expect("traced node"))
     }
 }
 
@@ -525,9 +437,9 @@ mod tests {
     fn canonical_run_populates_required_scopes() {
         let a = parse("--stats-json x.json");
         let mut b = BenchRun::from_args("t", &MachineConfig::merrimac(), &a);
-        let art = b.run_canonical();
-        assert!(!art.series.is_empty());
-        assert!(art.trace_events > 0);
+        let (series, trace) = b.run_canonical();
+        assert!(!series.is_empty());
+        assert!(trace.event_count() > 0);
         for needle in [
             "canonical.sa.",
             "canonical.cache.",
@@ -539,46 +451,7 @@ mod tests {
                 "missing {needle}"
             );
         }
-    }
-
-    #[test]
-    fn cached_canonical_replays_byte_identically() {
-        let dir =
-            std::env::temp_dir().join(format!("sa-benchrun-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let argv = format!("--stats-json x.json --cache {}", dir.display());
-        let run = |expect_counts: (u64, u64, u64)| {
-            let mut b = BenchRun::from_args("t", &MachineConfig::merrimac(), &parse(&argv));
-            let art = b.run_canonical();
-            let cache = b.cache().expect("cache enabled");
-            assert_eq!(
-                (cache.hits(), cache.misses(), cache.stores()),
-                expect_counts
-            );
-            (
-                b.metrics().to_json().to_string_compact(),
-                art.series.to_json().to_string_compact(),
-                art.trace_json,
-                art.trace_events,
-                b.latency.len(),
-                b.attribution.len(),
-            )
-        };
-        let cold = run((0, 1, 1));
-        let warm = run((1, 0, 0));
-        assert_eq!(cold, warm, "warm canonical replay must be byte-identical");
-
-        // No cache at all: same bytes again.
-        let mut plain = BenchRun::from_args(
-            "t",
-            &MachineConfig::merrimac(),
-            &parse("--stats-json x.json"),
-        );
-        let art = plain.run_canonical();
-        assert!(plain.cache().is_none());
-        assert_eq!(plain.metrics().to_json().to_string_compact(), cold.0);
-        assert_eq!(art.trace_json, cold.2);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((b.latency.len(), b.attribution.len()), (1, 1));
     }
 
     #[test]

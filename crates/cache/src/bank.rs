@@ -6,7 +6,7 @@ use fxhash::FxHashMap;
 use sa_faults::{ResilienceStats, ECC_REPLAY_LIMIT};
 use sa_mem::{DramCommand, DramKind, DramResponse};
 use sa_sim::{Addr, BoundedQueue, CacheConfig, Cycle, MemResponse, Origin, ReqId, WORD_BYTES};
-use sa_telemetry::{OccClass, OccupancyStats};
+use sa_telemetry::{Counters, OccClass, OccupancyStats};
 
 /// What a cache access does. See the crate docs for the policies.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -97,37 +97,36 @@ impl CacheStats {
 
     /// Merge another bank's counters.
     pub fn merge(&mut self, o: CacheStats) {
-        self.read_hits += o.read_hits;
-        self.read_misses += o.read_misses;
-        self.read_merges += o.read_merges;
-        self.write_hits += o.write_hits;
-        self.write_arounds += o.write_arounds;
-        self.write_merges += o.write_merges;
-        self.zero_allocs += o.zero_allocs;
-        self.evictions += o.evictions;
-        self.write_backs += o.write_backs;
-        self.sum_backs += o.sum_backs;
-        self.blocked += o.blocked;
-        self.mshr_full += o.mshr_full;
-        self.occ.merge(o.occ);
+        self.add(&o);
     }
 
     /// Record these counters into a telemetry scope.
     pub fn record(&self, scope: &mut sa_telemetry::Scope<'_>) {
-        scope.counter("read_hits", self.read_hits);
-        scope.counter("read_misses", self.read_misses);
-        scope.counter("read_merges", self.read_merges);
-        scope.counter("write_hits", self.write_hits);
-        scope.counter("write_arounds", self.write_arounds);
-        scope.counter("write_merges", self.write_merges);
-        scope.counter("zero_allocs", self.zero_allocs);
-        scope.counter("evictions", self.evictions);
-        scope.counter("write_backs", self.write_backs);
-        scope.counter("sum_backs", self.sum_backs);
-        scope.counter("blocked", self.blocked);
-        scope.counter("mshr_full", self.mshr_full);
-        self.occ.record(scope);
+        self.record_counters(scope);
         scope.gauge("read_hit_rate", self.read_hit_rate());
+    }
+}
+
+impl Counters for CacheStats {
+    fn counters_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        vec![
+            ("read_hits", &mut self.read_hits),
+            ("read_misses", &mut self.read_misses),
+            ("read_merges", &mut self.read_merges),
+            ("write_hits", &mut self.write_hits),
+            ("write_arounds", &mut self.write_arounds),
+            ("write_merges", &mut self.write_merges),
+            ("zero_allocs", &mut self.zero_allocs),
+            ("evictions", &mut self.evictions),
+            ("write_backs", &mut self.write_backs),
+            ("sum_backs", &mut self.sum_backs),
+            ("blocked", &mut self.blocked),
+            ("mshr_full", &mut self.mshr_full),
+        ]
+    }
+
+    fn occ_mut(&mut self) -> Option<&mut OccupancyStats> {
+        Some(&mut self.occ)
     }
 }
 

@@ -8,7 +8,7 @@ use sa_sim::{
     combine, Addr, Cycle, MemOp, MemRequest, MemResponse, Origin, ReqId, SaUnitConfig, ScalarKind,
     ScatterOp,
 };
-use sa_telemetry::{OccClass, OccupancyStats, ReqStage, ReqTracer};
+use sa_telemetry::{Counters, OccClass, OccupancyStats, ReqStage, ReqTracer};
 
 /// A read or write the unit sends toward the cache/DRAM behind it
 /// (steps b and 7 of Figure 4b).
@@ -74,28 +74,31 @@ pub struct SaStats {
 impl SaStats {
     /// Merge another unit's counters (for aggregating across banks).
     pub fn merge(&mut self, o: SaStats) {
-        self.accepted += o.accepted;
-        self.combined += o.combined;
-        self.reads_issued += o.reads_issued;
-        self.writes_issued += o.writes_issued;
-        self.chained += o.chained;
-        self.stalled_full += o.stalled_full;
-        self.fetch_ops += o.fetch_ops;
-        self.occupancy_integral += o.occupancy_integral;
-        self.occ.merge(o.occ);
+        self.add(&o);
     }
 
     /// Record these counters into a telemetry scope.
     pub fn record(&self, scope: &mut sa_telemetry::Scope<'_>) {
-        scope.counter("accepted", self.accepted);
-        scope.counter("combined", self.combined);
-        scope.counter("reads_issued", self.reads_issued);
-        scope.counter("writes_issued", self.writes_issued);
-        scope.counter("chained", self.chained);
-        scope.counter("stalled_full", self.stalled_full);
-        scope.counter("fetch_ops", self.fetch_ops);
-        scope.counter("occupancy_integral", self.occupancy_integral);
-        self.occ.record(scope);
+        self.record_counters(scope);
+    }
+}
+
+impl Counters for SaStats {
+    fn counters_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        vec![
+            ("accepted", &mut self.accepted),
+            ("combined", &mut self.combined),
+            ("reads_issued", &mut self.reads_issued),
+            ("writes_issued", &mut self.writes_issued),
+            ("chained", &mut self.chained),
+            ("stalled_full", &mut self.stalled_full),
+            ("fetch_ops", &mut self.fetch_ops),
+            ("occupancy_integral", &mut self.occupancy_integral),
+        ]
+    }
+
+    fn occ_mut(&mut self) -> Option<&mut OccupancyStats> {
+        Some(&mut self.occ)
     }
 }
 

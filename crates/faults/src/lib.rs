@@ -20,7 +20,7 @@
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-use sa_telemetry::{Json, Scope};
+use sa_telemetry::{Counters, Json, Scope};
 
 /// `schema` field of a fault-plan JSON document.
 pub const FAULTPLAN_SCHEMA_NAME: &str = "sa-faultplan";
@@ -515,31 +515,30 @@ impl ResilienceStats {
 
     /// Accumulate another set of counters into this one.
     pub fn merge(&mut self, other: &ResilienceStats) {
-        self.ecc_corrected += other.ecc_corrected;
-        self.ecc_detected += other.ecc_detected;
-        self.ecc_uncorrected += other.ecc_uncorrected;
-        self.mshr_replays += other.mshr_replays;
-        self.net_nacks += other.net_nacks;
-        self.net_dropped += other.net_dropped;
-        self.net_recovered += other.net_recovered;
-        self.net_retries += other.net_retries;
-        self.cs_stalls += other.cs_stalls;
-        self.cs_timeouts += other.cs_timeouts;
+        self.add(other);
     }
 
     /// Record every counter under `scope` (callers gate on
     /// [`ResilienceStats::is_zero`] to preserve empty-plan byte-identity).
     pub fn record(&self, scope: &mut Scope<'_>) {
-        scope.counter("ecc_corrected", self.ecc_corrected);
-        scope.counter("ecc_detected", self.ecc_detected);
-        scope.counter("ecc_uncorrected", self.ecc_uncorrected);
-        scope.counter("mshr_replays", self.mshr_replays);
-        scope.counter("net_nacks", self.net_nacks);
-        scope.counter("net_dropped", self.net_dropped);
-        scope.counter("net_recovered", self.net_recovered);
-        scope.counter("net_retries", self.net_retries);
-        scope.counter("cs_stalls", self.cs_stalls);
-        scope.counter("cs_timeouts", self.cs_timeouts);
+        self.record_counters(scope);
+    }
+}
+
+impl Counters for ResilienceStats {
+    fn counters_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        vec![
+            ("ecc_corrected", &mut self.ecc_corrected),
+            ("ecc_detected", &mut self.ecc_detected),
+            ("ecc_uncorrected", &mut self.ecc_uncorrected),
+            ("mshr_replays", &mut self.mshr_replays),
+            ("net_nacks", &mut self.net_nacks),
+            ("net_dropped", &mut self.net_dropped),
+            ("net_recovered", &mut self.net_recovered),
+            ("net_retries", &mut self.net_retries),
+            ("cs_stalls", &mut self.cs_stalls),
+            ("cs_timeouts", &mut self.cs_timeouts),
+        ]
     }
 }
 

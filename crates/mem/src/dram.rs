@@ -15,7 +15,7 @@
 
 use sa_faults::{FaultInjector, FaultKind, ResilienceStats};
 use sa_sim::{Addr, BoundedQueue, Cycle, DramConfig, Origin, ReqId, Throughput};
-use sa_telemetry::{OccClass, OccupancyStats};
+use sa_telemetry::{Counters, OccClass, OccupancyStats};
 
 use crate::BackingStore;
 
@@ -102,25 +102,30 @@ impl DramStats {
 
     /// Merge another channel's counters (for whole-memory-system reporting).
     pub fn merge(&mut self, o: DramStats) {
-        self.reads += o.reads;
-        self.writes += o.writes;
-        self.row_hits += o.row_hits;
-        self.row_misses += o.row_misses;
-        self.words_transferred += o.words_transferred;
-        self.total_latency += o.total_latency;
-        self.occ.merge(o.occ);
+        self.add(&o);
     }
 
     /// Record these counters into a telemetry scope.
     pub fn record(&self, scope: &mut sa_telemetry::Scope<'_>) {
-        scope.counter("reads", self.reads);
-        scope.counter("writes", self.writes);
-        scope.counter("row_hits", self.row_hits);
-        scope.counter("row_misses", self.row_misses);
-        scope.counter("words_transferred", self.words_transferred);
-        scope.counter("total_latency", self.total_latency);
-        self.occ.record(scope);
+        self.record_counters(scope);
         scope.gauge("avg_latency", self.avg_latency());
+    }
+}
+
+impl Counters for DramStats {
+    fn counters_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        vec![
+            ("reads", &mut self.reads),
+            ("writes", &mut self.writes),
+            ("row_hits", &mut self.row_hits),
+            ("row_misses", &mut self.row_misses),
+            ("words_transferred", &mut self.words_transferred),
+            ("total_latency", &mut self.total_latency),
+        ]
+    }
+
+    fn occ_mut(&mut self) -> Option<&mut OccupancyStats> {
+        Some(&mut self.occ)
     }
 }
 

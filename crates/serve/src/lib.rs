@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sa_memo::ResultCache;
-use sa_telemetry::{Json, MetricsRegistry, Progress};
+use sa_telemetry::{Json, Progress};
 use scatter_add_repro::{SessionReport, SessionSpec};
 
 /// Schema tag of the job-result document returned by `POST /v1/jobs`.
@@ -517,28 +517,15 @@ pub fn result_json(spec_digest: &str, spec: &SessionSpec, report: &SessionReport
     doc
 }
 
-/// A full `sa-stats` document for one served job, mirroring the registry
-/// layout [`SessionReport::bottleneck`] uses so bound classification works.
+/// A full `sa-stats` document for one served job, built on
+/// [`SessionReport::metrics`] like [`SessionReport::bottleneck`].
 /// Also what `--spec --stats-json` runs write, keeping CLI and HTTP
 /// exports interchangeable under `analyze --check`.
 pub fn job_stats_json(spec: &SessionSpec, report: &SessionReport) -> Json {
-    let mut registry = MetricsRegistry::new();
-    {
-        let mut scope = registry.scope("session");
-        scope.counter("cycles", report.cycles);
-        scope.counter("adds", report.adds);
-        if let [only] = report.node_stats.as_slice() {
-            only.record(&mut scope);
-        } else {
-            for (i, ns) in report.node_stats.iter().enumerate() {
-                ns.record(&mut scope.scope(&format!("node{i}")));
-            }
-        }
-    }
     let mut doc = sa_telemetry::stats_json(
         "sa-serve",
         spec.config.fingerprint_json(),
-        &registry,
+        &report.metrics(),
         None,
         None,
         None,

@@ -163,6 +163,10 @@ fn malformed_specs_and_unknown_routes_answer_4xx() {
     assert_eq!(bad.status, 400);
     let not_json = client::submit(&addr, "not json at all", "", None).expect("submit");
     assert_eq!(not_json.status, 400);
+    // A 4 MiB string must be rejected promptly, not scanned quadratically.
+    let long = format!("{{\"schema\":\"{}\"}}", "s".repeat(4 << 20));
+    let long_schema = client::submit(&addr, &long, "", None).expect("submit");
+    assert_eq!(long_schema.status, 400);
     let missing = client::request(&addr, "GET", "/v1/nothing", &[], None).expect("request");
     assert_eq!(missing.status, 404);
     let wrong_method = client::request(&addr, "GET", "/v1/jobs", &[], None).expect("request");

@@ -349,7 +349,7 @@ impl NetworkConfig {
     ///
     /// Returns a description of the first missing, mistyped, or unknown key.
     pub fn from_fingerprint_json(doc: &sa_telemetry::Json) -> Result<NetworkConfig, String> {
-        let mut fields = FieldReader::new("network", doc)?;
+        let mut fields = sa_telemetry::Reader::new("network", doc)?;
         let cfg = NetworkConfig {
             node_words_per_cycle: fields.u32("node_words_per_cycle")?,
             hop_latency: fields.u32("hop_latency")?,
@@ -357,64 +357,6 @@ impl NetworkConfig {
         };
         fields.finish()?;
         Ok(cfg)
-    }
-}
-
-/// Strict reader for the flat fingerprint objects: every key must be
-/// consumed exactly once, and leftovers are an error.
-struct FieldReader<'a> {
-    what: &'static str,
-    pairs: &'a [(String, sa_telemetry::Json)],
-    seen: Vec<&'a str>,
-}
-
-impl<'a> FieldReader<'a> {
-    fn new(what: &'static str, doc: &'a sa_telemetry::Json) -> Result<FieldReader<'a>, String> {
-        let pairs = doc
-            .as_obj()
-            .ok_or_else(|| format!("{what}: not a JSON object"))?;
-        Ok(FieldReader {
-            what,
-            pairs,
-            seen: Vec::new(),
-        })
-    }
-
-    fn u64(&mut self, key: &'a str) -> Result<u64, String> {
-        self.seen.push(key);
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
-            .ok_or_else(|| format!("{}: missing or non-integer field '{key}'", self.what))
-    }
-
-    fn u32(&mut self, key: &'a str) -> Result<u32, String> {
-        let v = self.u64(key)?;
-        u32::try_from(v).map_err(|_| format!("{}: field '{key}' out of range", self.what))
-    }
-
-    fn usize(&mut self, key: &'a str) -> Result<usize, String> {
-        let v = self.u64(key)?;
-        usize::try_from(v).map_err(|_| format!("{}: field '{key}' out of range", self.what))
-    }
-
-    fn f64(&mut self, key: &'a str) -> Result<f64, String> {
-        self.seen.push(key);
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_f64())
-            .ok_or_else(|| format!("{}: missing or non-numeric field '{key}'", self.what))
-    }
-
-    fn finish(self) -> Result<(), String> {
-        for (k, _) in self.pairs {
-            if !self.seen.contains(&k.as_str()) {
-                return Err(format!("{}: unknown field '{k}'", self.what));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -557,7 +499,7 @@ impl MachineConfig {
     /// Returns a description of the first missing, mistyped, out-of-range,
     /// or unknown key.
     pub fn from_fingerprint_json(doc: &sa_telemetry::Json) -> Result<MachineConfig, String> {
-        let mut f = FieldReader::new("config", doc)?;
+        let mut f = sa_telemetry::Reader::new("config", doc)?;
         let rate_words = f.u32("dram.channel_rate.words")?;
         let rate_cycles = f.u32("dram.channel_rate.cycles")?;
         if rate_words == 0 || rate_cycles == 0 {

@@ -25,7 +25,7 @@
 //! `whatif_predictions_bound_measured_speedups` test measures the realized
 //! speedup against this bound.
 
-use crate::{Json, Scope};
+use crate::{Counters, Json, Scope};
 
 // ---------------------------------------------------------------------------
 // Occupancy accounting
@@ -91,21 +91,24 @@ impl OccupancyStats {
         self.busy + self.blocked + self.idle
     }
 
-    /// Merge another resource's account (for aggregating across instances).
-    pub fn merge(&mut self, o: OccupancyStats) {
-        self.busy += o.busy;
-        self.blocked += o.blocked;
-        self.idle += o.idle;
-        self.saturated += o.saturated;
-    }
-
     /// Record the counters into a telemetry scope as `occ_busy`,
     /// `occ_blocked`, `occ_idle`, `occ_saturated`.
     pub fn record(&self, scope: &mut Scope<'_>) {
-        scope.counter("occ_busy", self.busy);
-        scope.counter("occ_blocked", self.blocked);
-        scope.counter("occ_idle", self.idle);
-        scope.counter("occ_saturated", self.saturated);
+        let mut c = *self;
+        for (name, v) in c.counters_mut() {
+            scope.counter(&format!("occ_{name}"), *v);
+        }
+    }
+}
+
+impl Counters for OccupancyStats {
+    fn counters_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+        vec![
+            ("busy", &mut self.busy),
+            ("blocked", &mut self.blocked),
+            ("idle", &mut self.idle),
+            ("saturated", &mut self.saturated),
+        ]
     }
 }
 
@@ -767,7 +770,7 @@ mod tests {
             idle: 3,
             saturated: 1,
         };
-        a.merge(OccupancyStats {
+        a.add(&OccupancyStats {
             busy: 10,
             blocked: 20,
             idle: 30,

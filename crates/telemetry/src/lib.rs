@@ -1276,11 +1276,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece: both are ASCII, so the run ends on a char boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -1312,6 +1316,210 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     tok.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number '{tok}' at byte {start}"))
+}
+
+// ---------------------------------------------------------------------------
+// Strict object reader and counter tables
+// ---------------------------------------------------------------------------
+
+/// Strict reader over one JSON object: a getter fails on a missing or
+/// mistyped key, and [`Reader::finish`] rejects any key left unread, so a
+/// typo or a stale field is an error rather than a silently-applied default.
+pub struct Reader<'a> {
+    what: &'static str,
+    pairs: &'a [(String, Json)],
+    seen: Vec<&'a str>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `doc`, naming it `what` in every error message.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `doc` is not an object.
+    pub fn new(what: &'static str, doc: &'a Json) -> Result<Reader<'a>, String> {
+        let pairs = doc
+            .as_obj()
+            .ok_or_else(|| format!("{what}: not a JSON object"))?;
+        Ok(Reader {
+            what,
+            pairs,
+            seen: Vec::new(),
+        })
+    }
+
+    /// Consume the optional keys a retired field left behind: each must be
+    /// an unsigned integer if present, and its value is ignored.
+    pub fn legacy_u64s(&mut self, keys: &[&'a str]) -> Result<(), String> {
+        for &key in keys {
+            if self.pairs.iter().any(|(k, _)| k == key) {
+                self.u64(key)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The value at `key`, which must be present.
+    pub fn get(&mut self, key: &'a str) -> Result<&'a Json, String> {
+        self.seen.push(key);
+        self.pairs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("{}: missing field '{key}'", self.what))
+    }
+
+    /// A string field.
+    pub fn str(&mut self, key: &'a str) -> Result<&'a str, String> {
+        let what = self.what;
+        self.get(key)?
+            .as_str()
+            .ok_or_else(|| format!("{what}: field '{key}' is not a string"))
+    }
+
+    /// An unsigned integer field.
+    pub fn u64(&mut self, key: &'a str) -> Result<u64, String> {
+        let what = self.what;
+        self.get(key)?
+            .as_u64()
+            .ok_or_else(|| format!("{what}: field '{key}' is not an unsigned integer"))
+    }
+
+    /// An unsigned integer field that must fit a `u32`.
+    pub fn u32(&mut self, key: &'a str) -> Result<u32, String> {
+        let what = self.what;
+        let v = self.u64(key)?;
+        u32::try_from(v).map_err(|_| format!("{what}: field '{key}' out of range"))
+    }
+
+    /// An unsigned integer field that must fit a `usize`.
+    pub fn usize(&mut self, key: &'a str) -> Result<usize, String> {
+        let what = self.what;
+        let v = self.u64(key)?;
+        usize::try_from(v).map_err(|_| format!("{what}: field '{key}' out of range"))
+    }
+
+    /// A numeric field.
+    pub fn f64(&mut self, key: &'a str) -> Result<f64, String> {
+        let what = self.what;
+        self.get(key)?
+            .as_f64()
+            .ok_or_else(|| format!("{what}: field '{key}' is not a number"))
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, key: &'a str) -> Result<bool, String> {
+        let what = self.what;
+        self.get(key)?
+            .as_bool()
+            .ok_or_else(|| format!("{what}: field '{key}' is not a boolean"))
+    }
+
+    /// An array field.
+    pub fn arr(&mut self, key: &'a str) -> Result<&'a [Json], String> {
+        let what = self.what;
+        self.get(key)?
+            .as_arr()
+            .ok_or_else(|| format!("{what}: field '{key}' is not an array"))
+    }
+
+    /// An array field, each element converted by `elem`.
+    pub fn array<T>(
+        &mut self,
+        key: &'a str,
+        elem: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        let what = self.what;
+        self.arr(key)?
+            .iter()
+            .map(|v| elem(v).ok_or_else(|| format!("{what}: '{key}' holds a mistyped element")))
+            .collect()
+    }
+
+    /// An array of unsigned integers.
+    pub fn u64_array(&mut self, key: &'a str) -> Result<Vec<u64>, String> {
+        self.array(key, Json::as_u64)
+    }
+
+    /// An array of numbers.
+    pub fn f64_array(&mut self, key: &'a str) -> Result<Vec<f64>, String> {
+        self.array(key, Json::as_f64)
+    }
+
+    /// Reject any key that was never read.
+    pub fn finish(self) -> Result<(), String> {
+        for (k, _) in self.pairs {
+            if !self.seen.contains(&k.as_str()) {
+                return Err(format!("{}: unknown field '{k}'", self.what));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A statistics record made of `u64` counters named once, in one table.
+/// Merging, registry recording and the JSON codec all walk that table, so a
+/// counter cannot be added to the struct and forgotten by one of them.
+pub trait Counters: Copy + Default {
+    /// Every counter with its stable name, in report order.
+    fn counters_mut(&mut self) -> Vec<(&'static str, &mut u64)>;
+
+    /// The record's busy/blocked/idle account, if it carries one. It merges
+    /// with the counters, records with an `occ_` prefix and serializes as a
+    /// nested `occ` object after them.
+    fn occ_mut(&mut self) -> Option<&mut OccupancyStats> {
+        None
+    }
+
+    /// Add every counter of `other` into this record.
+    fn add(&mut self, other: &Self) {
+        let mut other = *other;
+        for ((_, a), (_, b)) in self.counters_mut().into_iter().zip(other.counters_mut()) {
+            *a += *b;
+        }
+        if let (Some(a), Some(b)) = (self.occ_mut(), other.occ_mut()) {
+            a.add(b);
+        }
+    }
+
+    /// Record every counter into `scope` under its table name.
+    fn record_counters(&self, scope: &mut Scope<'_>) {
+        let mut c = *self;
+        for (name, v) in c.counters_mut() {
+            scope.counter(name, *v);
+        }
+        if let Some(occ) = c.occ_mut() {
+            occ.record(scope);
+        }
+    }
+
+    /// The counters as one JSON object, keys in table order.
+    fn counters_json(&self) -> Json {
+        let mut c = *self;
+        let mut j = Json::obj();
+        for (name, v) in c.counters_mut() {
+            j.push(name, Json::UInt(*v));
+        }
+        if let Some(occ) = c.occ_mut() {
+            j.push("occ", occ.counters_json());
+        }
+        j
+    }
+
+    /// Strictly rebuild a record from [`Counters::counters_json`]: every
+    /// counter is required and an unknown key is an error.
+    fn read_counters(what: &'static str, doc: &Json) -> Result<Self, String> {
+        let mut out = Self::default();
+        let mut r = Reader::new(what, doc)?;
+        for (name, v) in out.counters_mut() {
+            *v = r.u64(name)?;
+        }
+        if let Some(occ) = out.occ_mut() {
+            *occ = OccupancyStats::read_counters("occ", r.get("occ")?)?;
+        }
+        r.finish()?;
+        Ok(out)
+    }
 }
 
 // ---------------------------------------------------------------------------

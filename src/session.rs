@@ -29,6 +29,7 @@
 
 use std::sync::Arc;
 
+use crate::spec::u64_array;
 use sa_cache::CacheStats;
 use sa_core::{drive_scatter_probed, NodeMemSys, NodeStats, SaStats, ScatterKernel};
 use sa_faults::{FaultPlan, ResilienceStats};
@@ -37,7 +38,8 @@ use sa_memo::{Fingerprint, ResultCache};
 use sa_multinode::{MultiNode, Topology};
 use sa_sim::{Addr, MachineConfig, NetworkConfig, QueueStats};
 use sa_telemetry::{
-    global_progress, HostProfiler, Introspect, Json, OccupancyStats, ProbeRecorder, Progress,
+    global_progress, Counters, HostProfiler, Introspect, Json, MetricsRegistry, ProbeRecorder,
+    Progress, Reader,
 };
 
 /// What a [`Session`] simulates.
@@ -126,22 +128,16 @@ impl SessionReport {
         self.adds as f64 * sa_sim::WORD_BYTES as f64 * ghz / self.cycles as f64
     }
 
-    /// The bottleneck attribution report for this run: per-resource
-    /// occupancy (busy / blocked / idle / saturated), the dominant-resource
-    /// classification with utilization evidence, and the analytic what-if
-    /// table — the `session` entry of a v5 `bottleneck` section (see
-    /// `docs/OBSERVABILITY.md`). Render with
-    /// [`sa_telemetry::render_bottleneck`]. `None` when the report carries
-    /// no node statistics.
-    pub fn bottleneck(&self) -> Option<sa_telemetry::Json> {
-        use sa_telemetry::{Json, MetricsRegistry};
-        if self.node_stats.is_empty() {
-            return None;
-        }
+    /// The run's counters as a metrics registry under the `session` scope:
+    /// `cycles`, `adds` and the node statistics, one `node<i>` sub-scope per
+    /// node when there are several. [`SessionReport::bottleneck`] and the
+    /// served stats document both read it.
+    pub fn metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         {
             let mut scope = registry.scope("session");
             scope.counter("cycles", self.cycles);
+            scope.counter("adds", self.adds);
             if let [only] = self.node_stats.as_slice() {
                 only.record(&mut scope);
             } else {
@@ -150,8 +146,22 @@ impl SessionReport {
                 }
             }
         }
+        registry
+    }
+
+    /// The bottleneck attribution report for this run: per-resource
+    /// occupancy (busy / blocked / idle / saturated), the dominant-resource
+    /// classification with utilization evidence, and the analytic what-if
+    /// table — the `session` entry of a v5 `bottleneck` section (see
+    /// `docs/OBSERVABILITY.md`). Render with
+    /// [`sa_telemetry::render_bottleneck`]. `None` when the report carries
+    /// no node statistics.
+    pub fn bottleneck(&self) -> Option<Json> {
+        if self.node_stats.is_empty() {
+            return None;
+        }
         let mut doc = Json::obj();
-        doc.push("metrics", registry.to_json());
+        doc.push("metrics", self.metrics().to_json());
         sa_telemetry::bottleneck_json(&doc)
     }
 
@@ -171,17 +181,14 @@ impl SessionReport {
             "node_stats",
             Json::Arr(self.node_stats.iter().map(node_stats_json).collect()),
         );
-        doc.push("resilience", resilience_json(&self.resilience));
-        doc.push(
-            "result",
-            Json::Arr(self.result.iter().map(|&w| Json::UInt(w)).collect()),
-        );
+        doc.push("resilience", self.resilience.counters_json());
+        doc.push("result", u64_array(&self.result));
         doc.push(
             "fetched",
             Json::Arr(
                 self.fetched
                     .iter()
-                    .map(|&(a, v)| Json::Arr(vec![Json::UInt(a), Json::UInt(v)]))
+                    .map(|&(a, v)| u64_array(&[a, v]))
                     .collect(),
             ),
         );
@@ -200,131 +207,42 @@ impl SessionReport {
     }
 
     /// Rebuild a report serialized by [`SessionReport::to_json`].
+    ///
+    /// Strict: a missing, mistyped or unknown key anywhere is an error, so
+    /// a cache entry written under another layout is recomputed, never
+    /// served.
     pub fn from_json(doc: &Json) -> Result<SessionReport, String> {
-        let node_stats = doc
-            .get("node_stats")
-            .and_then(Json::as_arr)
-            .ok_or("report: missing 'node_stats'")?
-            .iter()
-            .map(node_stats_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let result = doc
-            .get("result")
-            .and_then(Json::as_arr)
-            .ok_or("report: missing 'result'")?
-            .iter()
-            .map(|w| w.as_u64().ok_or("report: non-u64 result word"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let fetched = doc
-            .get("fetched")
-            .and_then(Json::as_arr)
-            .ok_or("report: missing 'fetched'")?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or("report: fetched entry is not a pair")?;
-                match (pair[0].as_u64(), pair[1].as_u64()) {
-                    (Some(a), Some(v)) => Ok((a, v)),
-                    _ => Err("report: non-u64 fetched pair".to_string()),
-                }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let probe_lines = doc
-            .get("probe_lines")
-            .and_then(Json::as_arr)
-            .ok_or("report: missing 'probe_lines'")?
-            .iter()
-            .map(|l| {
-                l.as_str()
-                    .map(str::to_string)
-                    .ok_or("report: non-string probe line")
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SessionReport {
-            cycles: get_u64(doc, "cycles")?,
-            skipped_cycles: get_u64(doc, "skipped_cycles")?,
-            node_stats,
-            resilience: resilience_from_json(
-                doc.get("resilience")
-                    .ok_or("report: missing 'resilience'")?,
-            )?,
-            result,
-            fetched,
-            probe_lines,
-            adds: get_u64(doc, "adds")?,
-            sum_back_lines: get_u64(doc, "sum_back_lines")?,
-        })
+        let mut r = Reader::new("report", doc)?;
+        let report = SessionReport {
+            cycles: r.u64("cycles")?,
+            skipped_cycles: r.u64("skipped_cycles")?,
+            node_stats: r
+                .arr("node_stats")?
+                .iter()
+                .map(node_stats_from_json)
+                .collect::<Result<_, _>>()?,
+            resilience: ResilienceStats::read_counters("resilience", r.get("resilience")?)?,
+            result: r.u64_array("result")?,
+            fetched: r.array("fetched", |pair| match pair.as_arr() {
+                Some([a, v]) => a.as_u64().zip(v.as_u64()),
+                _ => None,
+            })?,
+            probe_lines: r.array("probe_lines", |l| l.as_str().map(str::to_string))?,
+            adds: r.u64("adds")?,
+            sum_back_lines: r.u64("sum_back_lines")?,
+        };
+        r.finish()?;
+        Ok(report)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Report (de)serialization helpers. Field lists mirror the stat structs in
-// their home crates; adding a field there without extending these fails the
-// session round-trip test, not silently.
+// Report (de)serialization helpers. The counter records walk their
+// `Counters` tables; the bank input queue keeps its own field list because
+// its occupancy histogram is an array.
 // ---------------------------------------------------------------------------
 
-fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing u64 field '{key}'"))
-}
-
-fn occ_json(o: &OccupancyStats) -> Json {
-    let mut j = Json::obj();
-    j.push("busy", Json::UInt(o.busy));
-    j.push("blocked", Json::UInt(o.blocked));
-    j.push("idle", Json::UInt(o.idle));
-    j.push("saturated", Json::UInt(o.saturated));
-    j
-}
-
-fn occ_from_json(doc: &Json) -> Result<OccupancyStats, String> {
-    Ok(OccupancyStats {
-        busy: get_u64(doc, "busy")?,
-        blocked: get_u64(doc, "blocked")?,
-        idle: get_u64(doc, "idle")?,
-        saturated: get_u64(doc, "saturated")?,
-    })
-}
-
 fn node_stats_json(ns: &NodeStats) -> Json {
-    let mut sa = Json::obj();
-    sa.push("accepted", Json::UInt(ns.sa.accepted));
-    sa.push("combined", Json::UInt(ns.sa.combined));
-    sa.push("reads_issued", Json::UInt(ns.sa.reads_issued));
-    sa.push("writes_issued", Json::UInt(ns.sa.writes_issued));
-    sa.push("chained", Json::UInt(ns.sa.chained));
-    sa.push("stalled_full", Json::UInt(ns.sa.stalled_full));
-    sa.push("fetch_ops", Json::UInt(ns.sa.fetch_ops));
-    sa.push("occupancy_integral", Json::UInt(ns.sa.occupancy_integral));
-    sa.push("occ", occ_json(&ns.sa.occ));
-
-    let mut cache = Json::obj();
-    cache.push("read_hits", Json::UInt(ns.cache.read_hits));
-    cache.push("read_misses", Json::UInt(ns.cache.read_misses));
-    cache.push("read_merges", Json::UInt(ns.cache.read_merges));
-    cache.push("write_hits", Json::UInt(ns.cache.write_hits));
-    cache.push("write_arounds", Json::UInt(ns.cache.write_arounds));
-    cache.push("write_merges", Json::UInt(ns.cache.write_merges));
-    cache.push("zero_allocs", Json::UInt(ns.cache.zero_allocs));
-    cache.push("evictions", Json::UInt(ns.cache.evictions));
-    cache.push("write_backs", Json::UInt(ns.cache.write_backs));
-    cache.push("sum_backs", Json::UInt(ns.cache.sum_backs));
-    cache.push("blocked", Json::UInt(ns.cache.blocked));
-    cache.push("mshr_full", Json::UInt(ns.cache.mshr_full));
-    cache.push("occ", occ_json(&ns.cache.occ));
-
-    let mut dram = Json::obj();
-    dram.push("reads", Json::UInt(ns.dram.reads));
-    dram.push("writes", Json::UInt(ns.dram.writes));
-    dram.push("row_hits", Json::UInt(ns.dram.row_hits));
-    dram.push("row_misses", Json::UInt(ns.dram.row_misses));
-    dram.push("words_transferred", Json::UInt(ns.dram.words_transferred));
-    dram.push("total_latency", Json::UInt(ns.dram.total_latency));
-    dram.push("occ", occ_json(&ns.dram.occ));
-
     let q = &ns.bank_in;
     let mut bank_in = Json::obj();
     bank_in.push("enqueued", Json::UInt(q.enqueued));
@@ -332,123 +250,47 @@ fn node_stats_json(ns: &NodeStats) -> Json {
     bank_in.push("peak_occupancy", Json::UInt(q.peak_occupancy));
     bank_in.push("occ_sum", Json::UInt(q.occ_sum));
     bank_in.push("capacity", Json::UInt(q.capacity));
-    bank_in.push(
-        "occ_hist",
-        Json::Arr(q.occ_hist.iter().map(|&c| Json::UInt(c)).collect()),
-    );
+    bank_in.push("occ_hist", u64_array(&q.occ_hist));
     bank_in.push("created_at", Json::UInt(q.created_at));
     bank_in.push("advanced_to", Json::UInt(q.advanced_to));
     bank_in.push("occ_integral", Json::UInt(q.occ_integral));
 
     let mut j = Json::obj();
-    j.push("sa", sa);
-    j.push("cache", cache);
-    j.push("dram", dram);
+    j.push("sa", ns.sa.counters_json());
+    j.push("cache", ns.cache.counters_json());
+    j.push("dram", ns.dram.counters_json());
     j.push("bank_in", bank_in);
-    j.push("resilience", resilience_json(&ns.resilience));
+    j.push("resilience", ns.resilience.counters_json());
     j
 }
 
 fn node_stats_from_json(doc: &Json) -> Result<NodeStats, String> {
-    let sa = doc.get("sa").ok_or("node_stats: missing 'sa'")?;
-    let cache = doc.get("cache").ok_or("node_stats: missing 'cache'")?;
-    let dram = doc.get("dram").ok_or("node_stats: missing 'dram'")?;
-    let bank_in = doc.get("bank_in").ok_or("node_stats: missing 'bank_in'")?;
-    let hist = bank_in
-        .get("occ_hist")
-        .and_then(Json::as_arr)
-        .ok_or("node_stats: missing 'occ_hist'")?;
-    let mut occ_hist = [0u64; 8];
-    if hist.len() != occ_hist.len() {
-        return Err("node_stats: occ_hist bucket count mismatch".into());
-    }
-    for (slot, bucket) in occ_hist.iter_mut().zip(hist) {
-        *slot = bucket
-            .as_u64()
-            .ok_or("node_stats: non-u64 occ_hist bucket")?;
-    }
-    Ok(NodeStats {
-        sa: SaStats {
-            accepted: get_u64(sa, "accepted")?,
-            combined: get_u64(sa, "combined")?,
-            reads_issued: get_u64(sa, "reads_issued")?,
-            writes_issued: get_u64(sa, "writes_issued")?,
-            chained: get_u64(sa, "chained")?,
-            stalled_full: get_u64(sa, "stalled_full")?,
-            fetch_ops: get_u64(sa, "fetch_ops")?,
-            occupancy_integral: get_u64(sa, "occupancy_integral")?,
-            occ: occ_from_json(sa.get("occ").ok_or("sa: missing 'occ'")?)?,
-        },
-        cache: CacheStats {
-            read_hits: get_u64(cache, "read_hits")?,
-            read_misses: get_u64(cache, "read_misses")?,
-            read_merges: get_u64(cache, "read_merges")?,
-            write_hits: get_u64(cache, "write_hits")?,
-            write_arounds: get_u64(cache, "write_arounds")?,
-            write_merges: get_u64(cache, "write_merges")?,
-            zero_allocs: get_u64(cache, "zero_allocs")?,
-            evictions: get_u64(cache, "evictions")?,
-            write_backs: get_u64(cache, "write_backs")?,
-            sum_backs: get_u64(cache, "sum_backs")?,
-            blocked: get_u64(cache, "blocked")?,
-            mshr_full: get_u64(cache, "mshr_full")?,
-            occ: occ_from_json(cache.get("occ").ok_or("cache: missing 'occ'")?)?,
-        },
-        dram: DramStats {
-            reads: get_u64(dram, "reads")?,
-            writes: get_u64(dram, "writes")?,
-            row_hits: get_u64(dram, "row_hits")?,
-            row_misses: get_u64(dram, "row_misses")?,
-            words_transferred: get_u64(dram, "words_transferred")?,
-            total_latency: get_u64(dram, "total_latency")?,
-            occ: occ_from_json(dram.get("occ").ok_or("dram: missing 'occ'")?)?,
-        },
-        bank_in: QueueStats {
-            enqueued: get_u64(bank_in, "enqueued")?,
-            rejected: get_u64(bank_in, "rejected")?,
-            peak_occupancy: get_u64(bank_in, "peak_occupancy")?,
-            occ_sum: get_u64(bank_in, "occ_sum")?,
-            capacity: get_u64(bank_in, "capacity")?,
-            occ_hist,
-            created_at: get_u64(bank_in, "created_at")?,
-            advanced_to: get_u64(bank_in, "advanced_to")?,
-            occ_integral: get_u64(bank_in, "occ_integral")?,
-        },
-        resilience: resilience_from_json(
-            doc.get("resilience")
-                .ok_or("node_stats: missing 'resilience'")?,
-        )?,
-    })
-}
-
-fn resilience_json(r: &ResilienceStats) -> Json {
-    let mut j = Json::obj();
-    j.push("ecc_corrected", Json::UInt(r.ecc_corrected));
-    j.push("ecc_detected", Json::UInt(r.ecc_detected));
-    j.push("ecc_uncorrected", Json::UInt(r.ecc_uncorrected));
-    j.push("mshr_replays", Json::UInt(r.mshr_replays));
-    j.push("net_nacks", Json::UInt(r.net_nacks));
-    j.push("net_dropped", Json::UInt(r.net_dropped));
-    j.push("net_recovered", Json::UInt(r.net_recovered));
-    j.push("net_retries", Json::UInt(r.net_retries));
-    j.push("cs_stalls", Json::UInt(r.cs_stalls));
-    j.push("cs_timeouts", Json::UInt(r.cs_timeouts));
-    j
-}
-
-fn resilience_from_json(doc: &Json) -> Result<ResilienceStats, String> {
-    Ok(ResilienceStats {
-        ecc_corrected: get_u64(doc, "ecc_corrected")?,
-        ecc_detected: get_u64(doc, "ecc_detected")?,
-        ecc_uncorrected: get_u64(doc, "ecc_uncorrected")?,
-        mshr_replays: get_u64(doc, "mshr_replays")?,
-        net_nacks: get_u64(doc, "net_nacks")?,
-        net_dropped: get_u64(doc, "net_dropped")?,
-        net_recovered: get_u64(doc, "net_recovered")?,
-        net_retries: get_u64(doc, "net_retries")?,
-        cs_stalls: get_u64(doc, "cs_stalls")?,
-        cs_timeouts: get_u64(doc, "cs_timeouts")?,
-    })
+    let mut r = Reader::new("node_stats", doc)?;
+    let mut q = Reader::new("bank_in", r.get("bank_in")?)?;
+    let bank_in = QueueStats {
+        enqueued: q.u64("enqueued")?,
+        rejected: q.u64("rejected")?,
+        peak_occupancy: q.u64("peak_occupancy")?,
+        occ_sum: q.u64("occ_sum")?,
+        capacity: q.u64("capacity")?,
+        occ_hist: q
+            .u64_array("occ_hist")?
+            .try_into()
+            .map_err(|_| "bank_in: occ_hist bucket count mismatch")?,
+        created_at: q.u64("created_at")?,
+        advanced_to: q.u64("advanced_to")?,
+        occ_integral: q.u64("occ_integral")?,
+    };
+    q.finish()?;
+    let ns = NodeStats {
+        sa: SaStats::read_counters("sa", r.get("sa")?)?,
+        cache: CacheStats::read_counters("cache", r.get("cache")?)?,
+        dram: DramStats::read_counters("dram", r.get("dram")?)?,
+        bank_in,
+        resilience: ResilienceStats::read_counters("resilience", r.get("resilience")?)?,
+    };
+    r.finish()?;
+    Ok(ns)
 }
 
 /// Staged configuration for a [`Session`]; see the module docs.
@@ -779,6 +621,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sa_telemetry::OccupancyStats;
 
     fn plan(json: &str) -> FaultPlan {
         FaultPlan::parse(json).expect("valid plan")
@@ -809,6 +652,125 @@ mod tests {
         // And through actual bytes.
         let reparsed = Json::parse(&doc.to_string_compact()).unwrap();
         assert_eq!(SessionReport::from_json(&reparsed).unwrap(), report);
+    }
+
+    /// `read_counters(counters_json(x)) == x` and `default.add(x) == x`. A
+    /// field missing from the record's table fails one of the two.
+    fn assert_table_covers_every_field<T: Counters + PartialEq + std::fmt::Debug>(x: T) {
+        assert_eq!(T::read_counters("t", &x.counters_json()), Ok(x));
+        let mut sum = T::default();
+        sum.add(&x);
+        assert_eq!(sum, x);
+    }
+
+    // Struct literals without `..Default::default()`: a new field breaks the
+    // compile here until it gets a distinct value (and a table entry).
+    fn occ(base: u64) -> OccupancyStats {
+        OccupancyStats {
+            busy: base,
+            blocked: base + 1,
+            idle: base + 2,
+            saturated: base + 3,
+        }
+    }
+
+    #[test]
+    fn occupancy_counter_table_is_complete() {
+        assert_table_covers_every_field(occ(1));
+    }
+
+    #[test]
+    fn sa_counter_table_is_complete() {
+        assert_table_covers_every_field(SaStats {
+            accepted: 1,
+            combined: 2,
+            reads_issued: 3,
+            writes_issued: 4,
+            chained: 5,
+            stalled_full: 6,
+            fetch_ops: 7,
+            occupancy_integral: 8,
+            occ: occ(9),
+        });
+    }
+
+    #[test]
+    fn cache_counter_table_is_complete() {
+        assert_table_covers_every_field(CacheStats {
+            read_hits: 1,
+            read_misses: 2,
+            read_merges: 3,
+            write_hits: 4,
+            write_arounds: 5,
+            write_merges: 6,
+            zero_allocs: 7,
+            evictions: 8,
+            write_backs: 9,
+            sum_backs: 10,
+            blocked: 11,
+            mshr_full: 12,
+            occ: occ(13),
+        });
+    }
+
+    #[test]
+    fn dram_counter_table_is_complete() {
+        assert_table_covers_every_field(DramStats {
+            reads: 1,
+            writes: 2,
+            row_hits: 3,
+            row_misses: 4,
+            words_transferred: 5,
+            total_latency: 6,
+            occ: occ(7),
+        });
+    }
+
+    #[test]
+    fn resilience_counter_table_is_complete() {
+        assert_table_covers_every_field(ResilienceStats {
+            ecc_corrected: 1,
+            ecc_detected: 2,
+            ecc_uncorrected: 3,
+            mshr_replays: 4,
+            net_nacks: 5,
+            net_dropped: 6,
+            net_recovered: 7,
+            net_retries: 8,
+            cs_stalls: 9,
+            cs_timeouts: 10,
+        });
+    }
+
+    #[test]
+    fn stale_cache_entry_is_recomputed_not_served() {
+        let dir = std::env::temp_dir().join(format!("sa-session-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(ResultCache::open(&dir).expect("cache dir"));
+        let build = || {
+            Session::builder().workload(Workload::Histogram {
+                base_word: 0,
+                indices: (0..300u64).map(|i| (i * 7) % 40).collect(),
+            })
+        };
+        let fresh = build().build().expect("valid").run();
+        let fp = build().build().expect("valid").fingerprint();
+        let text = fresh.to_json().to_string_compact();
+        let stale = text.replacen("\"sa\":{", "\"sa\":{\"retired\":1,", 1);
+        assert_ne!(stale, text);
+        cache
+            .store(&fp, &Json::parse(&stale).unwrap())
+            .expect("store");
+        let served = build()
+            .cache(Arc::clone(&cache))
+            .build()
+            .expect("valid")
+            .run();
+        assert_eq!(served, fresh);
+        assert_eq!(cache.stores(), 2, "the stale entry is replaced");
+        let entry = cache.lookup(&fp).expect("fresh entry");
+        assert_eq!(entry.to_string_compact(), text);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

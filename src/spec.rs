@@ -38,7 +38,7 @@ use sa_faults::FaultPlan;
 use sa_memo::{hash_f64s, hash_u64s, Fingerprint};
 use sa_multinode::Topology;
 use sa_sim::{MachineConfig, NetworkConfig, ScalarKind, ScatterOp};
-use sa_telemetry::Json;
+use sa_telemetry::{Json, Reader};
 
 use crate::session::{SessionBuilder, Workload};
 use sa_core::ScatterKernel;
@@ -252,7 +252,7 @@ impl SessionSpec {
 // Workload (de)serialization
 // ---------------------------------------------------------------------------
 
-fn u64_array(items: &[u64]) -> Json {
+pub(crate) fn u64_array(items: &[u64]) -> Json {
     Json::Arr(items.iter().map(|&v| Json::UInt(v)).collect())
 }
 
@@ -419,111 +419,6 @@ fn faults_json(faults: &Option<FaultPlan>) -> Json {
     match faults {
         Some(plan) => plan.to_json(),
         None => Json::Null,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Strict object reader: every key consumed exactly once, leftovers rejected.
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    what: &'static str,
-    pairs: &'a [(String, Json)],
-    seen: Vec<&'a str>,
-}
-
-impl<'a> Reader<'a> {
-    fn new(what: &'static str, doc: &'a Json) -> Result<Reader<'a>, String> {
-        let pairs = doc
-            .as_obj()
-            .ok_or_else(|| format!("{what}: not a JSON object"))?;
-        Ok(Reader {
-            what,
-            pairs,
-            seen: Vec::new(),
-        })
-    }
-
-    /// Consume the optional keys a retired field left behind: each must be
-    /// an unsigned integer if present, and its value is ignored.
-    fn legacy_u64s(&mut self, keys: &[&'a str]) -> Result<(), String> {
-        for &key in keys {
-            if self.pairs.iter().any(|(k, _)| k == key) {
-                self.u64(key)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn get(&mut self, key: &'a str) -> Result<&'a Json, String> {
-        self.seen.push(key);
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("{}: missing field '{key}'", self.what))
-    }
-
-    fn str(&mut self, key: &'a str) -> Result<&'a str, String> {
-        let what = self.what;
-        self.get(key)?
-            .as_str()
-            .ok_or_else(|| format!("{what}: field '{key}' is not a string"))
-    }
-
-    fn u64(&mut self, key: &'a str) -> Result<u64, String> {
-        let what = self.what;
-        self.get(key)?
-            .as_u64()
-            .ok_or_else(|| format!("{what}: field '{key}' is not an unsigned integer"))
-    }
-
-    fn usize(&mut self, key: &'a str) -> Result<usize, String> {
-        let what = self.what;
-        let v = self.u64(key)?;
-        usize::try_from(v).map_err(|_| format!("{what}: field '{key}' out of range"))
-    }
-
-    fn bool(&mut self, key: &'a str) -> Result<bool, String> {
-        let what = self.what;
-        self.get(key)?
-            .as_bool()
-            .ok_or_else(|| format!("{what}: field '{key}' is not a boolean"))
-    }
-
-    fn u64_array(&mut self, key: &'a str) -> Result<Vec<u64>, String> {
-        let what = self.what;
-        self.get(key)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: field '{key}' is not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| format!("{what}: '{key}' holds a non-u64 element"))
-            })
-            .collect()
-    }
-
-    fn f64_array(&mut self, key: &'a str) -> Result<Vec<f64>, String> {
-        let what = self.what;
-        self.get(key)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: field '{key}' is not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("{what}: '{key}' holds a non-number element"))
-            })
-            .collect()
-    }
-
-    fn finish(self) -> Result<(), String> {
-        for (k, _) in self.pairs {
-            if !self.seen.contains(&k.as_str()) {
-                return Err(format!("{}: unknown field '{k}'", self.what));
-            }
-        }
-        Ok(())
     }
 }
 

@@ -10,7 +10,8 @@ use proptest::prelude::*;
 
 use sa_sim::Rng64;
 use scatter_add_repro::{
-    MachineConfig, NetworkConfig, ResultCache, Session, SessionBuilder, Topology, Workload,
+    FaultPlan, MachineConfig, NetworkConfig, ResultCache, Session, SessionBuilder, Topology,
+    Workload,
 };
 
 /// Run the same session three ways — no cache, cold cache, warm cache — and
@@ -107,4 +108,56 @@ proptest! {
                 })
         });
     }
+}
+
+/// SHA-256 of a report's compact wire bytes: the bytes the result cache
+/// stores and the served result body embeds.
+fn wire_digest(report: &scatter_add_repro::SessionReport) -> String {
+    sa_memo::sha256_hex(report.to_json().to_string_compact().as_bytes())
+}
+
+#[test]
+fn single_node_report_wire_bytes_are_pinned() {
+    let report = Session::builder()
+        .workload(Workload::Histogram {
+            base_word: 3,
+            indices: (0..700u64).map(|i| (i * 17) % 96).collect(),
+        })
+        .build()
+        .expect("valid session")
+        .run();
+    assert_eq!(
+        wire_digest(&report),
+        "b8373b665a43f03873703228fbfa8084c55ac3c18c97c36a3b0e1192646eee95"
+    );
+}
+
+#[test]
+fn multinode_faulty_report_wire_bytes_are_pinned() {
+    let plan = FaultPlan::parse(
+        r#"{"schema":"sa-faultplan","version":1,"seed":5,"cs_timeout":32,"faults":[
+            {"kind":"net_nack","period":4,"max":30},
+            {"kind":"net_drop","period":9,"max":15},
+            {"kind":"ecc_single","period":6}
+        ]}"#,
+    )
+    .expect("valid plan");
+    let report = Session::builder()
+        .workload(Workload::MultiNode {
+            nodes: 4,
+            network: NetworkConfig::low(),
+            combining: true,
+            topology: Topology::Flat,
+            trace: (0..1500u64).map(|i| (i * 13) % 256).collect(),
+            values: (0..1500).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect(),
+        })
+        .faults(plan)
+        .build()
+        .expect("valid session")
+        .run();
+    assert!(!report.resilience.is_zero(), "the plan must fire");
+    assert_eq!(
+        wire_digest(&report),
+        "26d40b755457ce95b03b517fd522725d7507bf495d72d931834d2ddfa5efb4d7"
+    );
 }

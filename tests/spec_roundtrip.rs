@@ -3,7 +3,8 @@
 //! re-serialized bytes), the spec's fingerprint equals the builder chain's,
 //! and the execution knobs (`--jobs` is sweep-only; `--fast-forward`
 //! here) never reach the fingerprint —
-//! the cache key names *what* is simulated, not *how fast*.
+//! the cache key names *what* is simulated, not *how fast*. The JSON
+//! strings underneath round-trip too, and parse in linear time.
 
 use proptest::prelude::*;
 
@@ -232,5 +233,42 @@ fn fingerprints_are_pinned() {
     assert_eq!(
         multinode.fingerprint().digest(),
         "8ff720cc6e216b6e5399e92b1119f78c3c41cde831c1fee5b9dbe3539fec1d97"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Strings mixing ASCII, multi-byte characters, quotes, backslashes and
+    /// control characters survive the writer and the parser unchanged.
+    #[test]
+    fn json_strings_round_trip(
+        chars in prop::collection::vec(
+            prop::sample::select(vec!['a', ' ', 'é', '€', '😀', '"', '\\', '\n', '\u{1}']),
+            0..80,
+        ),
+    ) {
+        let s: String = chars.into_iter().collect();
+        let text = Json::Str(s.clone()).to_string_compact();
+        prop_assert_eq!(Json::parse(&text), Ok(Json::Str(s)));
+    }
+}
+
+/// Parsing is linear in string length: a 1 MiB string value (the shape of
+/// an untrusted job body) parses in under two seconds even unoptimized.
+#[test]
+fn long_json_strings_parse_in_linear_time() {
+    let value = "x".repeat(1 << 20);
+    let text = format!("{{\"schema\":\"{value}\"}}");
+    let start = std::time::Instant::now();
+    let doc = Json::parse(&text).expect("valid JSON");
+    let elapsed = start.elapsed();
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some(value.as_str())
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "1 MiB string took {elapsed:?}"
     );
 }
