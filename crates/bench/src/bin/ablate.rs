@@ -16,7 +16,7 @@
 
 use sa_apps::histogram::{run_hw, run_sort_scan, HistogramInput};
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, quick_mode, sweep, us};
+use sa_bench::{header, us};
 use sa_core::{drive_scatter, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
 
@@ -29,7 +29,7 @@ fn ab_combining_store(bench: &mut BenchRun, quick: bool) {
     let mut rng = Rng64::new(1);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(65_536)).collect());
     let sizes = vec![1usize, 2, 4, 8, 16, 32];
-    let runs = sweep::map(sizes.clone(), |cs| {
+    let runs = bench.map(sizes.clone(), |cs| {
         let mut cfg = MachineConfig::merrimac();
         cfg.sa.cs_entries = cs;
         drive_scatter(&cfg, &kernel, false)
@@ -56,7 +56,7 @@ fn ab_banks(bench: &mut BenchRun, quick: bool) {
     let mut rng = Rng64::new(2);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(4096)).collect());
     let bank_counts = vec![1usize, 2, 4, 8, 16];
-    let runs = sweep::map(bank_counts.clone(), |banks| {
+    let runs = bench.map(bank_counts.clone(), |banks| {
         let mut cfg = MachineConfig::merrimac();
         cfg.cache.banks = banks;
         drive_scatter(&cfg, &kernel, false)
@@ -82,7 +82,7 @@ fn ab_fu_latency(bench: &mut BenchRun, quick: bool) {
     let n = if quick { 2048 } else { 8192 };
     let kernel = ScatterKernel::histogram(0, vec![0; n]);
     let latencies = vec![1u32, 2, 4, 8, 16];
-    let runs = sweep::map(latencies.clone(), |fu| {
+    let runs = bench.map(latencies.clone(), |fu| {
         let mut cfg = MachineConfig::merrimac();
         cfg.sa.fu_latency = fu;
         drive_scatter(&cfg, &kernel, false)
@@ -109,7 +109,7 @@ fn ab_ag_width(bench: &mut BenchRun, quick: bool) {
     let mut rng = Rng64::new(3);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(4096)).collect());
     let widths = vec![1u32, 2, 4, 8];
-    let runs = sweep::map(widths.clone(), |width| {
+    let runs = bench.map(widths.clone(), |width| {
         let mut cfg = MachineConfig::merrimac();
         cfg.ag.width = width;
         drive_scatter(&cfg, &kernel, false)
@@ -130,7 +130,7 @@ fn ab_cache_capacity(bench: &mut BenchRun, quick: bool) {
     let mut rng = Rng64::new(4);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(65_536)).collect());
     let capacities = vec![64u64, 256, 1024, 4096];
-    let runs = sweep::map(capacities.clone(), |kb| {
+    let runs = bench.map(capacities.clone(), |kb| {
         let mut cfg = MachineConfig::merrimac();
         cfg.cache.total_bytes = kb << 10;
         drive_scatter(&cfg, &kernel, false)
@@ -158,7 +158,7 @@ fn ab_batch_size(bench: &mut BenchRun, quick: bool) {
     let n = if quick { 4096 } else { 16_384 };
     let input = HistogramInput::uniform(n, 2048, 5);
     let batches = vec![32usize, 64, 128, 256, 512, 1024, 2048];
-    let runs = sweep::map(batches.clone(), |batch| run_sort_scan(&cfg, &input, batch));
+    let runs = bench.map(batches.clone(), |batch| run_sort_scan(&cfg, &input, batch));
     for (batch, run) in batches.into_iter().zip(runs) {
         run.report
             .stats
@@ -180,7 +180,7 @@ fn ab_skew(bench: &mut BenchRun, quick: bool) {
         rows.push((format!("zipf s={s}"), HistogramInput::zipf(n, 1024, s, 6)));
     }
     rows.push(("single bin".into(), HistogramInput::uniform(n, 1, 6)));
-    let runs = sweep::map(rows, |(name, input)| {
+    let runs = bench.map(rows, |(name, input)| {
         let run = run_hw(&cfg, &input);
         assert_eq!(run.bins, input.reference());
         (name, run)
@@ -200,8 +200,8 @@ fn ab_skew(bench: &mut BenchRun, quick: bool) {
 }
 
 fn main() {
-    let quick = quick_mode();
     let mut bench = BenchRun::from_env("ablate", &MachineConfig::merrimac());
+    let quick = bench.quick();
     ab_combining_store(&mut bench, quick);
     ab_banks(&mut bench, quick);
     ab_fu_latency(&mut bench, quick);

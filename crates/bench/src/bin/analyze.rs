@@ -52,8 +52,9 @@ use sa_apps::mesh::Mesh;
 use sa_apps::spmv::Ebe;
 use sa_apps::traces::TraceStats;
 use sa_bench::args::Args;
+use sa_bench::cli::quick_requested;
 use sa_bench::diff::{diff_stats, DiffConfig};
-use sa_bench::{header, quick_mode, row};
+use sa_bench::{header, row};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{
     bottleneck_json, has_metric_matching, render_bottleneck, validate_bottleneck_json,
@@ -689,7 +690,7 @@ fn main() {
         return;
     }
     match args.positional().first().map(String::as_str) {
-        Some("summarize") => trace_analytics(),
+        Some("summarize") => trace_analytics(quick_requested(&args)),
         Some("bottleneck") => {
             let Some(path) = args.positional().get(1) else {
                 usage_exit("bottleneck mode needs a stats document path");
@@ -743,9 +744,8 @@ fn main() {
 }
 
 /// `summarize`: the trace-locality analytics that explain Figure 13.
-fn trace_analytics() {
+fn trace_analytics(quick: bool) {
     let cfg = MachineConfig::merrimac();
-    let quick = quick_mode();
     header(
         "Trace analytics (explains Figure 13)",
         "reuse@64 = fraction of references merged by a 64-entry combining window",

@@ -18,7 +18,7 @@
 
 use sa_apps::histogram::{run_hw, run_privatization_default, run_sort_scan, HistogramInput};
 use sa_bench::args::Args;
-use sa_bench::cli::Cli;
+use sa_bench::cli::{Cli, COMMON_FLAGS, USAGE as COMMON_USAGE};
 use sa_bench::telemetry::BenchRun;
 use sa_core::{drive_scan, drive_scatter, ScatterKernel, SensitivityRig};
 use sa_multinode::{MultiNode, Topology};
@@ -74,19 +74,20 @@ fn input_from(args: &Args) -> Result<HistogramInput, Box<dyn std::error::Error>>
     })
 }
 
-fn cmd_histogram(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli.args();
-    let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
+/// What every subcommand returns; an error exits 1 with the usage block.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+fn cmd_histogram(bench: &mut BenchRun, cfg: &MachineConfig) -> CmdResult {
+    let args = bench.cli().args();
     let input = input_from(args)?;
     let implementation = args.choice("impl", &["hw", "sortscan", "privatization"], "hw")?;
     let run = match implementation {
-        "hw" => run_hw(&cfg, &input),
+        "hw" => run_hw(cfg, &input),
         "sortscan" => {
             let batch: usize = args.get_or("batch", 256)?;
-            run_sort_scan(&cfg, &input, batch)
+            run_sort_scan(cfg, &input, batch)
         }
-        _ => run_privatization_default(&cfg, &input),
+        _ => run_privatization_default(cfg, &input),
     };
     assert_eq!(run.bins, input.reference(), "result check");
     println!(
@@ -100,17 +101,14 @@ fn cmd_histogram(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         run.report.mem_refs()
     );
     run.report.stats.record(&mut bench.scope("histogram"));
-    bench.finish();
     Ok(())
 }
 
-fn cmd_scatter(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli.args();
-    let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
+fn cmd_scatter(bench: &mut BenchRun, cfg: &MachineConfig) -> CmdResult {
+    let args = bench.cli().args();
     let input = input_from(args)?;
     let kernel = ScatterKernel::histogram(0, input.data.clone());
-    let run = drive_scatter(&cfg, &kernel, args.has("fetch"));
+    let run = drive_scatter(cfg, &kernel, args.has("fetch"));
     run.node.record_metrics(&mut bench.scope("scatter"));
     println!(
         "scatter n={} range={}: {:.2} us; combined {}/{} requests, {} chained, \
@@ -125,33 +123,27 @@ fn cmd_scatter(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         run.stats.sa.stalled_full,
     );
     run.print_stall_summary();
-    bench.finish();
     Ok(())
 }
 
-fn cmd_scan(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli.args();
-    let cfg = machine_from(args)?;
+fn cmd_scan(bench: &mut BenchRun, cfg: &MachineConfig) -> CmdResult {
+    let args = bench.cli().args();
     let n: usize = args.get_or("n", 4096)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let mut rng = Rng64::new(seed);
     let input: Vec<u64> = (0..n).map(|_| rng.below(1000)).collect();
-    let r = drive_scan(&cfg, &input, ScalarKind::I64);
+    let r = drive_scan(cfg, &input, ScalarKind::I64);
     println!(
         "scan n={n}: {:.2} us ({:.2} cycles/element)",
         r.micros(),
         r.cycles as f64 / n as f64
     );
-    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     bench.scope("scan").counter("cycles", r.cycles);
-    bench.finish();
     Ok(())
 }
 
-fn cmd_multinode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli.args();
-    let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
+fn cmd_multinode(bench: &mut BenchRun, cfg: &MachineConfig) -> CmdResult {
+    let args = bench.cli().args();
     let nodes: usize = args.get_or("nodes", 4)?;
     let net = match args.choice("net", &["low", "high"], "high")? {
         "low" => NetworkConfig::low(),
@@ -164,7 +156,7 @@ fn cmd_multinode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     let combining = args.has("combining");
     let input = input_from(args)?;
     let values = vec![1.0f64; input.len()];
-    let mut mn = MultiNode::with_topology(cfg, nodes, net, combining, topology);
+    let mut mn = MultiNode::with_topology(*cfg, nodes, net, combining, topology);
     let r = mn.run_trace(&input.data, &values);
     println!(
         "multinode nodes={nodes} combining={combining} topology={topology:?}: \
@@ -175,12 +167,11 @@ fn cmd_multinode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         r.flush_rounds
     );
     r.record_metrics(&mut bench.scope("multinode"));
-    bench.finish();
     Ok(())
 }
 
-fn cmd_rig(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli.args();
+fn cmd_rig(bench: &mut BenchRun, _: &MachineConfig) -> CmdResult {
+    let args = bench.cli().args();
     let rig = SensitivityRig::new(SensitivityConfig {
         cs_entries: args.get_or("cs", 8)?,
         fu_latency: args.get_or("fu", 4)?,
@@ -202,9 +193,7 @@ fn cmd_rig(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         r.micros(),
         r.sa.combined
     );
-    let mut bench = BenchRun::from_cli("explore", &sa_sim::MachineConfig::merrimac(), cli);
     r.record_metrics(&mut bench.scope("rig"));
-    bench.finish();
     Ok(())
 }
 
@@ -212,22 +201,36 @@ const USAGE: &str = "usage: explore <histogram|scatter|scan|multinode|rig> [flag
 run `explore <subcommand>` with no flags for sensible defaults; see the
 binary's rustdoc header for the full flag list.";
 
+fn fail(e: &dyn std::error::Error) -> ! {
+    eprintln!("error: {e}");
+    eprintln!("{USAGE}");
+    std::process::exit(1);
+}
+
 fn main() {
-    let cli = Cli::from_env(FLAGS);
-    let result = match cli.args().positional().first().map(String::as_str) {
-        Some("histogram") => cmd_histogram(&cli),
-        Some("scatter") => cmd_scatter(&cli),
-        Some("scan") => cmd_scan(&cli),
-        Some("multinode") => cmd_multinode(&cli),
-        Some("rig") => cmd_rig(&cli),
-        _ => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+    let cli = Cli::from_env(&[COMMON_FLAGS, FLAGS].concat(), COMMON_USAGE);
+    let cmd: fn(&mut BenchRun, &MachineConfig) -> CmdResult =
+        match cli.args().positional().first().map(String::as_str) {
+            Some("histogram") => cmd_histogram,
+            Some("scatter") => cmd_scatter,
+            Some("scan") => cmd_scan,
+            Some("multinode") => cmd_multinode,
+            Some("rig") => cmd_rig,
+            _ => {
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
+        };
+    // The rig has its own knobs; its stats document describes the default
+    // machine.
+    let cfg = if cli.args().positional()[0] == "rig" {
+        MachineConfig::merrimac()
+    } else {
+        machine_from(cli.args()).unwrap_or_else(|e| fail(&*e))
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(1);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
+    match cmd(&mut bench, &cfg) {
+        Ok(()) => bench.finish(),
+        Err(e) => fail(&*e),
     }
 }

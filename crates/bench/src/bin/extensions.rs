@@ -5,7 +5,7 @@
 
 use sa_apps::image::{run_equalize_hw, run_equalize_sw, GreyImage};
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, quick_mode, sweep, us};
+use sa_bench::{header, us};
 use sa_core::{allocate_slots, drive_scan, simulate_barrier, NodeMemSys};
 use sa_multinode::{MultiNode, Topology};
 use sa_proc::{AccessPattern, Executor, StreamOp, StreamProgram};
@@ -21,7 +21,7 @@ fn ext_scan(bench: &mut BenchRun, cfg: &MachineConfig, quick: bool) {
     } else {
         &[1024, 8192, 65_536]
     };
-    let runs = sweep::map(sizes.to_vec(), |n| {
+    let runs = bench.map(sizes.to_vec(), |n| {
         let mut rng = Rng64::new(n as u64);
         let input: Vec<u64> = (0..n).map(|_| rng.below(1000)).collect();
         let hw = drive_scan(cfg, &input, ScalarKind::I64);
@@ -112,7 +112,7 @@ fn ext_hierarchical(bench: &mut BenchRun, machine: &MachineConfig, quick: bool) 
     let trace: Vec<u64> = (0..n_refs).map(|_| rng.below(64)).collect();
     let values = vec![1.0; trace.len()];
     let nodes_list: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
-    let runs = sweep::map(nodes_list.to_vec(), |n| {
+    let runs = bench.map(nodes_list.to_vec(), |n| {
         let mut flat =
             MultiNode::with_topology(*machine, n, NetworkConfig::low(), true, Topology::Flat);
         let rf = flat.run_trace(&trace, &values);
@@ -178,7 +178,7 @@ fn ext_equalize(bench: &mut BenchRun, cfg: &MachineConfig, quick: bool) {
 fn main() {
     let cfg = MachineConfig::merrimac();
     let mut bench = BenchRun::from_env("extensions", &cfg);
-    let quick = quick_mode();
+    let quick = bench.quick();
     ext_scan(&mut bench, &cfg, quick);
     ext_sync(&mut bench, &cfg, quick);
     ext_hierarchical(&mut bench, &cfg, quick);

@@ -8,13 +8,13 @@
 
 use sa_apps::md::{max_force_deviation, run_hw, run_no_sa, run_sw_default, WaterSystem};
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, mcycles, mops, quick_mode, sweep};
+use sa_bench::{header, mcycles, mops};
 use sa_sim::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::merrimac();
     let mut bench = BenchRun::from_env("fig10", &cfg);
-    let sys = if quick_mode() {
+    let sys = if bench.quick() {
         WaterSystem::generate(120, 11)
     } else {
         WaterSystem::paper_scale(11)
@@ -31,7 +31,7 @@ fn main() {
 
     // Three independent simulations, fanned out; reporting stays in the
     // paper's order (no-SA, SW, HW).
-    let mut runs = sweep::map(vec![0usize, 1, 2], |which| match which {
+    let mut runs = bench.map(vec![0usize, 1, 2], |which| match which {
         0 => run_no_sa(&cfg, &sys),
         1 => run_sw_default(&cfg, &sys),
         _ => run_hw(&cfg, &sys),

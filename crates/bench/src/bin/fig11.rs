@@ -10,7 +10,7 @@
 //! FU latency and barely on memory latency; 64 entries hide even 256 cycles.
 
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, sweep, us};
+use sa_bench::{header, us};
 use sa_core::SensitivityRig;
 use sa_sim::{MachineConfig, Rng64, SensitivityConfig};
 
@@ -54,7 +54,7 @@ fn main() {
             mem.chain(fu)
         })
         .collect();
-    let results = sweep::map(configs, |cfg| {
+    let results = bench.map(configs, |cfg| {
         SensitivityRig::new(cfg).run_histogram(&indices, range)
     });
 

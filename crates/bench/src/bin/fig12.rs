@@ -10,7 +10,7 @@
 //! captures most requests and low memory throughput barely hurts.
 
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, sweep, us};
+use sa_bench::{header, us};
 use sa_core::SensitivityRig;
 use sa_sim::{MachineConfig, Rng64, SensitivityConfig};
 
@@ -34,7 +34,7 @@ fn main() {
             })
         })
         .collect();
-    let results = sweep::map(points.clone(), |(cs, interval, _label, range)| {
+    let results = bench.map(points.clone(), |(cs, interval, _label, range)| {
         let mut rng = Rng64::for_stream(0xF16_0012, u64::from(interval));
         let indices: Vec<u64> = (0..n).map(|_| rng.below(range)).collect();
         let rig = SensitivityRig::new(SensitivityConfig {

@@ -22,10 +22,9 @@ use std::sync::Mutex;
 use sa_apps::md::WaterSystem;
 use sa_apps::mesh::Mesh;
 use sa_apps::spmv::Ebe;
-use sa_bench::cli::Cli;
+use sa_bench::header;
 use sa_bench::sweep::CachedPoint;
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, sweep};
 use sa_memo::{hash_f64s, hash_u64s};
 use sa_multinode::MultiNode;
 use sa_sim::{MachineConfig, NetworkConfig, Rng64};
@@ -68,8 +67,7 @@ fn run_series(
     // Host profilers ride a side channel: they are nondeterministic
     // wall-clock data, so they are neither cached nor replayed on hits.
     let profilers = Mutex::new(Vec::new());
-    let results = sweep::map_cached(
-        bench.cache(),
+    let results = bench.map_cached(
         work,
         |&((vi, n), _)| {
             let v = &variants[vi];
@@ -116,9 +114,8 @@ fn run_series(
 
 fn main() {
     let machine = MachineConfig::merrimac();
-    let cli = Cli::from_env(&[]);
-    let mut bench = BenchRun::from_cli("fig13", &machine, &cli);
-    let quick = cli.quick();
+    let mut bench = BenchRun::from_env("fig13", &machine);
+    let quick = bench.quick();
     let nodes_list: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let hist_n = if quick { 8192 } else { 65_536 };
 

@@ -7,14 +7,14 @@
 use sa_apps::histogram::{run_hw, run_sort_scan_default, HistogramInput};
 use sa_bench::sweep::CachedPoint;
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, quick_mode, sweep, us};
+use sa_bench::{header, us};
 use sa_sim::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::merrimac();
     let mut bench = BenchRun::from_env("fig6", &cfg);
     let range = 2048;
-    let sizes: &[usize] = if quick_mode() {
+    let sizes: &[usize] = if bench.quick() {
         &[256, 1024]
     } else {
         &[256, 512, 1024, 2048, 4096, 8192]
@@ -26,8 +26,7 @@ fn main() {
     // Simulate every input size concurrently; print and record in size
     // order, so the output is identical to a serial run. With `--cache`,
     // already-seen points replay from the result store without simulating.
-    let runs = sweep::map_cached(
-        bench.cache(),
+    let runs = bench.map_cached(
         sizes.to_vec(),
         |&n| {
             bench

@@ -8,14 +8,14 @@
 
 use sa_apps::histogram::{run_hw, run_sort_scan_default, HistogramInput};
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, quick_mode, sweep, us};
+use sa_bench::{header, us};
 use sa_sim::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::merrimac();
     let mut bench = BenchRun::from_env("fig7", &cfg);
-    let n = if quick_mode() { 4096 } else { 32_768 };
-    let ranges: &[u64] = if quick_mode() {
+    let n = if bench.quick() { 4096 } else { 32_768 };
+    let ranges: &[u64] = if bench.quick() {
         &[1, 64, 4096, 1 << 20]
     } else {
         &[
@@ -37,7 +37,7 @@ fn main() {
         "Figure 7",
         &format!("Histogram execution time, {n} elements, varying index range"),
     );
-    let runs = sweep::map(ranges.to_vec(), |range| {
+    let runs = bench.map(ranges.to_vec(), |range| {
         let input = HistogramInput::uniform(n, range, 0xF16_0007 + range);
         let hw = run_hw(&cfg, &input);
         let sw = run_sort_scan_default(&cfg, &input);

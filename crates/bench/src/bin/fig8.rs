@@ -8,18 +8,18 @@
 use sa_apps::histogram::{run_hw, run_privatization_default, HistogramInput};
 use sa_bench::sweep::CachedPoint;
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, quick_mode, sweep, us};
+use sa_bench::{header, us};
 use sa_sim::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::merrimac();
     let mut bench = BenchRun::from_env("fig8", &cfg);
-    let lengths: &[usize] = if quick_mode() {
+    let lengths: &[usize] = if bench.quick() {
         &[1024]
     } else {
         &[1024, 32_768]
     };
-    let ranges: &[u64] = if quick_mode() {
+    let ranges: &[u64] = if bench.quick() {
         &[128, 2048]
     } else {
         &[128, 512, 2048, 8192]
@@ -32,8 +32,7 @@ fn main() {
         .iter()
         .flat_map(|&n| ranges.iter().map(move |&range| (n, range)))
         .collect();
-    let runs = sweep::map_cached(
-        bench.cache(),
+    let runs = bench.map_cached(
         points.clone(),
         |&(n, range)| {
             bench

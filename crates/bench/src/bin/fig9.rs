@@ -10,7 +10,7 @@
 use sa_apps::mesh::Mesh;
 use sa_apps::spmv::{run_csr, run_ebe_hw, run_ebe_sw_default, Csr};
 use sa_bench::telemetry::BenchRun;
-use sa_bench::{header, mcycles, mops, quick_mode, sweep};
+use sa_bench::{header, mcycles, mops};
 use sa_core::StallBreakdown;
 use sa_sim::MachineConfig;
 
@@ -21,7 +21,7 @@ fn main() {
     // request-lifecycle sampling interval so their reports include
     // per-stage latency when stats output is on.
     cfg.req_sample = bench.req_sample();
-    let mesh = if quick_mode() {
+    let mesh = if bench.quick() {
         Mesh::generate(200, 20, 1040, 9)
     } else {
         Mesh::paper_scale(9)
@@ -42,7 +42,7 @@ fn main() {
     // The three methods are independent simulations; run them concurrently
     // and keep reporting order fixed (CSR, EBE-SW, EBE-HW) so the stats
     // document stays byte-identical to a serial run.
-    let mut runs = sweep::map(vec![0usize, 1, 2], |which| match which {
+    let mut runs = bench.map(vec![0usize, 1, 2], |which| match which {
         0 => run_csr(&cfg, &csr, &x),
         1 => run_ebe_sw_default(&cfg, &mesh, &x),
         _ => run_ebe_hw(&cfg, &mesh, &x),

@@ -4,6 +4,7 @@
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!       [--tenant-jobs N] [--tenant-inflight N] [--cache[=DIR]]
+//!       [--fast-forward on|off] [--progress]
 //! ```
 //!
 //! Submit jobs with `analyze submit JOB.json --addr HOST:PORT`, inspect
@@ -29,21 +30,29 @@ usage: serve [flags]
   --tenant-jobs N      lifetime job quota per tenant, 0 = unlimited
   --tenant-inflight N  concurrent job quota per tenant, 0 = unlimited
   --cache[=DIR]        memoize results (SA_CACHE_DIR / .sa-cache default)
+  --fast-forward on|off
+                       process-wide default (default on); a job spec's
+                       exec section still overrides it per job
+  --progress           NDJSON heartbeats of served jobs on stderr
 
---fast-forward installs the process-wide default exactly as it does for
-the figure binaries; a job spec's exec section still overrides it per job.
-Served jobs take their fault plan only from their spec: --faults does not
-apply to them.
+Served jobs take their fault plan only from their spec.
 ";
 
+/// The closed flag set: the listener settings plus three run controls. The
+/// figure binaries' experiment flags (`--spec`, `--faults`, ...) exit 2.
+const FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue-depth",
+    "tenant-jobs",
+    "tenant-inflight",
+    "cache",
+    "fast-forward",
+    "progress",
+];
+
 fn main() {
-    let cli = Cli::from_env(&[
-        "addr",
-        "workers",
-        "queue-depth",
-        "tenant-jobs",
-        "tenant-inflight",
-    ]);
+    let cli = Cli::from_env(FLAGS, USAGE);
     let args = cli.args();
     let addr = args.raw("addr").unwrap_or("127.0.0.1:7411").to_string();
     let mut cfg = ServeConfig::default();

@@ -1,10 +1,9 @@
-//! One shared command-line surface for every sa-bench binary.
+//! One parsed command line per binary.
 //!
-//! The figure binaries grew identical run-control flags one copy at a time
-//! (`--jobs` scanned raw argv in `sweep`, `--fast-forward` lived inside
-//! `BenchRun`). [`Cli`] parses them once and installs the process-wide
-//! defaults they control, so a binary only handles flags specific to its
-//! experiment:
+//! Every sa-bench binary parses its flags exactly once, into one [`Cli`].
+//! A figure binary's `Cli` is owned by its
+//! [`BenchRun`](crate::telemetry::BenchRun), which hands the worker count,
+//! the quick flag and the result cache to its sweeps. The common flags:
 //!
 //! - `--jobs N` — sweep worker threads (beats `SA_JOBS`, defaults to cores)
 //! - `--fast-forward on|off` — event-horizon cycle skipping (default `on`)
@@ -23,32 +22,34 @@
 //!   nondeterministic `host_profile` stats sidecar
 //! - `--spec JOB.json` — run a serialized `SessionSpec` job instead of
 //!   the binary's built-in experiment (see [`crate::specrun`] and
-//!   `docs/SERVING.md`); handled here so every figure binary gets it
+//!   `docs/SERVING.md`); dispatched by [`Cli::from_env`] so every figure
+//!   binary gets it
 //! - `--cache[=DIR]` / `--cache DIR` — content-addressed result cache for
 //!   sweep points only (see `docs/PERFORMANCE.md`); a bare
 //!   `--cache` uses `SA_CACHE_DIR` or `.sa-cache`, and setting the
 //!   `SA_CACHE_DIR` environment variable enables the cache without any flag
 //!
-//! The flag set is closed: `COMMON_FLAGS` plus the few a binary declares
-//! for itself (`explore`'s machine and workload knobs, `serve`'s listener
-//! settings). Anything else — a typo such as `--stats-jsno`, or a flag
-//! that no longer exists — is a usage error (exit 2), never silently
-//! ignored.
+//! The flag set is closed: a binary names every flag it accepts
+//! ([`COMMON_FLAGS`], plus `explore`'s machine and workload knobs; `serve`
+//! takes only its listener settings and three run controls). Anything
+//! else — a typo such as `--stats-jsno`, or a flag that no longer exists —
+//! is a usage error (exit 2), never silently ignored.
 //!
-//! Construction has side effects by design: [`Cli::from_args`] applies
-//! `--fast-forward` via [`sa_sim::set_fast_forward_default`], `--faults`
-//! via [`sa_faults::set_default_plan`], and the progress sink via
-//! [`sa_telemetry::set_global_progress`], so simulators built afterwards
-//! pick the settings up without explicit plumbing. The installs are
-//! idempotent for a given argument vector.
+//! [`Cli::try_from_args`] only parses. The process entry point
+//! [`Cli::from_env`] is the one place that installs the process-wide
+//! defaults — `--fast-forward` via [`sa_sim::set_fast_forward_default`],
+//! `--faults` via [`sa_faults::set_default_plan`] and the progress sink via
+//! [`sa_telemetry::set_global_progress`] — so simulators built afterwards
+//! pick the settings up without explicit plumbing.
 
 use crate::args::Args;
 use sa_faults::FaultPlan;
 use sa_telemetry::Progress;
 
-/// The flags every binary that builds a [`Cli`] accepts. `--cache=DIR`
-/// arrives as a switch named `cache=DIR` and is matched by prefix.
-const COMMON_FLAGS: &[&str] = &[
+/// The flags every figure, table and ablation binary accepts.
+/// `--cache=DIR` arrives as a switch named `cache=DIR` and counts as
+/// `cache`.
+pub const COMMON_FLAGS: &[&str] = &[
     "jobs",
     "fast-forward",
     "faults",
@@ -64,7 +65,7 @@ const COMMON_FLAGS: &[&str] = &[
 ];
 
 /// Usage block printed (to stderr) on any malformed or unknown common flag.
-const USAGE: &str = "\
+pub const USAGE: &str = "\
 common flags:
   --quick                reduced-size smoke run (also SA_QUICK=1)
   --jobs N               sweep worker threads (also SA_JOBS; default: cores)
@@ -78,6 +79,12 @@ common flags:
   --probe-interval N     sa-probe snapshot cadence in simulated cycles
   --host-profile         host wall-clock sidecar in the stats document
 ";
+
+/// Whether `args` ask for a reduced-size smoke run: `--quick`, or `SA_QUICK`
+/// set in the environment.
+pub fn quick_requested(args: &Args) -> bool {
+    args.has("quick") || std::env::var_os("SA_QUICK").is_some()
+}
 
 /// Resolve the result-cache directory from `--cache[=DIR]` and the
 /// `SA_CACHE_DIR` environment variable; `None` means caching stays off.
@@ -104,11 +111,8 @@ fn resolve_cache_dir(args: &Args) -> Option<String> {
     env
 }
 
-/// Parsed common flags plus the raw [`Args`] for binary-specific ones.
-///
-/// Exits the process with status 2 on a malformed flag (consistent with
-/// the historical per-binary parsers), so binaries can assume a valid
-/// configuration after construction.
+/// The parsed command line: the run-control flags plus the raw [`Args`]
+/// for binary-specific ones.
 #[derive(Debug)]
 pub struct Cli {
     args: Args,
@@ -116,59 +120,51 @@ pub struct Cli {
     fast_forward: bool,
     fault_plan: Option<FaultPlan>,
     probe_interval: u64,
-    host_profile: bool,
     cache_dir: Option<String>,
+    progress: Progress,
 }
 
 impl Cli {
-    /// Parse the process arguments and install the process-wide defaults.
-    /// `own_flags` are the binary's flags beyond `COMMON_FLAGS`.
-    pub fn from_env(own_flags: &[&str]) -> Cli {
-        Cli::from_args(Args::from_env(), own_flags)
-    }
-
-    /// Parse pre-collected arguments and install the process-wide defaults.
+    /// Parse the process arguments against the closed flag set `flags`,
+    /// install the process-wide defaults, and dispatch `--spec`.
     ///
-    /// When `--spec JOB.json` is among them the binary's own experiment is
-    /// skipped entirely: the serialized session runs through
-    /// [`crate::specrun`] and the process exits (status 0, or 2 on a
-    /// malformed spec — the shared usage convention).
-    pub fn from_args(args: Args, own_flags: &[&str]) -> Cli {
-        match Cli::try_from_args(args, own_flags) {
-            Ok(cli) => {
-                if cli.args().has("spec") || cli.args().raw("spec").is_some() {
-                    crate::specrun::run_and_exit(&cli);
-                }
-                cli
-            }
-            Err(e) => crate::usage_error(&e, USAGE),
+    /// A parse failure prints `usage` and exits with status 2. When
+    /// `--spec JOB.json` is given the binary's own experiment is skipped
+    /// entirely: the serialized session runs through [`crate::specrun`] and
+    /// the process exits (status 0, or 2 on a malformed spec).
+    pub fn from_env(flags: &[&str], usage: &str) -> Cli {
+        let cli = Cli::try_from_args(Args::from_env(), flags)
+            .unwrap_or_else(|e| crate::usage_error(&e, usage));
+        sa_sim::set_fast_forward_default(cli.fast_forward);
+        sa_faults::set_default_plan(cli.fault_plan.clone());
+        sa_telemetry::set_global_progress(cli.progress.clone());
+        if cli.args.has("spec") {
+            crate::specrun::run_and_exit(&cli);
         }
+        cli
     }
 
-    /// [`Cli::from_args`] returning parse failures instead of exiting.
+    /// Parse pre-collected arguments against the closed flag set `flags`.
+    /// Installs nothing and runs nothing.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed flag: one outside
-    /// `COMMON_FLAGS` and `own_flags`, a bad number, an unknown
-    /// `--fast-forward` mode, or an unreadable/invalid fault plan.
-    pub fn try_from_args(args: Args, own_flags: &[&str]) -> Result<Cli, String> {
+    /// `flags`, a bad number, an unknown `--fast-forward` mode, or an
+    /// unreadable/invalid fault plan.
+    pub fn try_from_args(args: Args, flags: &[&str]) -> Result<Cli, String> {
         if let Some(unknown) = args.flags().find(|f| {
-            !COMMON_FLAGS.contains(f) && !own_flags.contains(f) && !f.starts_with("cache=")
+            let name = if f.starts_with("cache=") { "cache" } else { f };
+            !flags.contains(&name)
         }) {
             return Err(format!("unknown flag --{unknown}"));
         }
-        let jobs = crate::sweep::resolve_jobs(match args.get_or("jobs", 0usize) {
-            Ok(n) if n > 0 => Some(n),
-            Ok(_) => None,
-            Err(e) => return Err(e.to_string()),
-        });
+        let jobs =
+            crate::sweep::resolve_jobs(args.get_or("jobs", 0usize).map_err(|e| e.to_string())?);
         let fast_forward = args
             .choice("fast-forward", &["on", "off"], "on")
             .map_err(|e| e.to_string())?
             == "on";
-        sa_sim::set_fast_forward_default(fast_forward);
-
         let fault_plan = match args.raw("faults") {
             None => None,
             Some(path) => {
@@ -181,27 +177,23 @@ impl Cli {
                 Some(plan)
             }
         };
-        sa_faults::set_default_plan(fault_plan.clone());
-
         let probe_interval = args
             .get_or("probe-interval", 0u64)
             .map_err(|e| e.to_string())?;
-        let host_profile = args.has("host-profile");
         let cache_dir = resolve_cache_dir(&args);
-        sa_telemetry::set_global_progress(if args.has("progress") {
+        let progress = if args.has("progress") {
             Progress::stderr()
         } else {
             Progress::off()
-        });
-
+        };
         Ok(Cli {
             args,
             jobs,
             fast_forward,
             fault_plan,
             probe_interval,
-            host_profile,
             cache_dir,
+            progress,
         })
     }
 
@@ -220,14 +212,14 @@ impl Cli {
         self.fast_forward
     }
 
-    /// The installed fault plan, when `--faults` was given.
+    /// The fault plan, when `--faults` was given.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
     }
 
     /// Whether a reduced-size smoke run was requested (`--quick`).
     pub fn quick(&self) -> bool {
-        self.args.has("quick") || std::env::var_os("SA_QUICK").is_some()
+        quick_requested(&self.args)
     }
 
     /// Probe snapshot cadence in simulated cycles (0 = probing off).
@@ -238,7 +230,7 @@ impl Cli {
     /// Whether to collect the `host_profile` wall-clock sidecar
     /// (`--host-profile`).
     pub fn host_profile(&self) -> bool {
-        self.host_profile
+        self.args.has("host-profile")
     }
 
     /// The result-cache directory (`--cache[=DIR]` / `SA_CACHE_DIR`), or
@@ -247,10 +239,9 @@ impl Cli {
         self.cache_dir.as_deref()
     }
 
-    /// The process-wide progress sink installed at parse time (off unless
-    /// `--progress` was given).
+    /// The progress sink: NDJSON on stderr with `--progress`, else off.
     pub fn progress(&self) -> Progress {
-        sa_telemetry::global_progress()
+        self.progress.clone()
     }
 }
 
@@ -259,7 +250,22 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Result<Cli, String> {
-        Cli::try_from_args(Args::parse(s.split_whitespace().map(str::to_owned)), &[])
+        Cli::try_from_args(
+            Args::parse(s.split_whitespace().map(str::to_owned)),
+            COMMON_FLAGS,
+        )
+    }
+
+    fn write_plan(tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("sa-bench-cli-{tag}-{}.json", std::process::id()));
+        let plan = FaultPlan::parse(
+            r#"{"schema":"sa-faultplan","version":1,"seed":1,
+                "faults":[{"kind":"ecc_single","period":5}]}"#,
+        )
+        .expect("valid plan");
+        std::fs::write(&path, plan.to_json().to_string_pretty()).expect("write plan");
+        path
     }
 
     #[test]
@@ -268,16 +274,31 @@ mod tests {
         assert!(cli.jobs() >= 1);
         assert!(cli.fast_forward());
         assert!(cli.fault_plan().is_none());
+        assert!(!cli.progress().is_on());
     }
 
     #[test]
     fn common_flags_parse() {
-        let cli = parse("--jobs 3 --fast-forward off --quick").expect("parses");
+        let cli = parse("--jobs 3 --fast-forward off --quick --progress").expect("parses");
         assert_eq!(cli.jobs(), 3);
         assert!(!cli.fast_forward());
         assert!(cli.quick());
-        // restore the global for neighbouring tests
-        sa_sim::set_fast_forward_default(true);
+        assert!(cli.progress().is_on());
+    }
+
+    #[test]
+    fn parsing_installs_nothing() {
+        let path = write_plan("installs");
+        let cli = parse(&format!(
+            "--fast-forward off --faults {} --progress",
+            path.display()
+        ))
+        .expect("parses");
+        assert!(cli.fault_plan().is_some() && cli.progress().is_on());
+        assert!(sa_sim::fast_forward_default());
+        assert!(sa_faults::default_plan().is_none());
+        assert!(!sa_telemetry::progress_enabled());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -320,23 +341,19 @@ mod tests {
     fn unknown_flags_are_rejected() {
         let err = parse("--quick --stats-jsno x.json").unwrap_err();
         assert_eq!(err, "unknown flag --stats-jsno");
-        let own = Args::parse(["--workers".to_owned(), "3".to_owned()]);
-        assert!(Cli::try_from_args(own, &["workers"]).is_ok());
+        let own = |s: &str| Args::parse(s.split_whitespace().map(str::to_owned));
+        assert!(Cli::try_from_args(own("--workers 3 --cache=d"), &["workers", "cache"]).is_ok());
+        let err = Cli::try_from_args(own("--workers 3 --quick"), &["workers"]).unwrap_err();
+        assert_eq!(err, "unknown flag --quick");
+        let err = Cli::try_from_args(own("--cache=d"), &["workers"]).unwrap_err();
+        assert_eq!(err, "unknown flag --cache=d");
     }
 
     #[test]
     fn fault_seed_overrides_plan() {
-        let dir = std::env::temp_dir().join("sa-bench-cli-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("plan.json");
-        let plan = FaultPlan::parse(
-            r#"{"schema":"sa-faultplan","version":1,"seed":1,
-                "faults":[{"kind":"ecc_single","period":5}]}"#,
-        )
-        .expect("valid plan");
-        std::fs::write(&path, plan.to_json().to_string_pretty()).expect("write plan");
+        let path = write_plan("seed");
         let cli = parse(&format!("--faults {} --fault-seed 99", path.display())).expect("parses");
-        assert_eq!(cli.fault_plan().expect("plan installed").seed, 99);
-        sa_faults::set_default_plan(None);
+        assert_eq!(cli.fault_plan().expect("plan parsed").seed, 99);
+        let _ = std::fs::remove_file(&path);
     }
 }

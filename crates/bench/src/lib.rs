@@ -23,12 +23,6 @@
 
 use std::fmt::Display;
 
-/// Whether the caller asked for a reduced-size run (`--quick` argument or
-/// `SA_QUICK=1` in the environment).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("SA_QUICK").is_some()
-}
-
 /// Print a figure/table header.
 pub fn header(title: &str, caption: &str) {
     println!("\n=== {title} ===");

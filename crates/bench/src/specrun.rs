@@ -1,15 +1,16 @@
 //! `--spec FILE`: run a serialized [`SessionSpec`] instead of the binary's
 //! built-in experiment.
 //!
-//! Every figure/ablation binary parses its flags through [`Cli`], so the
-//! hook lives there: when `--spec` is present the binary loads the JSON job
-//! description, overlays any execution knobs given explicitly on the
-//! command line (`--fast-forward`, `--probe-interval`) and an explicit
-//! `--faults` plan (re-seeded by `--fault-seed`), runs the session through
-//! the same cache/progress plumbing as the HTTP daemon, prints a
-//! deterministic summary, and exits — the same job file therefore means the
-//! same simulation whether it is submitted to `sa-serve`, replayed by
-//! `fig6 --spec job.json`, or fingerprinted by the result cache. A malformed spec follows the shared
+//! Every figure/ablation binary parses its flags through
+//! [`Cli::from_env`], which dispatches here: when `--spec` is present the
+//! binary loads the JSON job description, overlays any execution knobs
+//! given explicitly on the command line (`--fast-forward`,
+//! `--probe-interval`) and an explicit `--faults` plan (re-seeded by
+//! `--fault-seed`), runs the session through the same cache/progress
+//! plumbing as the HTTP daemon, prints a deterministic summary, and exits —
+//! the same job file therefore means the same simulation whether it is
+//! submitted to `sa-serve`, replayed by `fig6 --spec job.json`, or
+//! fingerprinted by the result cache. A malformed spec follows the shared
 //! usage convention: `error: ...` plus a usage block, exit status 2.
 
 use std::sync::Arc;
@@ -143,8 +144,8 @@ mod tests {
     use scatter_add_repro::Workload;
 
     fn cli(argv: &str) -> Cli {
-        Cli::try_from_args(Args::parse(argv.split_whitespace().map(str::to_owned)), &[])
-            .expect("argv parses")
+        let args = Args::parse(argv.split_whitespace().map(str::to_owned));
+        Cli::try_from_args(args, crate::cli::COMMON_FLAGS).expect("argv parses")
     }
 
     fn write_spec(tag: &str) -> std::path::PathBuf {
@@ -168,8 +169,6 @@ mod tests {
             .unwrap();
         assert_eq!(base, stepped, "exec knobs must not change the summary");
         let _ = std::fs::remove_file(&path);
-        // Restore the fast-forward default the overlay parse installed.
-        sa_sim::set_fast_forward_default(true);
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! The paper's evaluation is a sweep over independent simulator
 //! configurations, so the binaries fan the simulations out over a pool of
 //! scoped threads and keep everything observable strictly ordered: workers
-//! only *compute*, and [`map`] hands the results back in item order so the
-//! caller prints rows and records telemetry exactly as a serial run would.
-//! Combined with the `BTreeMap`-backed metrics registry this makes the
-//! sa-stats v2 document byte-identical for any `--jobs` value (the
+//! only *compute*, and [`map_jobs`] hands the results back in item order so
+//! the caller prints rows and records telemetry exactly as a serial run
+//! would. Combined with the `BTreeMap`-backed metrics registry this makes
+//! the sa-stats document byte-identical for any `--jobs` value (the
 //! determinism contract in `docs/PARALLELISM.md`).
 //!
-//! Worker count: `--jobs N` argument, else the `SA_JOBS` environment
-//! variable, else every available core.
+//! Binaries sweep through [`BenchRun::map`](crate::telemetry::BenchRun::map)
+//! and [`BenchRun::map_cached`](crate::telemetry::BenchRun::map_cached),
+//! which take the worker count from the parsed command line: `--jobs N`,
+//! else the `SA_JOBS` environment variable, else every available core
+//! ([`resolve_jobs`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sa_memo::{Fingerprint, ResultCache};
 use sa_telemetry::{Json, MetricsRegistry, Scope};
 
 /// The number of available cores (the default worker count).
@@ -25,28 +27,13 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve the requested sweep width: `--jobs N` beats `SA_JOBS=N` beats
-/// [`default_jobs`]. Zero and unparsable values fall through to the next
-/// source.
-pub fn jobs_from_env() -> usize {
-    resolve_jobs(
-        crate::args::Args::from_env()
-            .get_or("jobs", 0usize)
-            .ok()
-            .filter(|&n| n > 0),
-    )
-}
-
-/// The `SA_JOBS` / [`default_jobs`] fallback chain behind [`jobs_from_env`],
-/// taking an already-parsed `--jobs` value (shared with [`crate::cli::Cli`]).
-///
-/// `Some(0)` falls through to `SA_JOBS` / [`default_jobs`] like every other
-/// zero in the chain — a sweep can never run with zero workers.
-pub fn resolve_jobs(flag: Option<usize>) -> usize {
-    if let Some(n) = flag {
-        if n > 0 {
-            return n;
-        }
+/// Resolve the sweep width from an already-parsed `--jobs` value (0 when
+/// absent): the flag beats `SA_JOBS=N` beats [`default_jobs`]. Zero and
+/// unparsable values fall through to the next source, so a sweep can never
+/// run with zero workers.
+pub fn resolve_jobs(flag: usize) -> usize {
+    if flag > 0 {
+        return flag;
     }
     if let Some(v) = std::env::var_os("SA_JOBS") {
         if let Ok(n) = v.to_string_lossy().parse::<usize>() {
@@ -56,17 +43,6 @@ pub fn resolve_jobs(flag: Option<usize>) -> usize {
         }
     }
     default_jobs()
-}
-
-/// Run `f` over every item on [`jobs_from_env`] worker threads and return
-/// the results in item order. See [`map_jobs`].
-pub fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    map_jobs(jobs_from_env(), items, f)
 }
 
 /// Run `f` over every item on `jobs` worker threads and return the results
@@ -226,44 +202,6 @@ impl CachedPoint {
     }
 }
 
-/// [`map`] with a content-addressed result cache in front of the closure:
-/// each point's [`Fingerprint`] (from `key_of`) is looked up before `run`
-/// is invoked, and a computed point is stored after. With `cache = None`
-/// this is exactly `map(items, run)` — the cold and disabled paths produce
-/// identical results, and therefore identical output bytes.
-///
-/// Hits skip `run` entirely (zero simulation), so any correctness asserts
-/// inside the closure only fire on fresh computes — the stored payload was
-/// checked when it was first produced, and the store validates entry
-/// integrity on every read.
-pub fn map_cached<T, K, F>(
-    cache: Option<&ResultCache>,
-    items: Vec<T>,
-    key_of: K,
-    run: F,
-) -> Vec<CachedPoint>
-where
-    T: Send,
-    K: Fn(&T) -> Fingerprint + Sync,
-    F: Fn(T) -> CachedPoint + Sync,
-{
-    map(items, |item| {
-        let Some(cache) = cache else {
-            return run(item);
-        };
-        let key = key_of(&item);
-        if let Some(payload) = cache.lookup(&key) {
-            if let Ok(point) = CachedPoint::from_json(&payload) {
-                return point;
-            }
-        }
-        let point = run(item);
-        // Store failures (full disk, read-only store) cost only warmth.
-        let _ = cache.store(&key, &point.to_json());
-        point
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,16 +237,14 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-        assert!(jobs_from_env() >= 1);
     }
 
     #[test]
     fn resolve_jobs_zero_falls_through() {
         // `--jobs 0` must behave exactly like no flag at all (regression:
         // it used to return 0 and starve the sweep of workers).
-        assert_eq!(resolve_jobs(Some(0)), resolve_jobs(None));
-        assert!(resolve_jobs(Some(0)) >= 1);
-        assert_eq!(resolve_jobs(Some(3)), 3);
+        assert!(resolve_jobs(0) >= 1);
+        assert_eq!(resolve_jobs(3), 3);
     }
 
     #[test]
@@ -328,42 +264,5 @@ mod tests {
         );
         assert_eq!(back.get_num("hw_us"), 1.25);
         assert_eq!(back.get_num("sw_us"), 40.0);
-    }
-
-    #[test]
-    fn map_cached_hits_skip_the_closure() {
-        let dir = std::env::temp_dir().join(format!(
-            "sa-sweep-cache-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).expect("open cache");
-        let items: Vec<u64> = (0..4).collect();
-        let key_of = |&x: &u64| Fingerprint::new("sweep-test").u64("x", x);
-        let run = |x: u64| {
-            let mut p = CachedPoint::new();
-            p.scope("t").counter("calls", 1);
-            p.num("sq", (x * x) as f64);
-            p
-        };
-        let cold = map_cached(Some(&cache), items.clone(), key_of, run);
-        assert_eq!((cache.hits(), cache.misses(), cache.stores()), (0, 4, 4));
-        let warm = map_cached(Some(&cache), items.clone(), key_of, |_| {
-            panic!("warm sweep must not recompute")
-        });
-        assert_eq!((cache.hits(), cache.misses(), cache.stores()), (4, 4, 4));
-        let off = map_cached(None, items, key_of, run);
-        for ((c, w), o) in cold.iter().zip(&warm).zip(&off) {
-            assert_eq!(
-                c.to_json().to_string_compact(),
-                w.to_json().to_string_compact()
-            );
-            assert_eq!(
-                c.to_json().to_string_compact(),
-                o.to_json().to_string_compact()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

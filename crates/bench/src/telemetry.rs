@@ -1,11 +1,13 @@
 //! Shared `--stats-json` / `--trace` plumbing for the figure binaries.
 //!
-//! Every binary builds a [`BenchRun`] at startup, mirrors its printed rows
-//! into it, records machine statistics under named scopes, and calls
-//! [`BenchRun::finish`] last:
+//! Every binary builds a [`BenchRun`] at startup — it owns the binary's one
+//! parsed [`Cli`] — runs its sweeps through [`BenchRun::map`] /
+//! [`BenchRun::map_cached`], mirrors its printed rows into it, records
+//! machine statistics under named scopes, and calls [`BenchRun::finish`]
+//! last:
 //!
 //! ```text
-//! fig6 --stats-json fig6.json          # versioned sa-stats v1 document
+//! fig6 --stats-json fig6.json          # versioned sa-stats document
 //! fig6 --trace fig6.trace.json         # Chrome trace_event file (Perfetto)
 //! fig6 --fast-forward off              # disable event-horizon skipping
 //! ```
@@ -35,12 +37,12 @@ use sa_faults::FaultPlan;
 use sa_memo::{Fingerprint, ResultCache};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{
-    global_progress, progress_enabled, stats_json, validate_stats_json, ChromeTrace, HostProfiler,
-    Introspect, Json, MetricsRegistry, ProbeRecorder, ReqTracer, Scope, SeriesSet,
+    stats_json, validate_stats_json, ChromeTrace, HostProfiler, Introspect, Json, MetricsRegistry,
+    ProbeRecorder, ReqTracer, Scope, SeriesSet,
 };
 
-use crate::args::Args;
-use crate::cli::Cli;
+use crate::cli::{Cli, COMMON_FLAGS, USAGE};
+use crate::sweep::CachedPoint;
 
 /// Elements in the canonical histogram workload replayed by [`BenchRun::finish`].
 pub const CANONICAL_ELEMENTS: u64 = 4096;
@@ -75,43 +77,31 @@ pub fn machine_config_json(cfg: &MachineConfig) -> Json {
     o
 }
 
-/// Per-binary stats/trace collector; see the module docs for the protocol.
+/// Per-binary stats/trace collector and owner of the binary's parsed
+/// command line; see the module docs for the protocol.
 #[derive(Debug)]
 pub struct BenchRun {
     bench: String,
     cfg: MachineConfig,
+    cli: Cli,
     registry: MetricsRegistry,
     rows: Vec<Json>,
-    stats_path: Option<String>,
-    trace_path: Option<String>,
     latency: Vec<(String, Json)>,
     attribution: Vec<(String, Json)>,
-    probe_interval: u64,
-    host_profile: bool,
     profiler: HostProfiler,
     cache: Option<Arc<ResultCache>>,
-    /// The installed fault plan as JSON (or `Null`) — part of every cache
-    /// key, because the plan changes what the simulations compute.
-    fault_key: Json,
 }
 
 impl BenchRun {
-    /// A collector reading `--stats-json` and `--trace` from the process
-    /// arguments, which may hold only the common flags. Also installs the
-    /// process-wide run controls (`--fast-forward`, `--faults`) via [`Cli`].
+    /// A collector for a binary that takes only the common flags: parses
+    /// the process arguments, installs the process-wide run controls and
+    /// dispatches `--spec` (see [`Cli::from_env`]).
     pub fn from_env(bench: &str, cfg: &MachineConfig) -> BenchRun {
-        BenchRun::from_cli(bench, cfg, &Cli::from_env(&[]))
+        BenchRun::from_cli(bench, cfg, Cli::from_env(COMMON_FLAGS, USAGE))
     }
 
-    /// A collector reading its flags from pre-parsed `args` (routed through
-    /// [`Cli`], which installs the process-wide run controls).
-    pub fn from_args(bench: &str, cfg: &MachineConfig, args: &Args) -> BenchRun {
-        BenchRun::from_cli(bench, cfg, &Cli::from_args(args.clone(), &[]))
-    }
-
-    /// A collector reading its flags from an already-parsed [`Cli`].
-    pub fn from_cli(bench: &str, cfg: &MachineConfig, cli: &Cli) -> BenchRun {
-        let args = cli.args();
+    /// A collector owning an already-parsed [`Cli`].
+    pub fn from_cli(bench: &str, cfg: &MachineConfig, cli: Cli) -> BenchRun {
         let cache = match cli.cache_dir() {
             None => None,
             Some(dir) if cli.probe_interval() > 0 => {
@@ -137,35 +127,72 @@ impl BenchRun {
             cfg: *cfg,
             registry: MetricsRegistry::new(),
             rows: Vec::new(),
-            stats_path: args.raw("stats-json").map(str::to_owned),
-            trace_path: args.raw("trace").map(str::to_owned),
             latency: Vec::new(),
             attribution: Vec::new(),
-            probe_interval: cli.probe_interval(),
-            host_profile: cli.host_profile(),
             profiler: HostProfiler::enabled(cli.host_profile()),
             cache,
-            fault_key: cli.fault_plan().map_or(Json::Null, FaultPlan::to_json),
+            cli,
         }
     }
 
-    /// Probe snapshot cadence for this run's simulations (`--probe-interval`,
-    /// 0 = off); binaries pass it to their own [`Introspect`] bundles.
-    pub fn probe_interval(&self) -> u64 {
-        self.probe_interval
+    /// The binary's parsed command line.
+    pub fn cli(&self) -> &Cli {
+        &self.cli
+    }
+
+    /// Whether a reduced-size smoke run was requested (`--quick`).
+    pub fn quick(&self) -> bool {
+        self.cli.quick()
+    }
+
+    /// Run `f` over every sweep point on `--jobs` worker threads and return
+    /// the results in item order (see [`crate::sweep::map_jobs`]).
+    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        crate::sweep::map_jobs(self.cli.jobs(), items, f)
+    }
+
+    /// [`BenchRun::map`] with the result cache, when one is open, in front
+    /// of `run`: each point's [`Fingerprint`] (from `key_of`, built on
+    /// [`BenchRun::point_key`]) is looked up first, and a computed point is
+    /// stored after. Without a cache this is exactly `map(items, run)`, so
+    /// the cold and disabled paths produce identical output bytes.
+    ///
+    /// Hits skip `run` entirely (zero simulation), so any correctness
+    /// asserts inside the closure only fire on fresh computes — the stored
+    /// payload was checked when it was first produced, and the store
+    /// validates entry integrity on every read.
+    pub fn map_cached<T, K, F>(&self, items: Vec<T>, key_of: K, run: F) -> Vec<CachedPoint>
+    where
+        T: Send,
+        K: Fn(&T) -> Fingerprint + Sync,
+        F: Fn(T) -> CachedPoint + Sync,
+    {
+        let Some(cache) = self.cache.as_deref() else {
+            return self.map(items, run);
+        };
+        self.map(items, |item| {
+            let key = key_of(&item);
+            if let Some(payload) = cache.lookup(&key) {
+                if let Ok(point) = CachedPoint::from_json(&payload) {
+                    return point;
+                }
+            }
+            let point = run(item);
+            // Store failures (full disk, read-only store) cost only warmth.
+            let _ = cache.store(&key, &point.to_json());
+            point
+        })
     }
 
     /// Fold a run's host-time phase attribution into this binary's
     /// `host_profile` sidecar.
     pub fn absorb_host_profile(&mut self, other: &HostProfiler) {
         self.profiler.absorb(other);
-    }
-
-    /// The content-addressed result cache, when `--cache`/`SA_CACHE_DIR`
-    /// enabled one (and live probing did not veto it). Binaries pass this
-    /// to [`crate::sweep::map_cached`].
-    pub fn cache(&self) -> Option<&ResultCache> {
-        self.cache.as_deref()
     }
 
     /// A cache fingerprint for one of this binary's sweep points. Carries
@@ -180,7 +207,11 @@ impl BenchRun {
             .str("bench", &self.bench)
             .str("point", point)
             .field("config", self.cfg.fingerprint_json())
-            .field("faults", self.fault_key.clone())
+            // The plan changes what the simulations compute.
+            .field(
+                "faults",
+                self.cli.fault_plan().map_or(Json::Null, FaultPlan::to_json),
+            )
     }
 
     /// Merge a sweep point's metrics into this binary's registry (counters
@@ -196,13 +227,13 @@ impl BenchRun {
     /// profiler when `--host-profile` was given. Fold the profiler back
     /// with [`BenchRun::absorb_host_profile`] after the run.
     pub fn introspect(&self, label: &str) -> Introspect {
-        let progress = global_progress();
+        let progress = self.cli.progress();
         Introspect {
-            recorder: ProbeRecorder::every(self.probe_interval)
+            recorder: ProbeRecorder::every(self.cli.probe_interval())
                 .with_label(label)
                 .with_sink(progress.clone()),
             progress,
-            profiler: HostProfiler::enabled(self.host_profile),
+            profiler: HostProfiler::enabled(self.cli.host_profile()),
         }
     }
 
@@ -223,7 +254,10 @@ impl BenchRun {
     /// with no snapshots to look at would defeat the point, so the
     /// canonical run in [`BenchRun::finish`] fires for probes too.
     pub fn enabled(&self) -> bool {
-        self.stats_path.is_some() || self.trace_path.is_some() || self.probe_interval > 0
+        let args = self.cli.args();
+        args.raw("stats-json").is_some()
+            || args.raw("trace").is_some()
+            || self.cli.probe_interval() > 0
     }
 
     /// Print one table row (like [`crate::row`]) and mirror it into the
@@ -239,12 +273,13 @@ impl BenchRun {
         obj.push("cells", c);
         // Every finished table row doubles as a progress event, so any
         // binary that prints rows reports liveness with no per-binary code.
-        if progress_enabled() {
+        let progress = self.cli.progress();
+        if progress.is_on() {
             let mut ev = Json::obj();
             ev.push("kind", Json::Str("row".to_owned()));
             ev.push("bench", Json::Str(self.bench.clone()));
             ev.push("row", obj.clone());
-            global_progress().emit(&ev);
+            progress.emit(&ev);
         }
         self.rows.push(obj);
     }
@@ -286,7 +321,7 @@ impl BenchRun {
             return;
         }
         let (series, trace) = self.run_canonical();
-        if let Some(path) = &self.trace_path {
+        if let Some(path) = self.cli.args().raw("trace") {
             if let Err(e) = std::fs::write(path, trace.to_json_string()) {
                 eprintln!("error: could not write trace to {path}: {e}");
                 std::process::exit(1);
@@ -296,7 +331,7 @@ impl BenchRun {
                 trace.event_count()
             );
         }
-        if let Some(path) = self.stats_path.clone() {
+        if let Some(path) = self.cli.args().raw("stats-json").map(str::to_owned) {
             let section = |entries: Vec<(String, Json)>| {
                 if entries.is_empty() {
                     None
@@ -306,7 +341,7 @@ impl BenchRun {
             };
             let latency = section(std::mem::take(&mut self.latency));
             let attribution = section(std::mem::take(&mut self.attribution));
-            let host_profile = if self.host_profile {
+            let host_profile = if self.cli.host_profile() {
                 let mut hp = self.profiler.to_json();
                 // Cache effectiveness rides on the nondeterministic sidecar
                 // only — the deterministic document body must stay
@@ -367,12 +402,13 @@ impl BenchRun {
             cache.stores(),
             cache.dir().display()
         );
-        if progress_enabled() {
+        let progress = self.cli.progress();
+        if progress.is_on() {
             let mut ev = Json::obj();
             ev.push("kind", Json::Str("cache".to_owned()));
             ev.push("bench", Json::Str(self.bench.clone()));
             ev.push("cache", counts);
-            global_progress().emit(&ev);
+            progress.emit(&ev);
         }
     }
 
@@ -412,31 +448,32 @@ impl BenchRun {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(str::to_owned))
+    fn run(argv: &str) -> BenchRun {
+        let args = crate::args::Args::parse(argv.split_whitespace().map(str::to_owned));
+        let cli = Cli::try_from_args(args, COMMON_FLAGS).expect("argv parses");
+        BenchRun::from_cli("t", &MachineConfig::merrimac(), cli)
     }
 
     #[test]
     fn disabled_without_flags() {
-        let b = BenchRun::from_args("t", &MachineConfig::merrimac(), &parse("--quick"));
+        let b = run("--quick");
+        assert!(b.quick());
         assert!(!b.enabled());
         b.finish(); // must be a no-op, not a crash
     }
 
     #[test]
     fn flags_are_parsed() {
-        let a = parse("--stats-json out.json --trace t.json");
-        let b = BenchRun::from_args("t", &MachineConfig::merrimac(), &a);
+        let b = run("--trace t.json");
         assert!(b.enabled());
-        assert_eq!(b.stats_path.as_deref(), Some("out.json"));
-        assert_eq!(b.trace_path.as_deref(), Some("t.json"));
         assert_eq!(b.req_sample(), DEFAULT_REQ_SAMPLE);
+        assert!(run("--stats-json out.json").enabled());
+        assert!(run("--probe-interval 64").enabled());
     }
 
     #[test]
     fn canonical_run_populates_required_scopes() {
-        let a = parse("--stats-json x.json");
-        let mut b = BenchRun::from_args("t", &MachineConfig::merrimac(), &a);
+        let mut b = run("--stats-json x.json");
         let (series, trace) = b.run_canonical();
         assert!(!series.is_empty());
         assert!(trace.event_count() > 0);
@@ -456,18 +493,68 @@ mod tests {
 
     #[test]
     fn live_probing_disables_the_cache() {
-        let b = BenchRun::from_args(
-            "t",
-            &MachineConfig::merrimac(),
-            &parse("--cache /tmp/never-created-sa-cache --probe-interval 64"),
-        );
-        assert!(b.cache().is_none());
+        let b = run("--cache /tmp/never-created-sa-cache --probe-interval 64");
+        assert!(b.cache.is_none());
         assert!(!std::path::Path::new("/tmp/never-created-sa-cache").exists());
     }
 
     #[test]
+    fn jobs_flag_reaches_the_sweep_executor() {
+        let caller = std::thread::current().id();
+        let on_caller = |b: &BenchRun| {
+            b.map((0..8).collect(), |_: u32| {
+                std::thread::current().id() == caller
+            })
+        };
+        assert!(on_caller(&run("--jobs 1")).iter().all(|&same| same));
+        assert!(on_caller(&run("--jobs 2")).iter().all(|&same| !same));
+        let cached = run("--jobs 1").map_cached(
+            (0..4).collect(),
+            |&i: &u64| Fingerprint::new("t").u64("i", i),
+            |_| {
+                let mut p = CachedPoint::new();
+                let same = std::thread::current().id() == caller;
+                p.num("same", if same { 1.0 } else { 0.0 });
+                p
+            },
+        );
+        assert!(cached.iter().all(|p| p.get_num("same") == 1.0));
+    }
+
+    #[test]
+    fn map_cached_hits_skip_the_closure() {
+        let dir = std::env::temp_dir().join(format!("sa-bench-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b = run(&format!("--cache {} --jobs 2", dir.display()));
+        let cache = b.cache.as_deref().expect("cache opens");
+        let items: Vec<u64> = (0..4).collect();
+        let key_of = |&x: &u64| Fingerprint::new("sweep-test").u64("x", x);
+        let point = |x: u64| {
+            let mut p = CachedPoint::new();
+            p.scope("t").counter("calls", 1);
+            p.num("sq", (x * x) as f64);
+            p
+        };
+        let cold = b.map_cached(items.clone(), key_of, point);
+        assert_eq!((cache.hits(), cache.misses(), cache.stores()), (0, 4, 4));
+        let warm = b.map_cached(items.clone(), key_of, |_| {
+            panic!("warm sweep must not recompute")
+        });
+        assert_eq!((cache.hits(), cache.misses(), cache.stores()), (4, 4, 4));
+        let mut off = run("--jobs 2");
+        off.cache = None;
+        let off = off.map_cached(items, key_of, point);
+        for ((c, w), o) in cold.iter().zip(&warm).zip(&off) {
+            let c = c.to_json().to_string_compact();
+            assert_eq!(c, w.to_json().to_string_compact());
+            assert_eq!(c, o.to_json().to_string_compact());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rows_mirror_cells() {
-        let mut b = BenchRun::from_args("t", &MachineConfig::merrimac(), &parse(""));
+        let mut b = run("");
         b.row("n=4", &[("time", "1.00us".to_owned())]);
         assert_eq!(b.rows.len(), 1);
         let label = b.rows[0].get("label").and_then(Json::as_str);

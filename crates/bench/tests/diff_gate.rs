@@ -5,13 +5,15 @@
 //!   fails (exit nonzero) naming the metric;
 //! - `analyze --watch -`: a `--progress` stream on stdin is rendered, and
 //!   an invalid `sa-probe` snapshot fails it (exit 1);
-//! - the closed flag set: an unknown or removed flag exits 2.
+//! - the closed flag set: an unknown or removed flag exits 2, and `serve`
+//!   rejects the figure binaries' experiment flags.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 use sa_bench::args::Args;
+use sa_bench::cli::{Cli, COMMON_FLAGS};
 use sa_bench::telemetry::BenchRun;
 use sa_sim::MachineConfig;
 use sa_telemetry::{Json, ProbeRegistry};
@@ -26,7 +28,8 @@ fn tmp(name: &str) -> PathBuf {
 fn export(path: &std::path::Path) -> Json {
     let flag = format!("--stats-json {}", path.display());
     let args = Args::parse(flag.split_whitespace().map(str::to_owned));
-    let bench = BenchRun::from_args("gate", &MachineConfig::merrimac(), &args);
+    let cli = Cli::try_from_args(args, COMMON_FLAGS).expect("argv parses");
+    let bench = BenchRun::from_cli("gate", &MachineConfig::merrimac(), cli);
     bench.finish();
     let text = std::fs::read_to_string(path).expect("document written");
     Json::parse(&text).expect("valid JSON")
@@ -135,20 +138,30 @@ fn watch_reads_a_progress_stream_from_stdin() {
 
 #[test]
 fn unknown_and_removed_flags_exit_2() {
-    for flag in [["--stats-jsno", "x.json"], ["--probe-listen", "/tmp/x"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_table1"))
-            .args(flag)
-            .output()
-            .expect("table1 runs");
-        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+    let faults = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../bench/faultplans/smoke.json"
+    );
+    let cases = [
+        (env!("CARGO_BIN_EXE_table1"), ["--stats-jsno", "x.json"]),
+        (env!("CARGO_BIN_EXE_table1"), ["--probe-listen", "/tmp/x"]),
+        // serve takes only its own flags: the figure binaries' experiment
+        // flags are rejected before a socket is bound (no "listening" line).
+        (env!("CARGO_BIN_EXE_serve"), ["--spec", "job.json"]),
+        (env!("CARGO_BIN_EXE_serve"), ["--faults", faults]),
+        (env!("CARGO_BIN_EXE_serve"), ["--stats-json", "x.json"]),
+    ];
+    for (bin, flag) in cases {
+        let out = Command::new(bin).args(flag).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} {flag:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("unknown flag {}", flag[0])),
-            "{flag:?}: stderr was:\n{stderr}"
+            "{bin} {flag:?}: stderr was:\n{stderr}"
         );
         assert!(
             out.stdout.is_empty(),
-            "{flag:?} must fail before any output"
+            "{bin} {flag:?} must fail before any output"
         );
     }
 }

@@ -2,13 +2,17 @@
 //! JSON, the Chrome trace's track layout, and zero simulated-time cost.
 
 use sa_bench::args::Args;
+use sa_bench::cli::{Cli, COMMON_FLAGS};
 use sa_bench::telemetry::{machine_config_json, BenchRun};
 use sa_core::{drive_scatter, drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{validate_stats_json, ChromeTrace, Introspect, Json, ProbeRecorder, Progress};
 
-fn args(s: &str) -> Args {
-    Args::parse(s.split_whitespace().map(str::to_owned))
+/// A collector for `argv`, built as a figure binary builds one.
+fn bench_run(cfg: &MachineConfig, argv: &str) -> BenchRun {
+    let args = Args::parse(argv.split_whitespace().map(str::to_owned));
+    let cli = Cli::try_from_args(args, COMMON_FLAGS).expect("argv parses");
+    BenchRun::from_cli("determinism", cfg, cli)
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -20,7 +24,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// Emit one stats document exactly as a figure binary would.
 fn export(cfg: &MachineConfig, path: &std::path::Path) -> String {
     let flag = format!("--stats-json {}", path.display());
-    let mut bench = BenchRun::from_args("determinism", cfg, &args(&flag));
+    let mut bench = bench_run(cfg, &flag);
     bench.scope("experiment").counter("events", 42);
     bench.row("r=1", &[("time", "1.00us".to_owned())]);
     bench.finish();
@@ -212,7 +216,7 @@ fn disabled_probes_are_byte_free() {
     let b = {
         let path = tmp("probe-off-b.json");
         let flag = format!("--stats-json {} --probe-interval 0", path.display());
-        let mut bench = BenchRun::from_args("determinism", &cfg, &args(&flag));
+        let mut bench = bench_run(&cfg, &flag);
         bench.scope("experiment").counter("events", 42);
         bench.row("r=1", &[("time", "1.00us".to_owned())]);
         bench.finish();
@@ -235,7 +239,7 @@ fn host_profile_sidecar_is_opt_in_and_validates() {
 
     let path = tmp("hp-on.json");
     let flag = format!("--stats-json {} --host-profile", path.display());
-    let mut bench = BenchRun::from_args("determinism", &cfg, &args(&flag));
+    let mut bench = bench_run(&cfg, &flag);
     bench.scope("experiment").counter("events", 42);
     bench.finish();
     let text = std::fs::read_to_string(&path).expect("document written");

@@ -20,7 +20,7 @@
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-use sa_telemetry::{Counters, Json, Scope};
+use sa_telemetry::{Counters, Json, Reader, Scope};
 
 /// `schema` field of a fault-plan JSON document.
 pub const FAULTPLAN_SCHEMA_NAME: &str = "sa-faultplan";
@@ -191,43 +191,50 @@ impl FaultPlan {
         }
     }
 
-    /// Parse a plan from its JSON document text.
-    ///
-    /// Unknown fields are rejected nowhere (forward compatibility); missing
-    /// optional fields take defaults (`seed` 0, `cs_timeout`
-    /// [`DEFAULT_CS_TIMEOUT`], `max` unbounded, `after` 0).
+    /// Parse a plan from its JSON document text ([`Json::parse`] then
+    /// [`FaultPlan::from_json`]).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
-        let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("fault plan: missing schema field")?;
+        FaultPlan::from_json(&Json::parse(text)?)
+    }
+
+    /// Read a plan from its JSON document.
+    ///
+    /// Strict: an unknown or misspelled key, or a mistyped value, is an
+    /// error — a typo must never become a silently-applied default.
+    /// `cycles` is accepted only on `cs_stall` rules. Missing optional
+    /// fields take defaults (`seed` 0, `cs_timeout` [`DEFAULT_CS_TIMEOUT`],
+    /// `faults` empty; per rule `period` 1, `max` unbounded, `after` 0,
+    /// `cycles` 32), and `cs_timeout`, `period` and `cycles` are clamped to
+    /// at least 1.
+    pub fn from_json(doc: &Json) -> Result<FaultPlan, String> {
+        let mut r = Reader::new("fault plan", doc)?;
+        let schema = r.str("schema")?;
         if schema != FAULTPLAN_SCHEMA_NAME {
             return Err(format!(
                 "fault plan: schema is {schema:?}, expected {FAULTPLAN_SCHEMA_NAME:?}"
             ));
         }
-        let version = doc
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("fault plan: missing version field")?;
+        let version = r.u64("version")?;
         if version == 0 || version > FAULTPLAN_SCHEMA_VERSION {
             return Err(format!(
                 "fault plan: version {version} unsupported (expected 1..={FAULTPLAN_SCHEMA_VERSION})"
             ));
         }
-        let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(0);
-        let cs_timeout = doc
-            .get("cs_timeout")
-            .and_then(Json::as_u64)
+        let seed = r.opt("seed", Reader::u64)?.unwrap_or(0);
+        let cs_timeout = r
+            .opt("cs_timeout", Reader::u64)?
             .unwrap_or(DEFAULT_CS_TIMEOUT)
             .max(1);
         let mut rules = Vec::new();
-        if let Some(faults) = doc.get("faults").and_then(Json::as_arr) {
-            for (i, f) in faults.iter().enumerate() {
-                rules.push(parse_rule(f).map_err(|e| format!("fault plan: faults[{i}]: {e}"))?);
-            }
+        for (i, f) in r
+            .opt("faults", Reader::arr)?
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+        {
+            rules.push(rule_from_json(f).map_err(|e| format!("fault plan: faults[{i}]: {e}"))?);
         }
+        r.finish()?;
         Ok(FaultPlan {
             seed,
             cs_timeout,
@@ -270,30 +277,26 @@ impl FaultPlan {
     }
 }
 
-fn parse_rule(f: &Json) -> Result<FaultRule, String> {
-    let name = f
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing kind field")?;
-    let kind = match name {
+fn rule_from_json(f: &Json) -> Result<FaultRule, String> {
+    let mut r = Reader::new("fault rule", f)?;
+    let kind = match r.str("kind")? {
         "ecc_single" => FaultKind::EccSingle,
         "ecc_double" => FaultKind::EccDouble,
         "net_nack" => FaultKind::NetNack,
         "net_drop" => FaultKind::NetDrop,
         "cs_stall" => FaultKind::CsStall {
-            cycles: f.get("cycles").and_then(Json::as_u64).unwrap_or(32).max(1),
+            cycles: r.opt("cycles", Reader::u64)?.unwrap_or(32).max(1),
         },
         other => return Err(format!("unknown fault kind {other:?}")),
     };
-    let period = f.get("period").and_then(Json::as_u64).unwrap_or(1).max(1);
-    let max = f.get("max").and_then(Json::as_u64).unwrap_or(u64::MAX);
-    let after = f.get("after").and_then(Json::as_u64).unwrap_or(0);
-    Ok(FaultRule {
+    let rule = FaultRule {
         kind,
-        period,
-        max,
-        after,
-    })
+        period: r.opt("period", Reader::u64)?.unwrap_or(1).max(1),
+        max: r.opt("max", Reader::u64)?.unwrap_or(u64::MAX),
+        after: r.opt("after", Reader::u64)?.unwrap_or(0),
+    };
+    r.finish()?;
+    Ok(rule)
 }
 
 // ---------------------------------------------------------------------------
@@ -586,6 +589,47 @@ mod tests {
             r#"{"schema":"sa-faultplan","version":1,"faults":[{"kind":"zap"}]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn parse_rejects_typos_and_mistyped_values() {
+        let plan = |rule: &str| {
+            FaultPlan::parse(&format!(
+                r#"{{"schema":"sa-faultplan","version":1,"faults":[{rule}]}}"#
+            ))
+        };
+        assert!(plan(r#"{"kind":"ecc_single","period":1000}"#).is_ok());
+        let err = plan(r#"{"kind":"ecc_single","perid":1000}"#).unwrap_err();
+        assert!(
+            err.contains("faults[0]") && err.contains("'perid'"),
+            "{err}"
+        );
+        let err = plan(r#"{"kind":"ecc_single","period":"1000"}"#).unwrap_err();
+        assert!(err.contains("'period'"), "{err}");
+        // `cycles` belongs to cs_stall only.
+        assert!(plan(r#"{"kind":"cs_stall","cycles":8}"#).is_ok());
+        assert!(plan(r#"{"kind":"net_drop","cycles":8}"#).is_err());
+        assert!(FaultPlan::parse(r#"{"schema":"sa-faultplan","version":1,"sed":3}"#).is_err());
+        assert!(FaultPlan::parse(r#"{"schema":"sa-faultplan","version":1,"seed":-3}"#).is_err());
+    }
+
+    #[test]
+    fn shipped_plans_and_the_documented_example_parse() {
+        let smoke = FaultPlan::parse(include_str!("../../../bench/faultplans/smoke.json"))
+            .expect("smoke plan");
+        assert_eq!((smoke.seed, smoke.rules.len()), (2005, 5));
+        let empty = FaultPlan::parse(include_str!("../../../bench/faultplans/empty.json"))
+            .expect("empty plan");
+        assert!(empty.is_empty());
+        let doc = include_str!("../../../docs/RESILIENCE.md");
+        let example = doc
+            .split("```json")
+            .skip(1)
+            .map(|block| block.split("```").next().unwrap_or_default())
+            .find(|block| block.contains(FAULTPLAN_SCHEMA_NAME))
+            .expect("RESILIENCE.md carries a plan example");
+        let plan = FaultPlan::parse(example).expect("documented plan parses");
+        assert_eq!(plan.rules.len(), 5);
     }
 
     #[test]

@@ -377,7 +377,7 @@ impl Scope<'_> {
 ///
 /// Components push one point per series per sample tick; the set remembers
 /// the interval so exported JSON is self-describing.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct SeriesSet {
     interval: u64,
     series: BTreeMap<String, Vec<(u64, f64)>>,
@@ -438,40 +438,6 @@ impl SeriesSet {
         obj.push("interval", Json::UInt(self.interval));
         obj.push("series", names);
         obj
-    }
-
-    /// Rebuild a set from the layout [`to_json`](Self::to_json) writes.
-    /// Exact inverse (cycle is a `u64`, value round-trips bit-exactly), so
-    /// cached series re-serialize to identical bytes.
-    pub fn from_json(doc: &Json) -> Result<SeriesSet, String> {
-        let interval = doc
-            .get("interval")
-            .and_then(Json::as_u64)
-            .ok_or("series document: missing 'interval'")?;
-        let mut set = SeriesSet::new(interval);
-        let names = doc
-            .get("series")
-            .and_then(Json::as_obj)
-            .ok_or("series document: missing 'series' object")?;
-        for (name, points) in names {
-            let points = points
-                .as_arr()
-                .ok_or_else(|| format!("series '{name}': not an array"))?;
-            for point in points {
-                let pair = point
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("series '{name}': point is not a pair"))?;
-                let cycle = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| format!("series '{name}': non-u64 cycle"))?;
-                let value = pair[1]
-                    .as_f64()
-                    .ok_or_else(|| format!("series '{name}': non-f64 value"))?;
-                set.push(name, cycle, value);
-            }
-        }
-        Ok(set)
     }
 }
 
@@ -1352,11 +1318,24 @@ impl<'a> Reader<'a> {
     /// an unsigned integer if present, and its value is ignored.
     pub fn legacy_u64s(&mut self, keys: &[&'a str]) -> Result<(), String> {
         for &key in keys {
-            if self.pairs.iter().any(|(k, _)| k == key) {
-                self.u64(key)?;
-            }
+            self.opt(key, Reader::u64)?;
         }
         Ok(())
+    }
+
+    /// An optional field: `None` when `key` is absent, else `get(self, key)`
+    /// (e.g. `reader.opt("seed", Reader::u64)`), so a present but mistyped
+    /// value is still an error.
+    pub fn opt<T>(
+        &mut self,
+        key: &'a str,
+        get: fn(&mut Reader<'a>, &'a str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        if self.pairs.iter().any(|(k, _)| k == key) {
+            get(self, key).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     /// The value at `key`, which must be present.
@@ -2181,24 +2160,5 @@ mod tests {
         merged.merge(&first);
         merged.merge(&second);
         assert_eq!(merged, direct);
-    }
-
-    #[test]
-    fn series_json_round_trip_is_exact() {
-        let mut series = SeriesSet::new(64);
-        series.push("node0.busy", 64, 0.25);
-        series.push("node0.busy", 128, 1.0);
-        series.push("net.flits", 64, 17.0);
-        let doc = series.to_json();
-        let back = SeriesSet::from_json(&doc).unwrap();
-        assert_eq!(back, series);
-        let reparsed = Json::parse(&doc.to_string_compact()).unwrap();
-        assert_eq!(
-            SeriesSet::from_json(&reparsed)
-                .unwrap()
-                .to_json()
-                .to_string_compact(),
-            doc.to_string_compact()
-        );
     }
 }

@@ -196,7 +196,7 @@ impl SessionSpec {
         let config = MachineConfig::from_fingerprint_json(top.get("config")?)?;
         let faults = match top.get("faults")? {
             Json::Null => None,
-            plan => Some(FaultPlan::parse(&plan.to_string_compact())?),
+            plan => Some(FaultPlan::from_json(plan)?),
         };
         let mut tel = Reader::new("telemetry", top.get("telemetry")?)?;
         tel.legacy_u64s(&["sample_interval", "req_sample"])?;
@@ -616,5 +616,26 @@ mod tests {
             .digest(),
             "a fault plan changes the cache key"
         );
+    }
+
+    #[test]
+    fn misspelled_fault_plan_keys_are_rejected() {
+        let mut spec = SessionSpec::new(Workload::Histogram {
+            base_word: 0,
+            indices: vec![1, 2, 3],
+        });
+        spec.faults = Some(
+            FaultPlan::parse(
+                r#"{"schema":"sa-faultplan","version":1,
+                    "faults":[{"kind":"ecc_single","period":1000}]}"#,
+            )
+            .unwrap(),
+        );
+        let text = spec.to_json().to_string_compact();
+        assert!(SessionSpec::from_json(&Json::parse(&text).unwrap()).is_ok());
+        let typo = text.replace("\"period\"", "\"perid\"");
+        assert_ne!(typo, text);
+        let err = SessionSpec::from_json(&Json::parse(&typo).unwrap()).unwrap_err();
+        assert!(err.contains("perid"), "{err}");
     }
 }
