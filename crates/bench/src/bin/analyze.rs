@@ -39,8 +39,8 @@
 //!   computed with `sa_apps::traces::TraceStats` — the quantities the
 //!   paper invokes qualitatively when explaining the scalability curves);
 //! * `analyze cache ls|stats|gc|clear` manages the content-addressed
-//!   result store the figure binaries fill via `--cache` (see
-//!   `docs/PERFORMANCE.md`). The directory comes from `--dir`,
+//!   result store that `--spec JOB.json --cache` runs and `serve --cache`
+//!   fill (see `docs/PERFORMANCE.md`). The directory comes from `--dir`,
 //!   `SA_CACHE_DIR`, or the `.sa-cache` default; `gc` evicts
 //!   least-recently-used entries until the store fits `--max-bytes`.
 //!

@@ -10,11 +10,14 @@
 //! explore rig       --cs 8 --latency 64 --interval 2
 //! ```
 //!
-//! Machine flags (all subcommands): `--banks`, `--cs`, `--fu`, `--ag-width`,
-//! `--line-bytes`, `--cache-kb`. Workload flags: `--n`, `--range`,
-//! `--seed`, `--skew` (Zipf exponent; 0 = uniform). The common flags of
-//! every figure binary (`--stats-json`, `--trace`, `--progress`, ...) apply
-//! too; any other flag is a usage error.
+//! Machine flags (every subcommand but `rig`): `--banks`, `--cs`, `--fu`,
+//! `--ag-width`, `--line-bytes`, `--cache-kb`. Workload flags: `--n`,
+//! `--range`, `--seed`, `--skew` (Zipf exponent; 0 = uniform; `scan` takes
+//! only `--n` and `--seed`). `rig` builds its own sensitivity rig and takes
+//! `--cs`, `--fu`, `--latency`, `--interval`, `--n`, `--range` and
+//! `--seed`. The common flags of every figure binary (`--stats-json`,
+//! `--trace`, `--progress`, ...) apply too. A flag the named subcommand
+//! does not read is a usage error (exit 2).
 
 use sa_apps::histogram::{run_hw, run_privatization_default, run_sort_scan, HistogramInput};
 use sa_bench::args::Args;
@@ -24,31 +27,10 @@ use sa_core::{drive_scan, drive_scatter, ScatterKernel, SensitivityRig};
 use sa_multinode::{MultiNode, Topology};
 use sa_sim::{MachineConfig, NetworkConfig, Rng64, ScalarKind, SensitivityConfig};
 
-/// `explore`'s own flags, on top of the common ones every binary takes.
-const FLAGS: &[&str] = &[
-    // machine
-    "banks",
-    "cs",
-    "fu",
-    "ag-width",
-    "line-bytes",
-    "cache-kb",
-    // workload
-    "n",
-    "range",
-    "seed",
-    "skew",
-    // subcommand-specific
-    "impl",
-    "batch",
-    "fetch",
-    "nodes",
-    "net",
-    "topology",
-    "combining",
-    "latency",
-    "interval",
-];
+/// The machine knobs [`machine_from`] reads.
+const MACHINE: &[&str] = &["banks", "cs", "fu", "ag-width", "line-bytes", "cache-kb"];
+/// The workload knobs [`input_from`] reads.
+const WORKLOAD: &[&str] = &["n", "range", "seed", "skew"];
 
 fn machine_from(args: &Args) -> Result<MachineConfig, Box<dyn std::error::Error>> {
     let mut cfg = MachineConfig::merrimac();
@@ -76,6 +58,8 @@ fn input_from(args: &Args) -> Result<HistogramInput, Box<dyn std::error::Error>>
 
 /// What every subcommand returns; an error exits 1 with the usage block.
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
+/// A subcommand's runner.
+type Cmd = fn(&mut BenchRun, &MachineConfig) -> CmdResult;
 
 fn cmd_histogram(bench: &mut BenchRun, cfg: &MachineConfig) -> CmdResult {
     let args = bench.cli().args();
@@ -207,20 +191,37 @@ fn fail(e: &dyn std::error::Error) -> ! {
     std::process::exit(1);
 }
 
+/// Each subcommand's runner and the flags it reads, on top of the common
+/// ones every binary takes.
+fn subcommand(name: &str) -> Option<(Cmd, Vec<&'static str>)> {
+    let with = |extra: &[&'static str]| [MACHINE, WORKLOAD, extra].concat();
+    Some(match name {
+        "histogram" => (cmd_histogram as Cmd, with(&["impl", "batch"])),
+        "scatter" => (cmd_scatter, with(&["fetch"])),
+        "scan" => (cmd_scan, [MACHINE, &["n", "seed"]].concat()),
+        "multinode" => (
+            cmd_multinode,
+            with(&["nodes", "net", "topology", "combining"]),
+        ),
+        "rig" => (
+            cmd_rig,
+            vec!["cs", "fu", "latency", "interval", "n", "range", "seed"],
+        ),
+        _ => return None,
+    })
+}
+
 fn main() {
-    let cli = Cli::from_env(&[COMMON_FLAGS, FLAGS].concat(), COMMON_USAGE);
-    let cmd: fn(&mut BenchRun, &MachineConfig) -> CmdResult =
-        match cli.args().positional().first().map(String::as_str) {
-            Some("histogram") => cmd_histogram,
-            Some("scatter") => cmd_scatter,
-            Some("scan") => cmd_scan,
-            Some("multinode") => cmd_multinode,
-            Some("rig") => cmd_rig,
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        };
+    let args = Args::from_env();
+    let sub = args.positional().first().and_then(|name| subcommand(name));
+    // Without a subcommand only the common flags parse, so `--spec` still
+    // dispatches; anything else ends at the usage block below.
+    let own = sub.as_ref().map_or(&[][..], |(_, flags)| flags.as_slice());
+    let cli = Cli::from_args(args, &[COMMON_FLAGS, own].concat(), COMMON_USAGE);
+    let Some((cmd, _)) = sub else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
     // The rig has its own knobs; its stats document describes the default
     // machine.
     let cfg = if cli.args().positional()[0] == "rig" {

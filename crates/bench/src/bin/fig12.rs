@@ -49,17 +49,16 @@ fn main() {
     let mut i = 0;
     while i < points.len() {
         let cs = points[i].0;
-        let mut cells: Vec<(&str, String)> = Vec::new();
+        let mut cells: Vec<(String, String)> = Vec::new();
         while i < points.len() && points[i].0 == cs {
             let (_, interval, label_range, _) = points[i];
             let r = &results[i];
             r.record_metrics(&mut bench.scope(&format!("rig.cs{cs}.i{interval}.r{label_range}")));
-            // Leak a tiny label string; the binary is short-lived.
-            let label: &'static str =
-                Box::leak(format!("i{interval}/{label_range}").into_boxed_str());
-            cells.push((label, us(r.micros())));
+            cells.push((format!("i{interval}/{label_range}"), us(r.micros())));
             i += 1;
         }
+        let cells: Vec<(&str, String)> =
+            cells.iter().map(|(l, v)| (l.as_str(), v.clone())).collect();
         bench.row(format!("CS entries={cs}"), &cells);
     }
     println!(

@@ -17,15 +17,11 @@
 //! `narrow-low` does not scale at all but `narrow-low-comb` recovers ~5.7×
 //! at 8 nodes; `narrow-high` reaches ~7.1×; `mole`/`spas` sit between.
 
-use std::sync::Mutex;
-
 use sa_apps::md::WaterSystem;
 use sa_apps::mesh::Mesh;
 use sa_apps::spmv::Ebe;
 use sa_bench::header;
-use sa_bench::sweep::CachedPoint;
 use sa_bench::telemetry::BenchRun;
-use sa_memo::{hash_f64s, hash_u64s};
 use sa_multinode::MultiNode;
 use sa_sim::{MachineConfig, NetworkConfig, Rng64};
 
@@ -37,9 +33,9 @@ struct Variant {
 
 /// Replay one trace for every (variant, node count) point. The points fan
 /// out over the sweep executor (see `docs/PARALLELISM.md`). Each point
-/// carries its own
-/// [`sa_telemetry::Introspect`] so `--progress --probe-interval N` streams
-/// labelled snapshots and `--host-profile` attributes wall-clock per phase.
+/// carries its own [`sa_telemetry::Introspect`] so `--progress
+/// --probe-interval N` streams labelled snapshots and `--host-profile`
+/// attributes wall-clock per phase.
 fn run_series(
     bench: &mut BenchRun,
     machine: &MachineConfig,
@@ -59,55 +55,26 @@ fn run_series(
             ((vi, n), bench.introspect(&point_label))
         })
         .collect();
-    // The cache key names the exact inputs (trace/value digests, network
-    // shape, node count) rather than just the label, so a trace edit or a
-    // quick-mode size change can never replay stale results.
-    let trace_sha = hash_u64s(trace);
-    let values_sha = hash_f64s(values);
-    // Host profilers ride a side channel: they are nondeterministic
-    // wall-clock data, so they are neither cached nor replayed on hits.
-    let profilers = Mutex::new(Vec::new());
-    let results = bench.map_cached(
-        work,
-        |&((vi, n), _)| {
-            let v = &variants[vi];
-            bench
-                .point_key(&format!("fig13 {label}-{} n={n}", v.name))
-                .str("trace_sha256", &trace_sha)
-                .str("values_sha256", &values_sha)
-                .field("network", v.net.fingerprint_json())
-                .bool("combining", v.combining)
-                .u64("nodes", n as u64)
-        },
-        |((vi, n), mut probe)| {
-            let v = &variants[vi];
-            let mut mn = MultiNode::new(*machine, n, v.net, v.combining);
-            let r = mn.run_trace_probed(trace, values, &mut probe);
-            let mut point = CachedPoint::new();
-            r.record_metrics(&mut point.scope(&format!("{label}.{}.n{n}", v.name)));
-            point.num("gbps", r.throughput_gbps(machine.ghz));
-            profilers
-                .lock()
-                .expect("profiler list")
-                .push(probe.profiler);
-            point
-        },
-    );
-    for profiler in profilers.into_inner().expect("profiler list") {
+    let results = bench.map(work, |((vi, n), mut probe)| {
+        let v = &variants[vi];
+        let mut mn = MultiNode::new(*machine, n, v.net, v.combining);
+        let r = mn.run_trace_probed(trace, values, &mut probe);
+        (r, probe.profiler)
+    });
+    let mut gbps = Vec::with_capacity(results.len());
+    for (&(vi, n), (r, profiler)) in points.iter().zip(results) {
+        r.record_metrics(&mut bench.scope(&format!("{label}.{}.n{n}", variants[vi].name)));
         bench.absorb_host_profile(&profiler);
+        gbps.push(r.throughput_gbps(machine.ghz));
     }
-    for point in &results {
-        bench.absorb_metrics(&point.metrics);
-    }
-    for (vi, v) in variants.iter().enumerate() {
-        let mut cells = Vec::new();
-        for (&(pvi, n), point) in points.iter().zip(&results) {
-            if pvi != vi {
-                continue;
-            }
-            let cell: &'static str = Box::leak(format!("{n}n").into_boxed_str());
-            cells.push((cell, format!("{:.1}GB/s", point.get_num("gbps"))));
-        }
+    // Points run variant-major, so each variant's row is one chunk.
+    let names: Vec<String> = nodes_list.iter().map(|n| format!("{n}n")).collect();
+    for (v, row) in variants.iter().zip(gbps.chunks(nodes_list.len())) {
+        let cells: Vec<(&str, String)> = names
+            .iter()
+            .zip(row)
+            .map(|(name, g)| (name.as_str(), format!("{g:.1}GB/s")))
+            .collect();
         bench.row(format!("{label}-{}", v.name), &cells);
     }
 }

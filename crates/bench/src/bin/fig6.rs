@@ -5,7 +5,6 @@
 //! software by 3:1 up to 11:1.
 
 use sa_apps::histogram::{run_hw, run_sort_scan_default, HistogramInput};
-use sa_bench::sweep::CachedPoint;
 use sa_bench::telemetry::BenchRun;
 use sa_bench::{header, us};
 use sa_sim::MachineConfig;
@@ -23,35 +22,20 @@ fn main() {
         "Figure 6",
         &format!("Histogram execution time, input range {range}; lower is better"),
     );
-    // Simulate every input size concurrently; print and record in size
-    // order, so the output is identical to a serial run. With `--cache`,
-    // already-seen points replay from the result store without simulating.
-    let runs = bench.map_cached(
-        sizes.to_vec(),
-        |&n| {
-            bench
-                .point_key(&format!("fig6 n={n}"))
-                .u64("n", n as u64)
-                .u64("range", range)
-                .u64("seed", 0xF16_0006 + n as u64)
-        },
-        |n| {
-            let input = HistogramInput::uniform(n, range, 0xF16_0006 + n as u64);
-            let hw = run_hw(&cfg, &input);
-            let sw = run_sort_scan_default(&cfg, &input);
-            assert_eq!(hw.bins, input.reference(), "hw result check");
-            assert_eq!(sw.bins, input.reference(), "sw result check");
-            let mut point = CachedPoint::new();
-            hw.report.stats.record(&mut point.scope("hw"));
-            sw.report.stats.record(&mut point.scope("sortscan"));
-            point.num("hw_us", hw.micros());
-            point.num("sw_us", sw.micros());
-            point
-        },
-    );
-    for (&n, point) in sizes.iter().zip(&runs) {
-        bench.absorb_metrics(&point.metrics);
-        let (hw_us, sw_us) = (point.get_num("hw_us"), point.get_num("sw_us"));
+    // Simulate every input size concurrently; record and print in size
+    // order, so the output is identical to a serial run.
+    let runs = bench.map(sizes.to_vec(), |n| {
+        let input = HistogramInput::uniform(n, range, 0xF16_0006 + n as u64);
+        let hw = run_hw(&cfg, &input);
+        let sw = run_sort_scan_default(&cfg, &input);
+        assert_eq!(hw.bins, input.reference(), "hw result check");
+        assert_eq!(sw.bins, input.reference(), "sw result check");
+        (hw, sw)
+    });
+    for (&n, (hw, sw)) in sizes.iter().zip(runs) {
+        hw.report.stats.record(&mut bench.scope("hw"));
+        sw.report.stats.record(&mut bench.scope("sortscan"));
+        let (hw_us, sw_us) = (hw.micros(), sw.micros());
         bench.row(
             format!("n={n}"),
             &[

@@ -6,7 +6,6 @@
 //! large ranges.
 
 use sa_apps::histogram::{run_hw, run_privatization_default, HistogramInput};
-use sa_bench::sweep::CachedPoint;
 use sa_bench::telemetry::BenchRun;
 use sa_bench::{header, us};
 use sa_sim::MachineConfig;
@@ -32,32 +31,18 @@ fn main() {
         .iter()
         .flat_map(|&n| ranges.iter().map(move |&range| (n, range)))
         .collect();
-    let runs = bench.map_cached(
-        points.clone(),
-        |&(n, range)| {
-            bench
-                .point_key(&format!("fig8 n={n} bins={range}"))
-                .u64("n", n as u64)
-                .u64("range", range)
-                .u64("seed", 0xF16_0008 + n as u64 + range)
-        },
-        |(n, range)| {
-            let input = HistogramInput::uniform(n, range, 0xF16_0008 + n as u64 + range);
-            let hw = run_hw(&cfg, &input);
-            let pv = run_privatization_default(&cfg, &input);
-            assert_eq!(hw.bins, input.reference(), "hw result check");
-            assert_eq!(pv.bins, input.reference(), "privatization result check");
-            let mut point = CachedPoint::new();
-            hw.report.stats.record(&mut point.scope("hw"));
-            pv.report.stats.record(&mut point.scope("privatization"));
-            point.num("hw_us", hw.micros());
-            point.num("pv_us", pv.micros());
-            point
-        },
-    );
-    for (&(n, range), point) in points.iter().zip(&runs) {
-        bench.absorb_metrics(&point.metrics);
-        let (hw_us, pv_us) = (point.get_num("hw_us"), point.get_num("pv_us"));
+    let runs = bench.map(points.clone(), |(n, range)| {
+        let input = HistogramInput::uniform(n, range, 0xF16_0008 + n as u64 + range);
+        let hw = run_hw(&cfg, &input);
+        let pv = run_privatization_default(&cfg, &input);
+        assert_eq!(hw.bins, input.reference(), "hw result check");
+        assert_eq!(pv.bins, input.reference(), "privatization result check");
+        (hw, pv)
+    });
+    for (&(n, range), (hw, pv)) in points.iter().zip(runs) {
+        hw.report.stats.record(&mut bench.scope("hw"));
+        pv.report.stats.record(&mut bench.scope("privatization"));
+        let (hw_us, pv_us) = (hw.micros(), pv.micros());
         bench.row(
             format!("n={n} bins={range}"),
             &[

@@ -10,11 +10,12 @@
 //! Submit jobs with `analyze submit JOB.json --addr HOST:PORT`, inspect
 //! counters with `analyze serve stats`, stop with `analyze serve shutdown`.
 //! With `--cache` the daemon memoizes results through the same
-//! content-addressed store the figure binaries use, so a warm repeat of a
-//! job answers byte-identically without simulating.
+//! content-addressed store a `--spec JOB.json --cache` run uses, so a warm
+//! repeat of a job answers byte-identically without simulating.
 
 use std::sync::Arc;
 
+use sa_bench::args::Args;
 use sa_bench::cli::Cli;
 use sa_bench::usage_error;
 use sa_serve::{ServeConfig, Server};
@@ -52,7 +53,7 @@ const FLAGS: &[&str] = &[
 ];
 
 fn main() {
-    let cli = Cli::from_env(FLAGS, USAGE);
+    let cli = Cli::from_args(Args::from_env(), FLAGS, USAGE);
     let args = cli.args();
     let addr = args.raw("addr").unwrap_or("127.0.0.1:7411").to_string();
     let mut cfg = ServeConfig::default();

@@ -2,8 +2,8 @@
 //!
 //! Every sa-bench binary parses its flags exactly once, into one [`Cli`].
 //! A figure binary's `Cli` is owned by its
-//! [`BenchRun`](crate::telemetry::BenchRun), which hands the worker count,
-//! the quick flag and the result cache to its sweeps. The common flags:
+//! [`BenchRun`](crate::telemetry::BenchRun), which hands the worker count
+//! and the quick flag to its sweeps. The common flags:
 //!
 //! - `--jobs N` — sweep worker threads (beats `SA_JOBS`, defaults to cores)
 //! - `--fast-forward on|off` — event-horizon cycle skipping (default `on`)
@@ -22,21 +22,23 @@
 //!   nondeterministic `host_profile` stats sidecar
 //! - `--spec JOB.json` — run a serialized `SessionSpec` job instead of
 //!   the binary's built-in experiment (see [`crate::specrun`] and
-//!   `docs/SERVING.md`); dispatched by [`Cli::from_env`] so every figure
+//!   `docs/SERVING.md`); dispatched by [`Cli::from_args`] so every figure
 //!   binary gets it
 //! - `--cache[=DIR]` / `--cache DIR` — content-addressed result cache for
-//!   sweep points only (see `docs/PERFORMANCE.md`); a bare
-//!   `--cache` uses `SA_CACHE_DIR` or `.sa-cache`, and setting the
-//!   `SA_CACHE_DIR` environment variable enables the cache without any flag
+//!   the `--spec` job (see `docs/PERFORMANCE.md`); a bare `--cache` uses
+//!   `SA_CACHE_DIR` or `.sa-cache`, and setting the `SA_CACHE_DIR`
+//!   environment variable enables the cache without any flag. A figure
+//!   sweep is never cached: `--cache` without `--spec` is a usage error
 //!
 //! The flag set is closed: a binary names every flag it accepts
-//! ([`COMMON_FLAGS`], plus `explore`'s machine and workload knobs; `serve`
-//! takes only its listener settings and three run controls). Anything
-//! else — a typo such as `--stats-jsno`, or a flag that no longer exists —
-//! is a usage error (exit 2), never silently ignored.
+//! ([`COMMON_FLAGS`], plus the machine and workload knobs each `explore`
+//! subcommand reads; `serve` takes only its listener settings and three
+//! run controls). Anything else — a typo such as `--stats-jsno`, or a flag
+//! that no longer exists — is a usage error (exit 2), never silently
+//! ignored.
 //!
 //! [`Cli::try_from_args`] only parses. The process entry point
-//! [`Cli::from_env`] is the one place that installs the process-wide
+//! [`Cli::from_args`] is the one place that installs the process-wide
 //! defaults — `--fast-forward` via [`sa_sim::set_fast_forward_default`],
 //! `--faults` via [`sa_faults::set_default_plan`] and the progress sink via
 //! [`sa_telemetry::set_global_progress`] — so simulators built afterwards
@@ -72,7 +74,7 @@ common flags:
   --fast-forward on|off  event-horizon cycle skipping (default on)
   --faults PLAN.json     install a fault plan (--fault-seed N re-seeds it)
   --spec JOB.json        run a serialized session instead of the experiment
-  --cache[=DIR]          content-addressed result cache (also SA_CACHE_DIR)
+  --cache[=DIR]          result cache for the --spec job (also SA_CACHE_DIR)
   --stats-json PATH      write the sa-stats document
   --trace PATH           write a Chrome trace of the canonical run
   --progress             NDJSON heartbeats and sa-probe snapshots on stderr
@@ -125,16 +127,15 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments against the closed flag set `flags`,
-    /// install the process-wide defaults, and dispatch `--spec`.
+    /// Parse the process arguments `args` against the closed flag set
+    /// `flags`, install the process-wide defaults, and dispatch `--spec`.
     ///
     /// A parse failure prints `usage` and exits with status 2. When
     /// `--spec JOB.json` is given the binary's own experiment is skipped
     /// entirely: the serialized session runs through [`crate::specrun`] and
     /// the process exits (status 0, or 2 on a malformed spec).
-    pub fn from_env(flags: &[&str], usage: &str) -> Cli {
-        let cli = Cli::try_from_args(Args::from_env(), flags)
-            .unwrap_or_else(|e| crate::usage_error(&e, usage));
+    pub fn from_args(args: Args, flags: &[&str], usage: &str) -> Cli {
+        let cli = Cli::try_from_args(args, flags).unwrap_or_else(|e| crate::usage_error(&e, usage));
         sa_sim::set_fast_forward_default(cli.fast_forward);
         sa_faults::set_default_plan(cli.fault_plan.clone());
         sa_telemetry::set_global_progress(cli.progress.clone());
@@ -150,14 +151,22 @@ impl Cli {
     /// # Errors
     ///
     /// Returns a description of the first malformed flag: one outside
-    /// `flags`, a bad number, an unknown `--fast-forward` mode, or an
-    /// unreadable/invalid fault plan.
+    /// `flags`, a bad number, an unknown `--fast-forward` mode, an
+    /// unreadable/invalid fault plan, or `--cache` without `--spec` in a
+    /// binary that takes `--spec`.
     pub fn try_from_args(args: Args, flags: &[&str]) -> Result<Cli, String> {
         if let Some(unknown) = args.flags().find(|f| {
             let name = if f.starts_with("cache=") { "cache" } else { f };
             !flags.contains(&name)
         }) {
             return Err(format!("unknown flag --{unknown}"));
+        }
+        if flags.contains(&"spec") && !args.has("spec") {
+            if let Some(cache) = args.flags().find(|f| f.split('=').next() == Some("cache")) {
+                return Err(format!(
+                    "--{cache} caches --spec jobs only; figure sweeps always simulate"
+                ));
+            }
         }
         let jobs =
             crate::sweep::resolve_jobs(args.get_or("jobs", 0usize).map_err(|e| e.to_string())?);
@@ -314,17 +323,22 @@ mod tests {
     #[test]
     fn cache_flag_forms_resolve() {
         // Explicit directory, both spellings.
-        let cli = parse("--cache /tmp/store").expect("parses");
+        let cli = parse("--spec job.json --cache /tmp/store").expect("parses");
         assert_eq!(cli.cache_dir(), Some("/tmp/store"));
-        let cli = parse("--cache=/tmp/store2").expect("parses");
+        let cli = parse("--spec job.json --cache=/tmp/store2").expect("parses");
         assert_eq!(cli.cache_dir(), Some("/tmp/store2"));
         // Bare switch falls back to the default directory (the SA_CACHE_DIR
         // branch is environment-dependent, so only the unset case is exact).
         if std::env::var_os(sa_memo::ENV_DIR).is_none() {
-            let cli = parse("--cache --quick").expect("parses");
+            let cli = parse("--cache --spec job.json").expect("parses");
             assert_eq!(cli.cache_dir(), Some(sa_memo::DEFAULT_DIR));
             let cli = parse("").expect("parses");
             assert_eq!(cli.cache_dir(), None);
+        }
+        // Figure sweeps are never cached: without `--spec` it is an error.
+        for argv in ["--cache", "--quick --cache d", "--cache=d --quick"] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains("--spec jobs only"), "{argv}: {err}");
         }
     }
 

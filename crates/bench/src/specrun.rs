@@ -2,7 +2,7 @@
 //! built-in experiment.
 //!
 //! Every figure/ablation binary parses its flags through
-//! [`Cli::from_env`], which dispatches here: when `--spec` is present the
+//! [`Cli::from_args`], which dispatches here: when `--spec` is present the
 //! binary loads the JSON job description, overlays any execution knobs
 //! given explicitly on the command line (`--fast-forward`,
 //! `--probe-interval`) and an explicit `--faults` plan (re-seeded by

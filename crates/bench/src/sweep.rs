@@ -9,16 +9,13 @@
 //! the sa-stats document byte-identical for any `--jobs` value (the
 //! determinism contract in `docs/PARALLELISM.md`).
 //!
-//! Binaries sweep through [`BenchRun::map`](crate::telemetry::BenchRun::map)
-//! and [`BenchRun::map_cached`](crate::telemetry::BenchRun::map_cached),
-//! which take the worker count from the parsed command line: `--jobs N`,
+//! Binaries sweep through [`BenchRun::map`](crate::telemetry::BenchRun::map),
+//! which takes the worker count from the parsed command line: `--jobs N`,
 //! else the `SA_JOBS` environment variable, else every available core
 //! ([`resolve_jobs`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use sa_telemetry::{Json, MetricsRegistry, Scope};
 
 /// The number of available cores (the default worker count).
 pub fn default_jobs() -> usize {
@@ -117,91 +114,6 @@ where
         .collect()
 }
 
-/// One sweep point's cacheable output: the metrics it recorded plus the
-/// scalar numbers its table row is formatted from.
-///
-/// A figure binary's per-point closure builds one of these instead of
-/// writing into the shared [`BenchRun`](crate::telemetry::BenchRun)
-/// registry directly; the caller merges the metrics back (counters add,
-/// gauges overwrite, histograms merge — exactly what direct recording
-/// would have produced) and formats rows from the numbers. Because both
-/// halves round-trip through JSON losslessly (`f64` via bit-exact
-/// serialization), a cache hit replays the point byte-for-byte.
-#[derive(Debug, Default)]
-pub struct CachedPoint {
-    /// Metrics recorded under this point's final scope paths.
-    pub metrics: MetricsRegistry,
-    /// Named scalars for row formatting, in insertion order.
-    pub nums: Vec<(String, f64)>,
-}
-
-impl CachedPoint {
-    /// An empty point.
-    pub fn new() -> CachedPoint {
-        CachedPoint::default()
-    }
-
-    /// A metrics scope rooted at `path`, like
-    /// [`BenchRun::scope`](crate::telemetry::BenchRun::scope).
-    pub fn scope(&mut self, path: &str) -> Scope<'_> {
-        self.metrics.scope(path)
-    }
-
-    /// Record a named scalar for later row formatting.
-    pub fn num(&mut self, name: &str, value: f64) {
-        self.nums.push((name.to_owned(), value));
-    }
-
-    /// Look up a scalar recorded with [`CachedPoint::num`]; panics when the
-    /// name was never recorded (a programming error in the binary).
-    pub fn get_num(&self, name: &str) -> f64 {
-        self.nums
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("CachedPoint: no scalar named {name:?}"))
-    }
-
-    /// The cache payload: `{"metrics": {...}, "nums": [[name, value], ...]}`.
-    pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.push("metrics", self.metrics.to_json());
-        let nums = self
-            .nums
-            .iter()
-            .map(|(n, v)| Json::Arr(vec![Json::Str(n.clone()), Json::Num(*v)]))
-            .collect();
-        o.push("nums", Json::Arr(nums));
-        o
-    }
-
-    /// Parse a payload written by [`CachedPoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field. Callers fall back to
-    /// recomputing the point.
-    pub fn from_json(doc: &Json) -> Result<CachedPoint, String> {
-        let metrics =
-            MetricsRegistry::from_json(doc.get("metrics").ok_or("cached point: missing metrics")?)?;
-        let Some(Json::Arr(entries)) = doc.get("nums") else {
-            return Err("cached point: missing nums".to_owned());
-        };
-        let mut nums = Vec::with_capacity(entries.len());
-        for e in entries {
-            let pair = e.as_arr().unwrap_or_default();
-            let (Some(name), Some(value)) = (
-                pair.first().and_then(Json::as_str),
-                pair.get(1).and_then(Json::as_f64),
-            ) else {
-                return Err("cached point: malformed nums entry".to_owned());
-            };
-            nums.push((name.to_owned(), value));
-        }
-        Ok(CachedPoint { metrics, nums })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,24 +157,5 @@ mod tests {
         // it used to return 0 and starve the sweep of workers).
         assert!(resolve_jobs(0) >= 1);
         assert_eq!(resolve_jobs(3), 3);
-    }
-
-    #[test]
-    fn cached_point_round_trips() {
-        let mut p = CachedPoint::new();
-        {
-            let mut s = p.scope("hw");
-            s.counter("cycles", 123);
-            s.gauge("occupancy", 0.5);
-        }
-        p.num("hw_us", 1.25);
-        p.num("sw_us", 40.0);
-        let back = CachedPoint::from_json(&p.to_json()).expect("round-trips");
-        assert_eq!(
-            back.to_json().to_string_compact(),
-            p.to_json().to_string_compact()
-        );
-        assert_eq!(back.get_num("hw_us"), 1.25);
-        assert_eq!(back.get_num("sw_us"), 40.0);
     }
 }

@@ -1,10 +1,9 @@
 //! Shared `--stats-json` / `--trace` plumbing for the figure binaries.
 //!
 //! Every binary builds a [`BenchRun`] at startup — it owns the binary's one
-//! parsed [`Cli`] — runs its sweeps through [`BenchRun::map`] /
-//! [`BenchRun::map_cached`], mirrors its printed rows into it, records
-//! machine statistics under named scopes, and calls [`BenchRun::finish`]
-//! last:
+//! parsed [`Cli`] — runs its sweeps through [`BenchRun::map`], mirrors its
+//! printed rows into it, records machine statistics under named scopes, and
+//! calls [`BenchRun::finish`] last:
 //!
 //! ```text
 //! fig6 --stats-json fig6.json          # versioned sa-stats document
@@ -26,23 +25,18 @@
 //! document always carries scatter-unit, cache, DRAM and queue metrics
 //! (under the `canonical.` prefix) regardless of which experiment the
 //! binary sweeps, and it is the workload whose timeline `--trace` captures.
-//! The result cache ([`BenchRun::cache`]) serves sweep points only, so this
-//! run always simulates.
 
 use std::fmt::Display;
-use std::sync::Arc;
 
 use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel, StallBreakdown};
-use sa_faults::FaultPlan;
-use sa_memo::{Fingerprint, ResultCache};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{
     stats_json, validate_stats_json, ChromeTrace, HostProfiler, Introspect, Json, MetricsRegistry,
     ProbeRecorder, ReqTracer, Scope, SeriesSet,
 };
 
+use crate::args::Args;
 use crate::cli::{Cli, COMMON_FLAGS, USAGE};
-use crate::sweep::CachedPoint;
 
 /// Elements in the canonical histogram workload replayed by [`BenchRun::finish`].
 pub const CANONICAL_ELEMENTS: u64 = 4096;
@@ -89,39 +83,19 @@ pub struct BenchRun {
     latency: Vec<(String, Json)>,
     attribution: Vec<(String, Json)>,
     profiler: HostProfiler,
-    cache: Option<Arc<ResultCache>>,
 }
 
 impl BenchRun {
     /// A collector for a binary that takes only the common flags: parses
     /// the process arguments, installs the process-wide run controls and
-    /// dispatches `--spec` (see [`Cli::from_env`]).
+    /// dispatches `--spec` (see [`Cli::from_args`]).
     pub fn from_env(bench: &str, cfg: &MachineConfig) -> BenchRun {
-        BenchRun::from_cli(bench, cfg, Cli::from_env(COMMON_FLAGS, USAGE))
+        let cli = Cli::from_args(Args::from_env(), COMMON_FLAGS, USAGE);
+        BenchRun::from_cli(bench, cfg, cli)
     }
 
     /// A collector owning an already-parsed [`Cli`].
     pub fn from_cli(bench: &str, cfg: &MachineConfig, cli: Cli) -> BenchRun {
-        let cache = match cli.cache_dir() {
-            None => None,
-            Some(dir) if cli.probe_interval() > 0 => {
-                // Live probe snapshots stream *during* a simulation; a cache
-                // hit skips the simulation, so there would be nothing to
-                // stream. Disable caching rather than silently going dark.
-                eprintln!(
-                    "note: result cache at {dir} disabled for this run \
-                     (live probing cannot replay from cache)"
-                );
-                None
-            }
-            Some(dir) => match ResultCache::open(dir) {
-                Ok(c) => Some(Arc::new(c)),
-                Err(e) => {
-                    eprintln!("warning: cannot open result cache at {dir}: {e}; caching off");
-                    None
-                }
-            },
-        };
         BenchRun {
             bench: bench.to_owned(),
             cfg: *cfg,
@@ -130,7 +104,6 @@ impl BenchRun {
             latency: Vec::new(),
             attribution: Vec::new(),
             profiler: HostProfiler::enabled(cli.host_profile()),
-            cache,
             cli,
         }
     }
@@ -156,69 +129,10 @@ impl BenchRun {
         crate::sweep::map_jobs(self.cli.jobs(), items, f)
     }
 
-    /// [`BenchRun::map`] with the result cache, when one is open, in front
-    /// of `run`: each point's [`Fingerprint`] (from `key_of`, built on
-    /// [`BenchRun::point_key`]) is looked up first, and a computed point is
-    /// stored after. Without a cache this is exactly `map(items, run)`, so
-    /// the cold and disabled paths produce identical output bytes.
-    ///
-    /// Hits skip `run` entirely (zero simulation), so any correctness
-    /// asserts inside the closure only fire on fresh computes — the stored
-    /// payload was checked when it was first produced, and the store
-    /// validates entry integrity on every read.
-    pub fn map_cached<T, K, F>(&self, items: Vec<T>, key_of: K, run: F) -> Vec<CachedPoint>
-    where
-        T: Send,
-        K: Fn(&T) -> Fingerprint + Sync,
-        F: Fn(T) -> CachedPoint + Sync,
-    {
-        let Some(cache) = self.cache.as_deref() else {
-            return self.map(items, run);
-        };
-        self.map(items, |item| {
-            let key = key_of(&item);
-            if let Some(payload) = cache.lookup(&key) {
-                if let Ok(point) = CachedPoint::from_json(&payload) {
-                    return point;
-                }
-            }
-            let point = run(item);
-            // Store failures (full disk, read-only store) cost only warmth.
-            let _ = cache.store(&key, &point.to_json());
-            point
-        })
-    }
-
     /// Fold a run's host-time phase attribution into this binary's
     /// `host_profile` sidecar.
     pub fn absorb_host_profile(&mut self, other: &HostProfiler) {
         self.profiler.absorb(other);
-    }
-
-    /// A cache fingerprint for one of this binary's sweep points. Carries
-    /// everything shared by every point — bench name, full machine
-    /// configuration, fault plan — plus the caller's point description;
-    /// extend it with the point's own parameters (sizes, seeds, input
-    /// digests) via the [`Fingerprint`] builder methods. Knobs that cannot
-    /// change simulated results (`--jobs`, `--fast-forward`) are
-    /// deliberately excluded.
-    pub fn point_key(&self, point: &str) -> Fingerprint {
-        Fingerprint::new("bench-point")
-            .str("bench", &self.bench)
-            .str("point", point)
-            .field("config", self.cfg.fingerprint_json())
-            // The plan changes what the simulations compute.
-            .field(
-                "faults",
-                self.cli.fault_plan().map_or(Json::Null, FaultPlan::to_json),
-            )
-    }
-
-    /// Merge a sweep point's metrics into this binary's registry (counters
-    /// add, gauges overwrite, histograms merge element-wise) — replaying
-    /// cached points in item order reproduces direct recording exactly.
-    pub fn absorb_metrics(&mut self, metrics: &MetricsRegistry) {
-        self.registry.merge(metrics);
     }
 
     /// An [`Introspect`] bundle for one of the binary's own simulations:
@@ -315,9 +229,6 @@ impl BenchRun {
     /// on I/O failure so scripts notice.
     pub fn finish(mut self) {
         if !self.enabled() {
-            // Sweep points may still have hit the cache — report that even
-            // though there are no files to write.
-            self.emit_cache_counts();
             return;
         }
         let (series, trace) = self.run_canonical();
@@ -341,18 +252,7 @@ impl BenchRun {
             };
             let latency = section(std::mem::take(&mut self.latency));
             let attribution = section(std::mem::take(&mut self.attribution));
-            let host_profile = if self.cli.host_profile() {
-                let mut hp = self.profiler.to_json();
-                // Cache effectiveness rides on the nondeterministic sidecar
-                // only — the deterministic document body must stay
-                // byte-identical between cached and fresh runs.
-                if let Some(counts) = self.cache_counts_json() {
-                    hp.push("cache", counts);
-                }
-                Some(hp)
-            } else {
-                None
-            };
+            let host_profile = self.cli.host_profile().then(|| self.profiler.to_json());
             let mut doc = stats_json(
                 &self.bench,
                 machine_config_json(&self.cfg),
@@ -373,42 +273,6 @@ impl BenchRun {
                 "wrote sa-stats v{} document to {path}",
                 sa_telemetry::STATS_SCHEMA_VERSION
             );
-        }
-        self.emit_cache_counts();
-    }
-
-    /// Hit/miss/store counters as a JSON object, or `None` without a cache.
-    fn cache_counts_json(&self) -> Option<Json> {
-        let cache = self.cache.as_ref()?;
-        let mut o = Json::obj();
-        o.push("dir", Json::Str(cache.dir().display().to_string()));
-        o.push("hits", Json::UInt(cache.hits()));
-        o.push("misses", Json::UInt(cache.misses()));
-        o.push("stores", Json::UInt(cache.stores()));
-        Some(o)
-    }
-
-    /// Report cache effectiveness on the nondeterministic channels: a
-    /// `{"kind":"cache"}` progress event plus a stderr note.
-    fn emit_cache_counts(&self) {
-        let Some(counts) = self.cache_counts_json() else {
-            return;
-        };
-        let cache = self.cache.as_ref().expect("counts imply a cache");
-        eprintln!(
-            "result cache: {} hits, {} misses, {} stores in {}",
-            cache.hits(),
-            cache.misses(),
-            cache.stores(),
-            cache.dir().display()
-        );
-        let progress = self.cli.progress();
-        if progress.is_on() {
-            let mut ev = Json::obj();
-            ev.push("kind", Json::Str("cache".to_owned()));
-            ev.push("bench", Json::Str(self.bench.clone()));
-            ev.push("cache", counts);
-            progress.emit(&ev);
         }
     }
 
@@ -449,7 +313,7 @@ mod tests {
     use super::*;
 
     fn run(argv: &str) -> BenchRun {
-        let args = crate::args::Args::parse(argv.split_whitespace().map(str::to_owned));
+        let args = Args::parse(argv.split_whitespace().map(str::to_owned));
         let cli = Cli::try_from_args(args, COMMON_FLAGS).expect("argv parses");
         BenchRun::from_cli("t", &MachineConfig::merrimac(), cli)
     }
@@ -492,13 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn live_probing_disables_the_cache() {
-        let b = run("--cache /tmp/never-created-sa-cache --probe-interval 64");
-        assert!(b.cache.is_none());
-        assert!(!std::path::Path::new("/tmp/never-created-sa-cache").exists());
-    }
-
-    #[test]
     fn jobs_flag_reaches_the_sweep_executor() {
         let caller = std::thread::current().id();
         let on_caller = |b: &BenchRun| {
@@ -508,48 +365,6 @@ mod tests {
         };
         assert!(on_caller(&run("--jobs 1")).iter().all(|&same| same));
         assert!(on_caller(&run("--jobs 2")).iter().all(|&same| !same));
-        let cached = run("--jobs 1").map_cached(
-            (0..4).collect(),
-            |&i: &u64| Fingerprint::new("t").u64("i", i),
-            |_| {
-                let mut p = CachedPoint::new();
-                let same = std::thread::current().id() == caller;
-                p.num("same", if same { 1.0 } else { 0.0 });
-                p
-            },
-        );
-        assert!(cached.iter().all(|p| p.get_num("same") == 1.0));
-    }
-
-    #[test]
-    fn map_cached_hits_skip_the_closure() {
-        let dir = std::env::temp_dir().join(format!("sa-bench-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let b = run(&format!("--cache {} --jobs 2", dir.display()));
-        let cache = b.cache.as_deref().expect("cache opens");
-        let items: Vec<u64> = (0..4).collect();
-        let key_of = |&x: &u64| Fingerprint::new("sweep-test").u64("x", x);
-        let point = |x: u64| {
-            let mut p = CachedPoint::new();
-            p.scope("t").counter("calls", 1);
-            p.num("sq", (x * x) as f64);
-            p
-        };
-        let cold = b.map_cached(items.clone(), key_of, point);
-        assert_eq!((cache.hits(), cache.misses(), cache.stores()), (0, 4, 4));
-        let warm = b.map_cached(items.clone(), key_of, |_| {
-            panic!("warm sweep must not recompute")
-        });
-        assert_eq!((cache.hits(), cache.misses(), cache.stores()), (4, 4, 4));
-        let mut off = run("--jobs 2");
-        off.cache = None;
-        let off = off.map_cached(items, key_of, point);
-        for ((c, w), o) in cold.iter().zip(&warm).zip(&off) {
-            let c = c.to_json().to_string_compact();
-            assert_eq!(c, w.to_json().to_string_compact());
-            assert_eq!(c, o.to_json().to_string_compact());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

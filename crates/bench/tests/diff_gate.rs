@@ -5,8 +5,10 @@
 //!   fails (exit nonzero) naming the metric;
 //! - `analyze --watch -`: a `--progress` stream on stdin is rendered, and
 //!   an invalid `sa-probe` snapshot fails it (exit 1);
-//! - the closed flag set: an unknown or removed flag exits 2, and `serve`
-//!   rejects the figure binaries' experiment flags.
+//! - the closed flag set: an unknown or removed flag exits 2, `serve`
+//!   rejects the figure binaries' experiment flags, `--cache` without
+//!   `--spec` is rejected, and each `explore` subcommand takes only the
+//!   flags it reads.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -142,26 +144,67 @@ fn unknown_and_removed_flags_exit_2() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../bench/faultplans/smoke.json"
     );
-    let cases = [
-        (env!("CARGO_BIN_EXE_table1"), ["--stats-jsno", "x.json"]),
-        (env!("CARGO_BIN_EXE_table1"), ["--probe-listen", "/tmp/x"]),
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let serve = env!("CARGO_BIN_EXE_serve");
+    let explore = env!("CARGO_BIN_EXE_explore");
+    let spec_only = "caches --spec jobs only";
+    let cases: &[(&str, &[&str], &str)] = &[
+        (
+            table1,
+            &["--stats-jsno", "x.json"],
+            "unknown flag --stats-jsno",
+        ),
+        (
+            table1,
+            &["--probe-listen", "/tmp/x"],
+            "unknown flag --probe-listen",
+        ),
         // serve takes only its own flags: the figure binaries' experiment
         // flags are rejected before a socket is bound (no "listening" line).
-        (env!("CARGO_BIN_EXE_serve"), ["--spec", "job.json"]),
-        (env!("CARGO_BIN_EXE_serve"), ["--faults", faults]),
-        (env!("CARGO_BIN_EXE_serve"), ["--stats-json", "x.json"]),
+        (serve, &["--spec", "job.json"], "unknown flag --spec"),
+        (serve, &["--faults", faults], "unknown flag --faults"),
+        (
+            serve,
+            &["--stats-json", "x.json"],
+            "unknown flag --stats-json",
+        ),
+        // The result cache serves --spec jobs only; a figure sweep always
+        // simulates, so asking it to cache is a usage error.
+        (
+            env!("CARGO_BIN_EXE_fig7"),
+            &["--quick", "--cache=.x"],
+            spec_only,
+        ),
+        (env!("CARGO_BIN_EXE_fig6"), &["--cache"], spec_only),
+        // Each explore subcommand takes only the flags it reads.
+        (explore, &["rig", "--banks", "4"], "unknown flag --banks"),
+        (explore, &["rig", "--banks", "frog"], "unknown flag --banks"),
+        (explore, &["scan", "--range", "5"], "unknown flag --range"),
+        (
+            explore,
+            &["histogram", "--nodes", "4"],
+            "unknown flag --nodes",
+        ),
     ];
-    for (bin, flag) in cases {
-        let out = Command::new(bin).args(flag).output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{bin} {flag:?}");
+    for &(bin, argv, message) in cases {
+        let out = Command::new(bin).args(argv).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} {argv:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(&format!("unknown flag {}", flag[0])),
-            "{bin} {flag:?}: stderr was:\n{stderr}"
+            stderr.contains(message),
+            "{bin} {argv:?}: stderr was:\n{stderr}"
         );
         assert!(
             out.stdout.is_empty(),
-            "{bin} {flag:?} must fail before any output"
+            "{bin} {argv:?} must fail before any output"
         );
+    }
+    // The flags a subcommand does read still parse.
+    for argv in [
+        &["rig", "--cs", "16", "--latency", "8"][..],
+        &["multinode", "--nodes", "2", "--banks", "4", "--n", "256"],
+    ] {
+        let out = Command::new(explore).args(argv).output().expect("runs");
+        assert_eq!(out.status.code(), Some(0), "explore {argv:?}");
     }
 }

@@ -9,17 +9,18 @@
 //!
 //! The store is a flat directory of `<digest>.json` entries:
 //!
-//! - **Keys** are built with [`Fingerprint`]: an insertion-ordered JSON
-//!   document of the execution-*relevant* inputs, automatically salted with
-//!   the sa-stats schema version and this crate's version so a schema or
-//!   code change invalidates every old entry. Execution-irrelevant knobs
+//! - **Keys** are built with [`Fingerprint::for_payload`]: one canonical
+//!   JSON document of the execution-*relevant* inputs (a session spec's
+//!   canonical form), automatically salted with the sa-stats schema
+//!   version and this crate's version so a schema or code change
+//!   invalidates every old entry. Execution-irrelevant knobs
 //!   (`--jobs`, `--fast-forward`, progress sinks) must stay out of the key
 //!   — they do not change output bytes. Large index/value arrays enter the
 //!   key as SHA-256 digests ([`hash_u64s`]/[`hash_f64s`]) rather than
 //!   inline, keeping key documents small enough to store alongside the
 //!   payload for auditability.
 //! - **Writes** go to a process-unique temp file then `rename` into place,
-//!   so concurrent sweep processes racing on one key are safe: rename is
+//!   so concurrent writers racing on one key are safe: rename is
 //!   atomic within a directory and the losers simply overwrite with an
 //!   identical entry.
 //! - **Reads** validate everything (entry schema/version, key digest,
@@ -211,19 +212,18 @@ pub fn hash_f64s(values: &[f64]) -> String {
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-/// Canonical cache key: an insertion-ordered JSON document of every
+/// Canonical cache key: one canonical JSON payload naming every
 /// execution-relevant input, salted with schema and crate versions.
 ///
-/// Build one field at a time in a fixed order; the digest is the SHA-256 of
-/// the compact JSON encoding, so any difference in any field — or in the
-/// salt — yields a different entry.
+/// The digest is the SHA-256 of the key's compact JSON encoding, so any
+/// difference in the payload — or in the salt — yields a different entry.
 ///
 /// ```
 /// use sa_memo::Fingerprint;
 /// use sa_telemetry::Json;
 ///
-/// let a = Fingerprint::new("session").u64("seed", 1).digest();
-/// let b = Fingerprint::new("session").u64("seed", 2).digest();
+/// let a = Fingerprint::for_payload("session", Json::UInt(1)).digest();
+/// let b = Fingerprint::for_payload("session", Json::UInt(2)).digest();
 /// assert_ne!(a, b);
 /// ```
 #[derive(Clone, Debug)]
@@ -232,9 +232,13 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// A fingerprint for a run of the given `kind` (e.g. `"session"`,
-    /// `"sweep-point"`, `"canonical"`), pre-salted for invalidation.
-    pub fn new(kind: &str) -> Fingerprint {
+    /// A fingerprint whose entire content is one canonical JSON payload,
+    /// pre-salted for invalidation: `Fingerprint::for_payload("session",
+    /// spec.canonical_json())` makes the serialized job description *be*
+    /// the cache key, so any two routes that produce the same canonical
+    /// spec (builder chain, spec file, HTTP job body) hit the same entry by
+    /// construction.
+    pub fn for_payload(kind: &str, payload: Json) -> Fingerprint {
         let mut key = Json::obj();
         key.push("schema", Json::Str("sa-cache-key".to_string()));
         key.push("stats_schema_version", Json::UInt(STATS_SCHEMA_VERSION));
@@ -243,43 +247,8 @@ impl Fingerprint {
             Json::Str(env!("CARGO_PKG_VERSION").to_string()),
         );
         key.push("kind", Json::Str(kind.to_string()));
+        key.push("spec", payload);
         Fingerprint { key }
-    }
-
-    /// A fingerprint whose entire content is one canonical JSON payload —
-    /// the spec-first key shape: `Fingerprint::for_payload("session",
-    /// spec.canonical_json())` makes the serialized job description *be*
-    /// the cache key (plus the usual schema/version salts), so any two
-    /// routes that produce the same canonical spec (builder chain, spec
-    /// file, HTTP job body) hit the same entry by construction.
-    pub fn for_payload(kind: &str, payload: Json) -> Fingerprint {
-        Fingerprint::new(kind).field("spec", payload)
-    }
-
-    /// Append an arbitrary JSON field.
-    pub fn field(mut self, name: &str, value: Json) -> Fingerprint {
-        self.key.push(name, value);
-        self
-    }
-
-    /// Append a string field.
-    pub fn str(self, name: &str, value: &str) -> Fingerprint {
-        self.field(name, Json::Str(value.to_string()))
-    }
-
-    /// Append an unsigned integer field.
-    pub fn u64(self, name: &str, value: u64) -> Fingerprint {
-        self.field(name, Json::UInt(value))
-    }
-
-    /// Append a float field (bit-exact through the JSON writer).
-    pub fn f64(self, name: &str, value: f64) -> Fingerprint {
-        self.field(name, Json::Num(value))
-    }
-
-    /// Append a boolean field.
-    pub fn bool(self, name: &str, value: bool) -> Fingerprint {
-        self.field(name, Json::Bool(value))
     }
 
     /// The key document (stored verbatim inside each entry for audit).
@@ -590,25 +559,27 @@ mod tests {
         });
     }
 
+    /// A test key: `{"seed": seed}` under kind `t`.
+    fn key(seed: u64) -> Fingerprint {
+        let mut payload = Json::obj();
+        payload.push("seed", Json::UInt(seed));
+        Fingerprint::for_payload("t", payload)
+    }
+
     #[test]
     fn fingerprint_digest_is_order_and_value_sensitive() {
-        let base = Fingerprint::new("t").u64("a", 1).u64("b", 2);
-        assert_eq!(
-            base.digest(),
-            Fingerprint::new("t").u64("a", 1).u64("b", 2).digest()
-        );
-        assert_ne!(
-            base.digest(),
-            Fingerprint::new("t").u64("b", 2).u64("a", 1).digest()
-        );
-        assert_ne!(
-            base.digest(),
-            Fingerprint::new("t").u64("a", 1).u64("b", 3).digest()
-        );
-        assert_ne!(
-            base.digest(),
-            Fingerprint::new("u").u64("a", 1).u64("b", 2).digest()
-        );
+        let pair = |a: (&str, u64), b: (&str, u64)| {
+            let mut o = Json::obj();
+            o.push(a.0, Json::UInt(a.1));
+            o.push(b.0, Json::UInt(b.1));
+            o
+        };
+        let base = Fingerprint::for_payload("t", pair(("a", 1), ("b", 2)));
+        let digest = |kind, p| Fingerprint::for_payload(kind, p).digest();
+        assert_eq!(base.digest(), digest("t", pair(("a", 1), ("b", 2))));
+        assert_ne!(base.digest(), digest("t", pair(("b", 2), ("a", 1))));
+        assert_ne!(base.digest(), digest("t", pair(("a", 1), ("b", 3))));
+        assert_ne!(base.digest(), digest("u", pair(("a", 1), ("b", 2))));
     }
 
     #[test]
@@ -624,7 +595,7 @@ mod tests {
     fn store_then_lookup_round_trips() {
         let dir = temp_dir("roundtrip");
         let cache = ResultCache::open(&dir).unwrap();
-        let fp = Fingerprint::new("t").u64("seed", 7);
+        let fp = key(7);
         assert_eq!(cache.lookup(&fp), None);
         cache.store(&fp, &payload(42)).unwrap();
         let hit = cache.lookup(&fp).expect("stored entry should hit");
@@ -637,8 +608,8 @@ mod tests {
     fn different_keys_do_not_collide() {
         let dir = temp_dir("keys");
         let cache = ResultCache::open(&dir).unwrap();
-        let a = Fingerprint::new("t").u64("seed", 1);
-        let b = Fingerprint::new("t").u64("seed", 2);
+        let a = key(1);
+        let b = key(2);
         cache.store(&a, &payload(1)).unwrap();
         assert_eq!(cache.lookup(&b), None);
         assert_eq!(cache.lookup(&a).unwrap(), payload(1));
@@ -649,7 +620,7 @@ mod tests {
     fn truncated_entry_is_evicted_and_recomputed() {
         let dir = temp_dir("truncate");
         let cache = ResultCache::open(&dir).unwrap();
-        let fp = Fingerprint::new("t").u64("seed", 9);
+        let fp = key(9);
         cache.store(&fp, &payload(9)).unwrap();
         let path = dir.join(format!("{}.json", fp.digest()));
         let full = fs::read(&path).unwrap();
@@ -667,7 +638,7 @@ mod tests {
     fn bitflipped_payload_is_evicted() {
         let dir = temp_dir("bitflip");
         let cache = ResultCache::open(&dir).unwrap();
-        let fp = Fingerprint::new("t").u64("seed", 11);
+        let fp = key(11);
         cache.store(&fp, &payload(11)).unwrap();
         let path = dir.join(format!("{}.json", fp.digest()));
         let mut bytes = fs::read(&path).unwrap();
@@ -689,12 +660,12 @@ mod tests {
     fn racing_writers_converge_to_one_valid_entry() {
         let dir = temp_dir("race");
         let cache = ResultCache::open(&dir).unwrap();
-        let fp = Fingerprint::new("t").u64("seed", 13);
+        let fp = key(13);
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
                     let mine = ResultCache::open(&dir).unwrap();
-                    let fp = Fingerprint::new("t").u64("seed", 13);
+                    let fp = key(13);
                     for _ in 0..50 {
                         mine.store(&fp, &payload(13)).unwrap();
                         if let Some(p) = mine.lookup(&fp) {
@@ -719,9 +690,7 @@ mod tests {
     fn gc_evicts_lru_until_under_bound() {
         let dir = temp_dir("gc");
         let cache = ResultCache::open(&dir).unwrap();
-        let fps: Vec<Fingerprint> = (0..4)
-            .map(|i| Fingerprint::new("t").u64("seed", i))
-            .collect();
+        let fps: Vec<Fingerprint> = (0..4).map(key).collect();
         for (i, fp) in fps.iter().enumerate() {
             cache.store(fp, &payload(i as u64)).unwrap();
             // Distinct mtimes even on coarse filesystem clocks.
@@ -747,9 +716,7 @@ mod tests {
         let dir = temp_dir("clear");
         let cache = ResultCache::open(&dir).unwrap();
         for i in 0..3 {
-            cache
-                .store(&Fingerprint::new("t").u64("seed", i), &payload(i))
-                .unwrap();
+            cache.store(&key(i), &payload(i)).unwrap();
         }
         assert_eq!(cache.clear().unwrap(), 3);
         assert_eq!(cache.usage().unwrap(), (0, 0));
@@ -760,12 +727,12 @@ mod tests {
     fn version_salt_invalidates() {
         // A future schema bump must change every digest; simulate by
         // checking the salt fields are present in the key doc.
-        let fp = Fingerprint::new("t");
-        let key = fp.key_json();
+        let fp = key(0);
+        let doc = fp.key_json();
         assert_eq!(
-            key.get("stats_schema_version").and_then(Json::as_u64),
+            doc.get("stats_schema_version").and_then(Json::as_u64),
             Some(STATS_SCHEMA_VERSION)
         );
-        assert!(key.get("crate_version").and_then(Json::as_str).is_some());
+        assert!(doc.get("crate_version").and_then(Json::as_str).is_some());
     }
 }

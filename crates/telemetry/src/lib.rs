@@ -267,67 +267,6 @@ impl MetricsRegistry {
         }
         obj
     }
-
-    /// Rebuild a registry from the object layout [`to_json`](Self::to_json)
-    /// writes: integers become counters, floats gauges,
-    /// `{"buckets", "scheme"}` objects histograms.
-    ///
-    /// Exact inverse: the writer appends `.0` to integral floats, so the
-    /// counter/gauge distinction survives a JSON round-trip and
-    /// `from_json(reg.to_json()) == reg` byte-for-byte.
-    pub fn from_json(doc: &Json) -> Result<MetricsRegistry, String> {
-        let obj = doc.as_obj().ok_or("metrics document is not an object")?;
-        let mut reg = MetricsRegistry::new();
-        for (path, value) in obj {
-            match value {
-                Json::UInt(c) => reg.counter(path, *c),
-                Json::Int(c) if *c >= 0 => reg.counter(path, *c as u64),
-                Json::Num(g) => reg.gauge(path, *g),
-                Json::Obj(_) => {
-                    let buckets = value
-                        .get("buckets")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("metric '{path}': missing 'buckets'"))?;
-                    let counts: Vec<u64> = buckets
-                        .iter()
-                        .map(|b| {
-                            b.as_u64()
-                                .ok_or_else(|| format!("metric '{path}': non-u64 bucket"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let scheme = value
-                        .get("scheme")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("metric '{path}': missing 'scheme'"))?;
-                    reg.histogram(path, &HistogramMetric::from_counts(&counts, scheme));
-                }
-                other => {
-                    return Err(format!("metric '{path}': unsupported value {other:?}"));
-                }
-            }
-        }
-        Ok(reg)
-    }
-
-    /// Fold `other` into `self` with each metric kind's record semantics:
-    /// counters add, gauges overwrite, histograms merge element-wise.
-    ///
-    /// Replaying per-point registries in point order therefore reproduces
-    /// exactly what recording those points directly would have produced —
-    /// the property the result cache's sweep integration relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a path holds different metric kinds in the two registries.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (path, metric) in other.iter() {
-            match metric {
-                Metric::Counter(c) => self.counter(path, *c),
-                Metric::Gauge(g) => self.gauge(path, *g),
-                Metric::Histogram(h) => self.histogram(path, h),
-            }
-        }
-    }
 }
 
 /// A prefix-scoped view of a [`MetricsRegistry`].
@@ -2114,51 +2053,5 @@ mod tests {
             .to_string_pretty()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn registry_json_round_trip_is_exact() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("node0.sa.accepted", 42);
-        reg.gauge("node0.util", 3.0); // integral gauge: the ".0" suffix must survive
-        reg.gauge("node0.frac", 0.1234567890123);
-        reg.histogram(
-            "node0.queue.occ",
-            &HistogramMetric::from_counts(&[1, 0, 7], "octiles"),
-        );
-        let doc = reg.to_json();
-        let back = MetricsRegistry::from_json(&doc).unwrap();
-        assert_eq!(back, reg);
-        assert_eq!(back.to_json().to_string_compact(), doc.to_string_compact());
-        // And through actual text, where the counter/gauge distinction
-        // depends on the writer's integral-float convention.
-        let reparsed = Json::parse(&doc.to_string_compact()).unwrap();
-        let back2 = MetricsRegistry::from_json(&reparsed).unwrap();
-        assert_eq!(back2, reg);
-    }
-
-    #[test]
-    fn registry_merge_matches_direct_recording() {
-        let mut direct = MetricsRegistry::new();
-        direct.counter("a.hits", 3);
-        direct.counter("a.hits", 4);
-        direct.gauge("a.util", 0.5);
-        direct.gauge("a.util", 0.75);
-        direct.histogram("a.occ", &HistogramMetric::from_counts(&[1, 2], "b"));
-        direct.histogram("a.occ", &HistogramMetric::from_counts(&[3, 0], "b"));
-
-        let mut first = MetricsRegistry::new();
-        first.counter("a.hits", 3);
-        first.gauge("a.util", 0.5);
-        first.histogram("a.occ", &HistogramMetric::from_counts(&[1, 2], "b"));
-        let mut second = MetricsRegistry::new();
-        second.counter("a.hits", 4);
-        second.gauge("a.util", 0.75);
-        second.histogram("a.occ", &HistogramMetric::from_counts(&[3, 0], "b"));
-
-        let mut merged = MetricsRegistry::new();
-        merged.merge(&first);
-        merged.merge(&second);
-        assert_eq!(merged, direct);
     }
 }
