@@ -1,6 +1,7 @@
 //! Scoreboarded execution of a [`StreamProgram`] on one node.
 
-use fxhash::FxHashMap;
+use std::collections::BTreeSet;
+
 use sa_core::NodeMemSys;
 use sa_sim::{Cycle, Machine, MachineConfig, MemOp, MemRequest, Origin, ReqId, RunEnd};
 use sa_telemetry::{HostProfiler, Introspect};
@@ -95,11 +96,21 @@ fn srf_footprint(op: &StreamOp) -> u64 {
     }
 }
 
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum OpState {
-    Waiting,
-    Running,
-    Done,
+/// Waiting ops whose dependencies have all completed, by the resource
+/// they need, in id order.
+#[derive(Default)]
+struct Ready {
+    kernels: BTreeSet<OpId>,
+    mem: BTreeSet<OpId>,
+}
+
+impl Ready {
+    fn insert(&mut self, id: OpId, op: &StreamOp) {
+        match op {
+            StreamOp::Kernel { .. } => self.kernels.insert(id),
+            _ => self.mem.insert(id),
+        };
+    }
 }
 
 struct MemRun {
@@ -161,20 +172,35 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation deadlocks (cycle limit exceeded) — which
-    /// would indicate a bug in the machine model, not in the program.
+    /// Panics if the simulation deadlocks (cycle limit exceeded), or if
+    /// the node completes a request that no address generator issued —
+    /// either would indicate a bug in the machine model, not in the
+    /// program.
     pub fn run(&self, prog: &StreamProgram, node: &mut NodeMemSys) -> ExecReport {
         let n_ops = prog.len();
         let fast_forward = node.fast_forward();
+        let mut unmet = Vec::with_capacity(n_ops);
+        let mut dependents = vec![Vec::new(); n_ops];
+        let mut ready = Ready::default();
+        for (id, op, deps) in prog.iter() {
+            unmet.push(deps.len());
+            for &d in deps {
+                dependents[d].push(id);
+            }
+            if deps.is_empty() {
+                ready.insert(id, op);
+            }
+        }
         let mut m = Scoreboard {
             exec: self,
             prog,
             node,
-            state: vec![OpState::Waiting; n_ops],
             spans: vec![OpSpan::default(); n_ops],
+            unmet,
+            dependents,
+            ready,
             ags: (0..self.cfg.ag.count).map(|_| None).collect(),
             kernel: None,
-            req_owner: FxHashMap::default(),
             next_id: 0,
             remaining: n_ops,
             live_srf: 0,
@@ -209,21 +235,40 @@ impl Executor {
     }
 }
 
-/// One program run's scoreboard: op states, the address generators and
-/// the kernel slot, and the node they drive.
+/// One program run's scoreboard: op readiness, the address generators
+/// and the kernel slot, and the node they drive.
 struct Scoreboard<'a> {
     exec: &'a Executor,
     prog: &'a StreamProgram,
     node: &'a mut NodeMemSys,
-    state: Vec<OpState>,
     spans: Vec<OpSpan>,
+    /// Per op, the dependencies not yet done.
+    unmet: Vec<usize>,
+    /// Per op, the ops that depend on it.
+    dependents: Vec<Vec<OpId>>,
+    ready: Ready,
     ags: Vec<Option<MemRun>>,
     kernel: Option<KernelRun>,
-    req_owner: FxHashMap<ReqId, OpId>,
     next_id: ReqId,
     remaining: usize,
     live_srf: u64,
     peak_srf: u64,
+}
+
+impl Scoreboard<'_> {
+    /// Op `id` completed at cycle `t`: release its SRF footprint and move
+    /// each dependent whose last dependency this was into its ready set.
+    fn done(&mut self, id: OpId, t: u64) {
+        self.spans[id].end = t;
+        self.remaining -= 1;
+        self.live_srf -= srf_footprint(self.prog.op(id).0);
+        for &d in &self.dependents[id] {
+            self.unmet[d] -= 1;
+            if self.unmet[d] == 0 {
+                self.ready.insert(d, self.prog.op(d).0);
+            }
+        }
+    }
 }
 
 impl Machine for Scoreboard<'_> {
@@ -232,15 +277,26 @@ impl Machine for Scoreboard<'_> {
         let cfg = self.exec.cfg;
         let prog = self.prog;
 
-        // Start ready ops on free resources.
-        for id in 0..prog.len() {
-            if self.state[id] != OpState::Waiting {
-                continue;
-            }
-            let (op, deps) = prog.op(id);
-            if !deps.iter().all(|&d| self.state[d] == OpState::Done) {
-                continue;
-            }
+        // Start ready ops on free resources, in ascending id order: an op
+        // whose resource is busy is passed over, and a zero-length stream
+        // completes at once, so its (higher-id) dependents start this cycle.
+        let mut cursor = 0;
+        loop {
+            let kernel = if self.kernel.is_none() {
+                self.ready.kernels.range(cursor..).next().copied()
+            } else {
+                None
+            };
+            let free_ag = self.ags.iter().position(Option::is_none);
+            let mem = free_ag.and_then(|_| self.ready.mem.range(cursor..).next().copied());
+            let Some(id) = kernel.into_iter().chain(mem).min() else {
+                break;
+            };
+            cursor = id + 1;
+            let op = prog.op(id).0;
+            self.spans[id].start = t;
+            self.live_srf += srf_footprint(op);
+            self.peak_srf = self.peak_srf.max(self.live_srf);
             match op {
                 StreamOp::Kernel {
                     elements,
@@ -248,44 +304,31 @@ impl Machine for Scoreboard<'_> {
                     srf_words_per_element,
                     ..
                 } => {
-                    if self.kernel.is_none() {
-                        let dur = self.exec.kernel_cycles(
-                            *elements,
-                            *ops_per_element,
-                            *srf_words_per_element,
-                        );
-                        self.kernel = Some(KernelRun {
-                            op: id,
-                            end_at: t + dur,
-                        });
-                        self.state[id] = OpState::Running;
-                        self.spans[id].start = t;
-                        self.live_srf += srf_footprint(op);
-                        self.peak_srf = self.peak_srf.max(self.live_srf);
-                    }
+                    self.ready.kernels.remove(&id);
+                    let dur = self.exec.kernel_cycles(
+                        *elements,
+                        *ops_per_element,
+                        *srf_words_per_element,
+                    );
+                    self.kernel = Some(KernelRun {
+                        op: id,
+                        end_at: t + dur,
+                    });
                 }
                 _ => {
-                    if let Some(slot) = self.ags.iter().position(|a| a.is_none()) {
-                        let total = op.mem_refs();
-                        self.ags[slot] = Some(MemRun {
+                    self.ready.mem.remove(&id);
+                    let total = op.mem_refs();
+                    if total == 0 {
+                        // Degenerate empty stream: completes at once.
+                        self.done(id, t);
+                    } else {
+                        self.ags[free_ag.expect("checked")] = Some(MemRun {
                             op: id,
                             issue_from: t + u64::from(cfg.ag.startup_cycles),
                             cursor: 0,
                             acked: 0,
                             total,
                         });
-                        self.state[id] = OpState::Running;
-                        self.spans[id].start = t;
-                        self.live_srf += srf_footprint(op);
-                        self.peak_srf = self.peak_srf.max(self.live_srf);
-                        if total == 0 {
-                            // Degenerate empty stream: completes at once.
-                            self.state[id] = OpState::Done;
-                            self.spans[id].end = t;
-                            self.remaining -= 1;
-                            self.ags[slot] = None;
-                            self.live_srf -= srf_footprint(op);
-                        }
                     }
                 }
             }
@@ -294,10 +337,7 @@ impl Machine for Scoreboard<'_> {
         // Kernel completion.
         if self.kernel.as_ref().is_some_and(|k| k.end_at <= t) {
             let k = self.kernel.take().expect("checked");
-            self.state[k.op] = OpState::Done;
-            self.spans[k.op].end = t;
-            self.remaining -= 1;
-            self.live_srf -= srf_footprint(prog.op(k.op).0);
+            self.done(k.op, t);
         }
 
         // Issue memory requests from each busy AG.
@@ -347,7 +387,6 @@ impl Machine for Scoreboard<'_> {
                 };
                 match self.node.inject(req, now) {
                     Ok(()) => {
-                        self.req_owner.insert(self.next_id, run.op);
                         self.next_id += 1;
                         run.cursor += 1;
                     }
@@ -358,25 +397,20 @@ impl Machine for Scoreboard<'_> {
 
         self.node.tick(now);
 
-        // Completions retire requests and, eventually, their ops.
+        // Completions retire requests and, eventually, their ops. Each
+        // request names the address generator that issued it.
         while let Some(c) = self.node.pop_completion() {
-            let Some(op) = self.req_owner.remove(&c.id) else {
-                continue;
+            let Origin::AddrGen { ag, .. } = c.origin else {
+                panic!("executor got a completion from {:?}", c.origin);
             };
-            for ag in self.ags.iter_mut() {
-                if let Some(run) = ag.as_mut() {
-                    if run.op == op {
-                        run.acked += 1;
-                        if run.acked == run.total {
-                            self.state[op] = OpState::Done;
-                            self.spans[op].end = t;
-                            self.remaining -= 1;
-                            *ag = None;
-                            self.live_srf -= srf_footprint(prog.op(op).0);
-                        }
-                        break;
-                    }
-                }
+            let run = self.ags[ag]
+                .as_mut()
+                .unwrap_or_else(|| panic!("completion for idle address generator {ag}"));
+            run.acked += 1;
+            if run.acked == run.total {
+                let op = run.op;
+                self.ags[ag] = None;
+                self.done(op, t);
             }
         }
     }
@@ -391,17 +425,8 @@ impl Machine for Scoreboard<'_> {
     /// or node event.
     fn horizon(&self, now: Cycle) -> Option<Cycle> {
         let t = now.raw();
-        let prog = self.prog;
-        let can_start = (0..prog.len()).any(|id| {
-            self.state[id] == OpState::Waiting && {
-                let (op, deps) = prog.op(id);
-                deps.iter().all(|&d| self.state[d] == OpState::Done)
-                    && match op {
-                        StreamOp::Kernel { .. } => self.kernel.is_none(),
-                        _ => self.ags.iter().any(|a| a.is_none()),
-                    }
-            }
-        });
+        let can_start = (self.kernel.is_none() && !self.ready.kernels.is_empty())
+            || (!self.ready.mem.is_empty() && self.ags.iter().any(Option::is_none));
         let issuing = self
             .ags
             .iter()
@@ -718,6 +743,110 @@ mod tests {
         assert_eq!(on.spans, off.spans);
         assert_eq!(on.stats, off.stats);
         assert_eq!(img_on, img_off);
+    }
+
+    fn span(start: u64, end: u64) -> OpSpan {
+        OpSpan { start, end }
+    }
+
+    fn gather64(base_word: u64) -> StreamOp {
+        StreamOp::gather(AccessPattern::Sequential { base_word, n: 64 })
+    }
+
+    /// The span of `gather64(base_word)` run alone on a fresh node.
+    fn solo_gather(base_word: u64) -> OpSpan {
+        let mut p = StreamProgram::new();
+        p.add(gather64(base_word), &[]);
+        Executor::new(cfg()).run(&p, &mut node()).spans[0]
+    }
+
+    #[test]
+    fn busy_kernel_slot_passes_over_to_a_later_memory_op() {
+        // Kernel 1 waits for kernel 0; gather 2 starts in the first cycle
+        // anyway. Kernels never touch memory, so the gather runs exactly as
+        // it does alone.
+        let e = Executor::new(cfg());
+        let mut p = StreamProgram::new();
+        p.add(StreamOp::kernel("a", 1600, 8, 8, 1), &[]);
+        p.add(StreamOp::kernel("b", 1600, 8, 8, 1), &[]);
+        p.add(gather64(0), &[]);
+        let r = e.run(&p, &mut node());
+        let k = e.kernel_cycles(1600, 8, 1);
+        assert_eq!(
+            r.spans,
+            vec![span(1, 1 + k), span(2 + k, 2 + 2 * k), solo_gather(0)]
+        );
+    }
+
+    #[test]
+    fn busy_address_generators_pass_over_to_a_later_kernel() {
+        // Three gathers on two AGs: the third waits for a free AG, and the
+        // kernel behind it starts in the first cycle. Without the kernel
+        // the gathers run exactly the same.
+        let e = Executor::new(cfg());
+        let mut p = StreamProgram::new();
+        for base in [0, 1024, 2048] {
+            p.add(gather64(base), &[]);
+        }
+        let gathers_alone = e.run(&p, &mut node()).spans;
+        p.add(StreamOp::kernel("k", 1600, 8, 8, 1), &[]);
+        let r = e.run(&p, &mut node());
+        assert_eq!(cfg().ag.count, 2);
+        assert_eq!(r.spans[..3], gathers_alone[..]);
+        assert!(r.spans[2].start > 1, "third gather must wait for an AG");
+        let k = e.kernel_cycles(1600, 8, 1);
+        assert_eq!(r.spans[3], span(1, 1 + k));
+    }
+
+    #[test]
+    fn zero_length_stream_releases_dependents_in_its_cycle() {
+        // kernel 0 → empty gather 1 → {kernel 2, gather 3}: the empty
+        // stream starts and completes in one cycle, and both dependents
+        // start in that same cycle.
+        let e = Executor::new(cfg());
+        let mut p = StreamProgram::new();
+        let k0 = p.add(StreamOp::kernel("a", 1600, 8, 8, 1), &[]);
+        let empty = p.add(
+            StreamOp::gather(AccessPattern::Indexed {
+                base_word: 0,
+                indices: vec![],
+            }),
+            &[k0],
+        );
+        p.add(StreamOp::kernel("b", 1600, 8, 8, 1), &[empty]);
+        p.add(gather64(0), &[empty]);
+        let r = e.run(&p, &mut node());
+        let k = e.kernel_cycles(1600, 8, 1);
+        let at = 2 + k;
+        let solo = solo_gather(0);
+        assert_eq!(
+            r.spans,
+            vec![
+                span(1, 1 + k),
+                span(at, at),
+                span(at, at + k),
+                span(at, at - 1 + solo.end),
+            ]
+        );
+    }
+
+    #[test]
+    fn one_ag_serializes_64_ready_gathers() {
+        // Every cycle the start loop passes over the ready gathers it cannot
+        // place; each starts the cycle after its predecessor's last ack.
+        let mut c = cfg();
+        c.ag.count = 1;
+        let mut p = StreamProgram::new();
+        for i in 0..64 {
+            p.add(gather64(i * 64), &[]);
+        }
+        let r = Executor::new(c).run(&p, &mut NodeMemSys::new(c, 0, false));
+        assert_eq!(r.spans[0].start, 1);
+        for w in r.spans.windows(2) {
+            assert!(w[0].start < w[0].end);
+            assert_eq!(w[1].start, w[0].end + 1);
+        }
+        assert!(r.cycles >= r.spans[63].end);
     }
 
     #[test]
