@@ -56,7 +56,10 @@ fn main() {
     let cli = Cli::from_args(Args::from_env(), FLAGS, USAGE);
     let args = cli.args();
     let addr = args.raw("addr").unwrap_or("127.0.0.1:7411").to_string();
-    let mut cfg = ServeConfig::default();
+    let mut cfg = ServeConfig {
+        progress: cli.progress(),
+        ..ServeConfig::default()
+    };
     match args.get_or("workers", cfg.workers) {
         Ok(n) if n > 0 => cfg.workers = n,
         Ok(_) => usage_error("--workers must be positive", USAGE),

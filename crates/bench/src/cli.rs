@@ -38,11 +38,14 @@
 //! ignored.
 //!
 //! [`Cli::try_from_args`] only parses. The process entry point
-//! [`Cli::from_args`] is the one place that installs the process-wide
-//! defaults — `--fast-forward` via [`sa_sim::set_fast_forward_default`],
-//! `--faults` via [`sa_faults::set_default_plan`] and the progress sink via
-//! [`sa_telemetry::set_global_progress`] — so simulators built afterwards
-//! pick the settings up without explicit plumbing.
+//! [`Cli::from_args`] is the one place that installs process-wide defaults,
+//! and it installs two — `--fast-forward` via
+//! [`sa_sim::set_fast_forward_default`] and `--faults` via
+//! [`sa_faults::set_default_plan`] — so simulators built afterwards pick
+//! them up without explicit plumbing. The `--progress` sink is not a
+//! process-wide default: [`Cli::progress`] hands it to whoever reports,
+//! [`BenchRun`](crate::telemetry::BenchRun) for sweeps and probes, the
+//! `--spec` session, or `serve`'s `ServeConfig`.
 
 use crate::args::Args;
 use sa_faults::FaultPlan;
@@ -138,7 +141,6 @@ impl Cli {
         let cli = Cli::try_from_args(args, flags).unwrap_or_else(|e| crate::usage_error(&e, usage));
         sa_sim::set_fast_forward_default(cli.fast_forward);
         sa_faults::set_default_plan(cli.fault_plan.clone());
-        sa_telemetry::set_global_progress(cli.progress.clone());
         if cli.args.has("spec") {
             crate::specrun::run_and_exit(&cli);
         }
@@ -306,7 +308,6 @@ mod tests {
         assert!(cli.fault_plan().is_some() && cli.progress().is_on());
         assert!(sa_sim::fast_forward_default());
         assert!(sa_faults::default_plan().is_none());
-        assert!(!sa_telemetry::progress_enabled());
         let _ = std::fs::remove_file(&path);
     }
 

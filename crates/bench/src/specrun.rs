@@ -13,6 +13,7 @@
 //! fingerprinted by the result cache. A malformed spec follows the shared
 //! usage convention: `error: ...` plus a usage block, exit status 2.
 
+use std::io::Write;
 use std::sync::Arc;
 
 use crate::cli::Cli;
@@ -39,7 +40,7 @@ pub fn run_and_exit(cli: &Cli) -> ! {
     let Some(path) = cli.args().raw("spec") else {
         crate::usage_error("--spec needs a job file path", SPEC_USAGE);
     };
-    match run_spec(path, cli) {
+    match run_spec(path, cli, &mut std::io::stderr()) {
         Ok(summary) => {
             print!("{summary}");
             std::process::exit(0);
@@ -63,8 +64,9 @@ pub enum SpecError {
 
 /// Load, overlay, run, and summarize one spec file. The summary is
 /// deterministic (no wall-clock, no cache state), so repeated runs of the
-/// same job print identical bytes; cache traffic goes to stderr.
-pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
+/// same job print identical bytes; the `cache: hit|miss` line and output
+/// notes go to `log` (stderr in a binary).
+pub fn run_spec(path: &str, cli: &Cli, log: &mut dyn Write) -> Result<String, SpecError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SpecError::Spec(format!("--spec {path}: {e}")))?;
     let doc =
@@ -87,8 +89,7 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
         spec.faults = Some(plan.clone());
     }
 
-    let digest = spec.fingerprint().digest();
-    let mut builder = spec.to_builder();
+    let mut builder = spec.to_builder().progress(cli.progress());
     let cache = match cli.cache_dir() {
         Some(dir) => {
             let cache = Arc::new(
@@ -99,19 +100,19 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
         }
         None => None,
     };
-    let progress = cli.progress();
-    if progress.is_on() {
-        builder = builder.progress(progress);
-    }
     let session = builder
         .build()
         .map_err(|e| SpecError::Spec(format!("--spec {path}: {e}")))?;
-    let report = session.run();
+    let digest = session.fingerprint().digest();
+    let cached = session.cached();
+    let hit = cached.is_some();
+    let report = cached.unwrap_or_else(|| session.simulate());
 
     if let Some(cache) = &cache {
-        eprintln!(
+        let _ = writeln!(
+            log,
             "cache: {} (hits {} misses {} stores {})",
-            if cache.hits() > 0 { "hit" } else { "miss" },
+            if hit { "hit" } else { "miss" },
             cache.hits(),
             cache.misses(),
             cache.stores()
@@ -121,7 +122,7 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
         let stats = sa_serve::job_stats_json(&spec, &report);
         std::fs::write(out, format!("{}\n", stats.to_string_pretty()))
             .map_err(|e| SpecError::Io(format!("--stats-json {out}: {e}")))?;
-        eprintln!("stats-json: wrote {out}");
+        let _ = writeln!(log, "stats-json: wrote {out}");
     }
 
     let mut summary = String::new();
@@ -148,36 +149,83 @@ mod tests {
         Cli::try_from_args(args, crate::cli::COMMON_FLAGS).expect("argv parses")
     }
 
-    fn write_spec(tag: &str) -> std::path::PathBuf {
-        let spec = SessionSpec::new(Workload::Histogram {
+    fn job() -> SessionSpec {
+        SessionSpec::new(Workload::Histogram {
             base_word: 0,
             indices: (0..256u64).map(|i| (i * 13 + 1) % 32).collect(),
-        });
+        })
+    }
+
+    fn write_spec(tag: &str) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("sa-specrun-{tag}-{}.json", std::process::id()));
-        std::fs::write(&path, spec.to_json().to_string_pretty()).expect("write spec");
+        std::fs::write(&path, job().to_json().to_string_pretty()).expect("write spec");
         path
     }
 
     #[test]
     fn summaries_are_deterministic_across_exec_knobs() {
         let path = write_spec("det");
-        let base = run_spec(path.to_str().unwrap(), &cli("")).ok().unwrap();
-        assert!(base.contains("cycles"));
-        let stepped = run_spec(path.to_str().unwrap(), &cli("--fast-forward off"))
+        let base = run_spec(path.to_str().unwrap(), &cli(""), &mut Vec::new())
             .ok()
             .unwrap();
+        assert!(base.contains("cycles"));
+        let stepped = run_spec(
+            path.to_str().unwrap(),
+            &cli("--fast-forward off"),
+            &mut Vec::new(),
+        )
+        .ok()
+        .unwrap();
         assert_eq!(base, stepped, "exec knobs must not change the summary");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
+    fn a_recomputed_stale_entry_prints_cache_miss() {
+        let path = write_spec("stale");
+        let dir = std::env::temp_dir().join(format!("sa-specrun-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |log: &mut Vec<u8>| {
+            let argv = format!("--spec {} --cache={}", path.display(), dir.display());
+            run_spec(path.to_str().unwrap(), &cli(&argv), log)
+                .ok()
+                .unwrap()
+        };
+        let mut cold = Vec::new();
+        let summary = run(&mut cold);
+        assert!(String::from_utf8(cold).unwrap().starts_with("cache: miss"));
+        // Replace the entry with a report under a layout the decoder
+        // rejects; the entry itself is valid, so only the decoder refuses it.
+        let cache = ResultCache::open(&dir).unwrap();
+        let fresh = cache.lookup(&job().fingerprint()).expect("cold run stored");
+        let stale = fresh
+            .to_string_compact()
+            .replacen("\"sa\":{", "\"sa\":{\"retired\":1,", 1);
+        cache
+            .store(&job().fingerprint(), &Json::parse(&stale).unwrap())
+            .unwrap();
+        let mut again = Vec::new();
+        assert_eq!(run(&mut again), summary);
+        let again = String::from_utf8(again).unwrap();
+        assert!(
+            again.starts_with("cache: miss (hits 0 misses 1 stores 1)"),
+            "{again}"
+        );
+        let mut warm = Vec::new();
+        run(&mut warm);
+        assert!(String::from_utf8(warm).unwrap().starts_with("cache: hit"));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn bad_specs_are_usage_errors() {
-        let missing = run_spec("/nonexistent/job.json", &cli(""));
+        let missing = run_spec("/nonexistent/job.json", &cli(""), &mut Vec::new());
         assert!(matches!(missing, Err(SpecError::Spec(_))));
         let path = std::env::temp_dir().join(format!("sa-specrun-bad-{}.json", std::process::id()));
         std::fs::write(&path, "{\"schema\":\"wrong\"}").expect("write");
-        let bad = run_spec(path.to_str().unwrap(), &cli(""));
+        let bad = run_spec(path.to_str().unwrap(), &cli(""), &mut Vec::new());
         match bad {
             Err(SpecError::Spec(e)) => assert!(e.contains("schema"), "got: {e}"),
             _ => panic!("expected a spec error"),

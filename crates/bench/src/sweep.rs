@@ -17,6 +17,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use sa_telemetry::Progress;
+
 /// The number of available cores (the default worker count).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
@@ -43,14 +45,15 @@ pub fn resolve_jobs(flag: usize) -> usize {
 }
 
 /// Run `f` over every item on `jobs` worker threads and return the results
-/// in item order.
+/// in item order, reporting each finished item to `progress` as a `point`
+/// event.
 ///
 /// Items are claimed from a shared cursor, so threads stay busy even when
 /// per-item cost varies wildly (a sweep mixes tiny and huge configs). With
 /// one job — or one item — this degenerates to a plain serial map with no
 /// threads spawned. `f` must not print or otherwise observe ordering; do
 /// that with the returned values.
-pub fn map_jobs<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
+pub fn map_jobs<T, R, F>(jobs: usize, progress: &Progress, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -60,16 +63,10 @@ where
     // Sweep-point progress: announce the batch, report each completion.
     // Events go to the nondeterministic progress channel only — the result
     // vector (and therefore every stats byte) is untouched.
-    let progress = if sa_telemetry::progress_enabled() && n > 0 {
-        let p = sa_telemetry::global_progress();
-        p.add_points(n as u64);
-        Some(p)
-    } else {
-        None
-    };
+    progress.add_points(n as u64);
     let point_done = |i: usize| {
-        if let Some(p) = &progress {
-            p.point_done(&format!("sweep[{i}]"));
+        if progress.is_on() {
+            progress.point_done(&format!("sweep[{i}]"));
         }
     };
     if jobs <= 1 || n <= 1 {
@@ -121,9 +118,12 @@ mod tests {
     #[test]
     fn preserves_item_order() {
         let items: Vec<u64> = (0..64).collect();
-        let serial = map_jobs(1, items.clone(), |x| x * x);
+        let serial = map_jobs(1, &Progress::off(), items.clone(), |x| x * x);
         for jobs in [2, 4, 64, 1000] {
-            assert_eq!(map_jobs(jobs, items.clone(), |x| x * x), serial);
+            assert_eq!(
+                map_jobs(jobs, &Progress::off(), items.clone(), |x| x * x),
+                serial
+            );
         }
     }
 
@@ -131,7 +131,7 @@ mod tests {
     fn uneven_work_still_ordered() {
         // Make early items slow so later items finish first.
         let items: Vec<u64> = (0..16).collect();
-        let out = map_jobs(8, items, |x| {
+        let out = map_jobs(8, &Progress::off(), items, |x| {
             if x < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -142,8 +142,31 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(map_jobs::<u64, u64, _>(8, vec![], |x| x), vec![]);
-        assert_eq!(map_jobs(8, vec![7u64], |x| x), vec![7]);
+        assert_eq!(
+            map_jobs::<u64, u64, _>(8, &Progress::off(), vec![], |x| x),
+            vec![]
+        );
+        assert_eq!(map_jobs(8, &Progress::off(), vec![7u64], |x| x), vec![7]);
+    }
+
+    #[test]
+    fn each_item_is_reported_to_the_progress_sink() {
+        struct Sink(std::sync::Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for Sink {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(bytes);
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let out = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let progress = Progress::to_writer(Box::new(Sink(std::sync::Arc::clone(&out))));
+        map_jobs(2, &progress, (0..5u64).collect(), |x| x);
+        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        assert_eq!(text.matches("\"kind\":\"point\"").count(), 5, "{text}");
+        assert!(text.contains("\"done\":5,\"total\":5"), "{text}");
     }
 
     #[test]

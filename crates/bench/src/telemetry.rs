@@ -32,7 +32,7 @@ use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel, StallBreakdown};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{
     stats_json, validate_stats_json, ChromeTrace, HostProfiler, Introspect, Json, MetricsRegistry,
-    ProbeRecorder, ReqTracer, Scope, SeriesSet,
+    ReqTracer, Scope, SeriesSet,
 };
 
 use crate::args::Args;
@@ -119,14 +119,15 @@ impl BenchRun {
     }
 
     /// Run `f` over every sweep point on `--jobs` worker threads and return
-    /// the results in item order (see [`crate::sweep::map_jobs`]).
+    /// the results in item order, with `--progress` point events (see
+    /// [`crate::sweep::map_jobs`]).
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        crate::sweep::map_jobs(self.cli.jobs(), items, f)
+        crate::sweep::map_jobs(self.cli.jobs(), &self.cli.progress(), items, f)
     }
 
     /// Fold a run's host-time phase attribution into this binary's
@@ -137,18 +138,16 @@ impl BenchRun {
 
     /// An [`Introspect`] bundle for one of the binary's own simulations:
     /// the `--probe-interval` cadence (labelled `label`, streaming to the
-    /// process-wide progress sink), the progress sink itself, and a
-    /// profiler when `--host-profile` was given. Fold the profiler back
-    /// with [`BenchRun::absorb_host_profile`] after the run.
+    /// `--progress` sink), that sink itself, and a profiler when
+    /// `--host-profile` was given. Fold the profiler back with
+    /// [`BenchRun::absorb_host_profile`] after the run.
     pub fn introspect(&self, label: &str) -> Introspect {
-        let progress = self.cli.progress();
-        Introspect {
-            recorder: ProbeRecorder::every(self.cli.probe_interval())
-                .with_label(label)
-                .with_sink(progress.clone()),
-            progress,
-            profiler: HostProfiler::enabled(self.cli.host_profile()),
-        }
+        Introspect::new(
+            label,
+            self.cli.probe_interval(),
+            self.cli.progress(),
+            self.cli.host_profile(),
+        )
     }
 
     /// The request-lifecycle sampling interval the binary should run its

@@ -5,6 +5,7 @@
 //!   fails (exit nonzero) naming the metric;
 //! - `analyze --watch -`: a `--progress` stream on stdin is rendered, and
 //!   an invalid `sa-probe` snapshot fails it (exit 1);
+//! - `fig13 --quick --progress` reports every sweep point as it finishes;
 //! - the closed flag set: an unknown or removed flag exits 2, `serve`
 //!   rejects the figure binaries' experiment flags, `--cache` without
 //!   `--spec` is rejected, and each `explore` subcommand takes only the
@@ -136,6 +137,34 @@ fn watch_reads_a_progress_stream_from_stdin() {
     let bad = format!("{stream}{{\"schema\":\"sa-probe\",\"version\":1}}\n");
     let (code, _) = watch_stdin(&bad);
     assert_eq!(code, Some(1), "an invalid sa-probe snapshot must fail");
+}
+
+#[test]
+fn progress_flag_reports_sweep_points() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig13"))
+        .args(["--quick", "--progress"])
+        .output()
+        .expect("fig13 runs");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let points: Vec<Json> = stderr
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"point\""))
+        .map(|l| Json::parse(l).expect("point event is JSON"))
+        .collect();
+    // Workers emit concurrently, so the final count need not be the last
+    // line.
+    let field = |p: &Json, k| p.get(k).and_then(Json::as_u64);
+    let last = points
+        .iter()
+        .max_by_key(|p| field(p, "done"))
+        .expect("--progress emits sweep point events");
+    assert_eq!(field(last, "done"), Some(points.len() as u64));
+    assert_eq!(
+        field(last, "done"),
+        field(last, "total"),
+        "every announced point finishes"
+    );
 }
 
 #[test]

@@ -316,12 +316,6 @@ impl ResultCache {
         })
     }
 
-    /// Open the store named by `SA_CACHE_DIR`, if set and creatable.
-    pub fn from_env() -> Option<ResultCache> {
-        let dir = std::env::var(ENV_DIR).ok().filter(|d| !d.is_empty())?;
-        ResultCache::open(dir).ok()
-    }
-
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -353,25 +347,37 @@ impl ResultCache {
     /// the entry and returns `None` so the caller recomputes. A hit touches
     /// the entry's mtime (the LRU clock for [`gc`](ResultCache::gc)).
     pub fn lookup(&self, fp: &Fingerprint) -> Option<Json> {
+        self.lookup_as(fp, Some)
+    }
+
+    /// [`lookup`](ResultCache::lookup) and decode the payload in one step.
+    /// A payload `decode` rejects (`None`: say, one written under an older
+    /// layout) is handled like a corrupt entry — deleted and counted as a
+    /// miss — so the hit/miss counters describe what the caller served.
+    pub fn lookup_as<T>(
+        &self,
+        fp: &Fingerprint,
+        decode: impl FnOnce(Json) -> Option<T>,
+    ) -> Option<T> {
         let digest = fp.digest();
         let path = self.entry_path(&digest);
         let mut text = String::new();
-        match File::open(&path).and_then(|mut f| f.read_to_string(&mut text)) {
-            Ok(_) => {}
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        if File::open(&path)
+            .and_then(|mut f| f.read_to_string(&mut text))
+            .is_err()
+        {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        match validate_entry(&text, &digest) {
-            Some(payload) => {
+        match validate_entry(&text, &digest).and_then(decode) {
+            Some(value) => {
                 // Touch mtime so gc sees this entry as recently used. Best
                 // effort: a read-only store still serves hits.
                 if let Ok(f) = File::options().append(true).open(&path) {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+                Some(value)
             }
             None => {
                 let _ = fs::remove_file(&path);
@@ -653,6 +659,20 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert_eq!(cache.lookup(&fp), None, "bit-flipped entry must miss");
         assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_payload_is_evicted_as_a_miss() {
+        let dir = temp_dir("decode");
+        let cache = ResultCache::open(&dir).unwrap();
+        let fp = key(12);
+        cache.store(&fp, &payload(12)).unwrap();
+        let cycles = |p: Json| p.get("cycles").and_then(Json::as_u64);
+        assert_eq!(cache.lookup_as(&fp, cycles), Some(12));
+        assert_eq!(cache.lookup_as(&fp, |_| None::<u64>), None);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert!(!dir.join(format!("{}.json", fp.digest())).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -18,11 +18,14 @@
 //! Jobs run on a bounded worker pool; when the connection queue is full the
 //! accept loop answers `429` immediately (admission control), and per-tenant
 //! quotas (total jobs, concurrent jobs) answer `429` with a quota error.
-//! Results are memoized through `sa-memo`: the spec's canonical fingerprint
-//! is looked up before any simulation, so a warm repeat of a job performs
-//! zero simulation yet returns a byte-identical body — the `X-SA-Cache` and
-//! `X-SA-Simulated` response headers are the sidecar that says which path
-//! served it.
+//! Every job is built into a `Session` (the one validation a job passes)
+//! with the server's result cache attached, and the server drives the
+//! session's two halves: `Session::cached` first, `Session::simulate` on a
+//! miss. A warm repeat of a job therefore performs zero simulation yet
+//! returns a byte-identical body; the `X-SA-Cache` and `X-SA-Simulated`
+//! response headers are the sidecar that says which half served it. A
+//! stale entry that is recomputed is a miss in both the headers and the
+//! cache counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,6 +72,10 @@ pub struct ServeConfig {
     pub cache: Option<Arc<ResultCache>>,
     /// Largest request body accepted, in bytes.
     pub max_body_bytes: u64,
+    /// Heartbeat and probe sink of jobs that are not streamed (off by
+    /// default; `serve --progress` points it at stderr). A streamed job
+    /// reports to its own response instead.
+    pub progress: Progress,
 }
 
 impl Default for ServeConfig {
@@ -80,6 +87,7 @@ impl Default for ServeConfig {
             tenant_inflight: 0,
             cache: None,
             max_body_bytes: 64 << 20,
+            progress: Progress::off(),
         }
     }
 }
@@ -432,76 +440,57 @@ fn run_job(state: &Arc<State>, stream: &mut TcpStream, request: &Request) -> Res
     let doc =
         Json::parse(text).map_err(|e| JobError::Client(400, format!("body is not JSON: {e}")))?;
     let spec = SessionSpec::from_json(&doc).map_err(|e| JobError::Client(400, e))?;
-    let fingerprint = spec.fingerprint();
-    let digest = fingerprint.digest();
     let streaming = request
         .header("x-sa-stream")
         .is_some_and(|v| !v.eq_ignore_ascii_case("off"));
 
-    // Warm path: the memo cache already holds this spec's report.
-    let cached = state.cfg.cache.as_ref().and_then(|cache| {
-        let payload = cache.lookup(&fingerprint)?;
-        SessionReport::from_json(&payload).ok()
-    });
-    let sidecar = |hit: bool| {
-        vec![
-            (
-                "X-SA-Cache".to_string(),
-                if hit { "hit" } else { "miss" }.to_string(),
-            ),
-            (
-                "X-SA-Simulated".to_string(),
-                if hit { "0" } else { "1" }.to_string(),
-            ),
-        ]
-    };
-
-    let (report, hit) = match cached {
-        Some(report) => {
-            if streaming {
-                let mut writer = begin_stream(stream, &sidecar(true))?;
-                for line in &report.probe_lines {
-                    writeln!(writer, "{line}")?;
-                }
-                let body = result_json(&digest, &spec, &report);
-                writeln!(writer, "{}", body.to_string_compact())?;
-                writer.flush()?;
-                return Ok(());
-            }
-            (report, true)
-        }
-        None => {
-            // Build without the cache attached: the serve layer owns
-            // lookup/store so the sidecar headers stay truthful.
-            let mut builder = spec.to_builder();
-            if streaming {
-                let sink = stream.try_clone()?;
-                builder = builder.progress(Progress::to_writer(Box::new(sink)));
-            }
-            let session = builder
-                .build()
-                .map_err(|e| JobError::Client(400, format!("spec rejected: {e}")))?;
-            if streaming {
-                begin_stream(stream, &sidecar(false))?;
-            }
-            let report = session.run();
-            if let Some(cache) = &state.cfg.cache {
-                let _ = cache.store(&fingerprint, &report.to_json());
-            }
-            (report, false)
-        }
-    };
-
-    let body = result_json(&digest, &spec, &report);
-    if streaming {
-        // Headers already sent (miss path); emit the final result line.
-        writeln!(stream, "{}", body.to_string_compact())?;
-        stream.flush()?;
-        Ok(())
+    let mut builder = spec.to_builder().progress(if streaming {
+        Progress::to_writer(Box::new(stream.try_clone()?))
     } else {
-        respond_json(stream, 200, &body, &sidecar(hit))?;
-        Ok(())
+        state.cfg.progress.clone()
+    });
+    if let Some(cache) = &state.cfg.cache {
+        builder = builder.cache(Arc::clone(cache));
     }
+    let session = builder
+        .build()
+        .map_err(|e| JobError::Client(400, format!("spec rejected: {e}")))?;
+    let digest = session.fingerprint().digest();
+    let cached = session.cached();
+    let hit = cached.is_some();
+    let sidecar = [
+        (
+            "X-SA-Cache".to_string(),
+            if hit { "hit" } else { "miss" }.to_string(),
+        ),
+        (
+            "X-SA-Simulated".to_string(),
+            if hit { "0" } else { "1" }.to_string(),
+        ),
+    ];
+    if !streaming {
+        let report = cached.unwrap_or_else(|| session.simulate());
+        respond_json(stream, 200, &result_json(&digest, &spec, &report), &sidecar)?;
+        return Ok(());
+    }
+    let mut writer = begin_stream(stream, &sidecar)?;
+    let report = match cached {
+        // A warm hit replays the probe lines a cold run streamed live.
+        Some(report) => {
+            for line in &report.probe_lines {
+                writeln!(writer, "{line}")?;
+            }
+            report
+        }
+        None => session.simulate(),
+    };
+    writeln!(
+        writer,
+        "{}",
+        result_json(&digest, &spec, &report).to_string_compact()
+    )?;
+    writer.flush()?;
+    Ok(())
 }
 
 /// The `sa-serve-result` document: digest + a validated sa-stats document +

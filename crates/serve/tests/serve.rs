@@ -2,11 +2,12 @@
 //! byte-identical with zero simulation, quotas answer 429, streaming
 //! replays probe lines, shutdown drains cleanly.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sa_serve::{client, ServeConfig, Server};
-use sa_telemetry::Json;
+use sa_telemetry::{Json, Progress};
 use scatter_add_repro::{ResultCache, SessionSpec, Workload};
 
 fn temp_cache(tag: &str) -> PathBuf {
@@ -50,6 +51,7 @@ fn warm_hit_is_byte_identical_and_simulation_free() {
     assert_eq!(warm.header("x-sa-simulated"), Some("0"));
     assert_eq!(cold.body, warm.body, "warm body must be byte-identical");
     assert_eq!(cache.hits(), 1);
+    assert_eq!(cache.misses(), 1, "each job looks the cache up once");
     assert_eq!(cache.stores(), 1);
 
     // The embedded stats section is a valid sa-stats document.
@@ -65,6 +67,80 @@ fn warm_hit_is_byte_identical_and_simulation_free() {
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_entry_is_a_miss_in_headers_and_counters() {
+    let dir = temp_cache("stale");
+    let cache = Arc::new(ResultCache::open(&dir).expect("cache"));
+    let (server, addr) = start(ServeConfig {
+        cache: Some(Arc::clone(&cache)),
+        ..ServeConfig::default()
+    });
+    // A valid entry whose report is in a layout the decoder rejects.
+    let text = histogram_spec(512, 64);
+    let spec = SessionSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+    let fresh = spec.to_builder().build().unwrap().run().to_json();
+    let stale = fresh
+        .to_string_compact()
+        .replacen("\"sa\":{", "\"sa\":{\"retired\":1,", 1);
+    cache
+        .store(&spec.fingerprint(), &Json::parse(&stale).unwrap())
+        .expect("store");
+
+    let served = client::submit(&addr, &text, "", None).expect("submit");
+    assert_eq!(served.status, 200);
+    assert_eq!(served.header("x-sa-cache"), Some("miss"));
+    assert_eq!(served.header("x-sa-simulated"), Some("1"));
+    let stats = Json::parse(&client::stats(&addr).expect("stats").body).expect("stats json");
+    let counter = |k| {
+        stats
+            .get("cache")
+            .and_then(|c| c.get(k))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(counter("hits"), Some(0));
+    assert_eq!(counter("misses"), Some(1));
+    assert_eq!(counter("stores"), Some(2), "the stale entry is replaced");
+
+    let warm = client::submit(&addr, &text, "", None).expect("warm submit");
+    assert_eq!(warm.header("x-sa-cache"), Some("hit"));
+    assert_eq!(warm.body, served.body);
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unstreamed_jobs_report_to_the_configured_progress_sink() {
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+    impl Write for Sink {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let (server, addr) = start(ServeConfig {
+        progress: Progress::to_writer(Box::new(Sink(Arc::clone(&out)))),
+        ..ServeConfig::default()
+    });
+    let ok = client::submit(&addr, &histogram_spec(4096, 512), "", None).expect("submit");
+    assert_eq!(ok.status, 200);
+    assert!(
+        !ok.body.contains("heartbeat"),
+        "an unstreamed response carries no progress"
+    );
+    server.shutdown();
+    server.join();
+    let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+    assert!(
+        text.lines().any(|l| l.contains("\"kind\":\"heartbeat\"")),
+        "no heartbeat in: {text}"
+    );
 }
 
 #[test]

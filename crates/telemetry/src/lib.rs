@@ -34,9 +34,8 @@ pub use bottleneck::{
     OccupancyStats, StallCause, BOUND_KINDS, STAGE_NAMES, STALL_CAUSES,
 };
 pub use probe::{
-    global_progress, progress_enabled, set_global_progress, validate_probe_json, HostProfiler,
-    Inspectable, Introspect, ProbeRecorder, ProbeRegistry, Progress, PROBE_SCHEMA_NAME,
-    PROBE_SCHEMA_VERSION,
+    validate_probe_json, HostProfiler, Inspectable, Introspect, ProbeRecorder, ProbeRegistry,
+    Progress, PROBE_SCHEMA_NAME, PROBE_SCHEMA_VERSION,
 };
 
 /// Version stamped into every stats JSON document as `"version"`.

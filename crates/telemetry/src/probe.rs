@@ -24,8 +24,8 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::Json;
@@ -381,36 +381,6 @@ impl Progress {
     }
 }
 
-static GLOBAL_PROGRESS_ON: AtomicBool = AtomicBool::new(false);
-
-fn global_progress_cell() -> &'static Mutex<Progress> {
-    static CELL: OnceLock<Mutex<Progress>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(Progress::off()))
-}
-
-/// Install the process-wide progress sink (the `--progress` flag routes
-/// through this, in the same idiom as
-/// `sa_sim::set_fast_forward_default`).
-pub fn set_global_progress(p: Progress) {
-    GLOBAL_PROGRESS_ON.store(p.is_on(), Ordering::Release);
-    *global_progress_cell().lock().expect("global progress") = p;
-}
-
-/// Whether a process-wide progress sink is installed — one relaxed atomic
-/// load, so hot loops can gate on it.
-pub fn progress_enabled() -> bool {
-    GLOBAL_PROGRESS_ON.load(Ordering::Acquire)
-}
-
-/// A clone of the process-wide progress handle ([`Progress::off`] unless
-/// [`set_global_progress`] installed one).
-pub fn global_progress() -> Progress {
-    global_progress_cell()
-        .lock()
-        .expect("global progress")
-        .clone()
-}
-
 /// Attributes host wall-clock to named run-loop phases via scoped closures.
 /// Disabled (`off`) it costs one branch per phase; enabled it brackets each
 /// phase with two `Instant::now()` reads. The report is wall-clock and
@@ -516,6 +486,19 @@ impl Introspect {
     /// Everything disabled.
     pub fn off() -> Introspect {
         Introspect::default()
+    }
+
+    /// A bundle taking a snapshot labelled `label` every `probe_interval`
+    /// simulated cycles (0 = never), streaming heartbeats and snapshots to
+    /// `progress`, and attributing host time when `profile` is set.
+    pub fn new(label: &str, probe_interval: u64, progress: Progress, profile: bool) -> Introspect {
+        Introspect {
+            recorder: ProbeRecorder::every(probe_interval)
+                .with_label(label)
+                .with_sink(progress.clone()),
+            progress,
+            profiler: HostProfiler::enabled(profile),
+        }
     }
 }
 

@@ -21,6 +21,17 @@
 //! assert_eq!(report.result[..3], [1, 3, 1]);
 //! ```
 //!
+//! A `Session` is a [`SessionSpec`] — the job description, declared once
+//! — plus two things that are not part of the job: a progress sink (off
+//! unless [`SessionBuilder::progress`] attaches one) and a result cache.
+//! [`SessionBuilder::build`] is the one validation every job passes,
+//! whether it comes from a builder chain, a `--spec` file or an `sa-serve`
+//! request. [`Session::run`] is [`Session::cached`] (the lookup half) else
+//! [`Session::simulate`] (the simulate-and-store half); callers that must
+//! act between the two, such as the HTTP service choosing its response
+//! headers, drive the halves themselves. `Session` is the only code that
+//! turns a cache entry into a [`SessionReport`] or a report into an entry.
+//!
 //! A session installs exactly its own fault plan ([`SessionBuilder::faults`],
 //! or the empty plan) on every machine it builds. The process-wide
 //! [`sa_faults::default_plan`] never reaches it, so concurrent sessions with
@@ -30,6 +41,7 @@
 use std::sync::Arc;
 
 use crate::spec::u64_array;
+use crate::SessionSpec;
 use sa_cache::CacheStats;
 use sa_core::{drive_scatter_probed, NodeMemSys, NodeStats, SaStats, ScatterKernel};
 use sa_faults::{FaultPlan, ResilienceStats};
@@ -37,10 +49,7 @@ use sa_mem::DramStats;
 use sa_memo::{Fingerprint, ResultCache};
 use sa_multinode::{MultiNode, Topology};
 use sa_sim::{Addr, MachineConfig, NetworkConfig, QueueStats};
-use sa_telemetry::{
-    global_progress, Counters, HostProfiler, Introspect, Json, MetricsRegistry, ProbeRecorder,
-    Progress, Reader,
-};
+use sa_telemetry::{Counters, Introspect, Json, MetricsRegistry, Progress, Reader};
 
 /// What a [`Session`] simulates.
 #[derive(Clone, Debug, PartialEq)]
@@ -293,44 +302,62 @@ fn node_stats_from_json(doc: &Json) -> Result<NodeStats, String> {
     Ok(ns)
 }
 
-/// Staged configuration for a [`Session`]; see the module docs.
-#[derive(Clone, Debug, Default)]
+/// Staged configuration for a [`Session`]: a [`SessionSpec`] filled in
+/// field by field, plus the progress sink and cache handle that are not
+/// part of the job description. See the module docs.
+#[derive(Clone, Debug)]
 pub struct SessionBuilder {
-    config: Option<MachineConfig>,
-    workload: Option<Workload>,
-    faults: Option<FaultPlan>,
-    fast_forward: Option<bool>,
-    probe_interval: u64,
-    progress: Option<Progress>,
-    fetch: bool,
+    spec: SessionSpec,
+    progress: Progress,
     cache: Option<Arc<ResultCache>>,
 }
 
+impl Default for SessionBuilder {
+    /// No workload yet (an empty histogram, which [`SessionBuilder::build`]
+    /// rejects) on the default machine.
+    fn default() -> SessionBuilder {
+        SessionBuilder::from_spec(SessionSpec::new(Workload::Histogram {
+            base_word: 0,
+            indices: Vec::new(),
+        }))
+    }
+}
+
 impl SessionBuilder {
+    /// A builder carrying every field of `spec`, with progress off and no
+    /// cache.
+    pub(crate) fn from_spec(spec: SessionSpec) -> SessionBuilder {
+        SessionBuilder {
+            spec,
+            progress: Progress::off(),
+            cache: None,
+        }
+    }
+
     /// The machine configuration (defaults to
     /// [`MachineConfig::merrimac`], the paper's Table 1 machine).
     pub fn config(mut self, cfg: MachineConfig) -> SessionBuilder {
-        self.config = Some(cfg);
+        self.spec.config = cfg;
         self
     }
 
     /// What to simulate. Required.
     pub fn workload(mut self, workload: Workload) -> SessionBuilder {
-        self.workload = Some(workload);
+        self.spec.workload = workload;
         self
     }
 
     /// Inject faults from `plan` (see `docs/RESILIENCE.md`). An empty plan
     /// is equivalent to no plan: the run is byte-identical to fault-free.
     pub fn faults(mut self, plan: FaultPlan) -> SessionBuilder {
-        self.faults = Some(plan);
+        self.spec.faults = Some(plan);
         self
     }
 
     /// Force event-horizon fast-forward on or off (default: the
     /// process-wide setting, see [`sa_sim::set_fast_forward_default`]).
     pub fn fast_forward(mut self, enabled: bool) -> SessionBuilder {
-        self.fast_forward = Some(enabled);
+        self.spec.exec.fast_forward = Some(enabled);
         self
     }
 
@@ -345,16 +372,14 @@ impl SessionBuilder {
     /// in [`SessionReport::probe_lines`] and stream to the progress sink
     /// when one is attached.
     pub fn probe(mut self, interval: u64) -> SessionBuilder {
-        self.probe_interval = interval;
+        self.spec.probe_interval = interval;
         self
     }
 
     /// Attach a live progress sink for heartbeats and probe streaming
-    /// (default: the process-wide sink installed by
-    /// [`sa_telemetry::set_global_progress`], off unless a `--progress`
-    /// flag enabled it).
+    /// (default: off).
     pub fn progress(mut self, progress: Progress) -> SessionBuilder {
-        self.progress = Some(progress);
+        self.progress = progress;
         self
     }
 
@@ -362,7 +387,7 @@ impl SessionBuilder {
     /// each target word is returned in [`SessionReport::fetched`].
     /// Single-node workloads only.
     pub fn fetch(mut self, enabled: bool) -> SessionBuilder {
-        self.fetch = enabled;
+        self.spec.fetch = enabled;
         self
     }
 
@@ -370,29 +395,30 @@ impl SessionBuilder {
     ///
     /// Deterministic outputs make the cache *exact*: a hit returns a report
     /// equal to what the simulation would produce, for zero simulated work.
-    /// The fingerprint covers every execution-relevant input (workload,
-    /// config, fault plan, fetch mode, probe cadence) and deliberately
-    /// excludes knobs the byte-identity contract proves irrelevant
-    /// (`fast_forward`, progress sinks).
+    /// The key is [`SessionSpec::fingerprint`], which covers every
+    /// execution-relevant input (workload, config, fault plan, fetch mode,
+    /// probe cadence) and deliberately excludes knobs the byte-identity
+    /// contract proves irrelevant (`fast_forward`, progress sinks).
     /// `skipped_cycles` replays the cached run's value.
     pub fn cache(mut self, cache: Arc<ResultCache>) -> SessionBuilder {
         self.cache = Some(cache);
         self
     }
 
-    /// Validate the combination and produce a runnable [`Session`].
+    /// Validate the combination and produce a runnable [`Session`]. This
+    /// is the one semantic check of a job, whether it comes from a builder
+    /// chain, a `--spec` file or an `sa-serve` request.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem: no workload, an empty
-    /// machine, mismatched trace/values lengths, a zero node count, or a
-    /// non-power-of-two hypercube.
+    /// Returns a description of the first problem: no workload (an empty
+    /// histogram), mismatched trace/values lengths, a zero node count, a
+    /// non-power-of-two hypercube, or fetch-ops on a multinode workload.
     pub fn build(self) -> Result<Session, String> {
-        let workload = self.workload.ok_or("no workload: call .workload(..)")?;
-        match &workload {
+        match &self.spec.workload {
             Workload::Histogram { indices, .. } => {
                 if indices.is_empty() {
-                    return Err("histogram workload has no indices".into());
+                    return Err("no workload: the histogram has no indices".into());
                 }
             }
             Workload::Scatter(kernel) => {
@@ -426,20 +452,17 @@ impl SessionBuilder {
                         values.len()
                     ));
                 }
-                if self.fetch {
+                if self.spec.fetch {
                     return Err("fetch-ops are single-node only (§3.3)".into());
                 }
             }
         }
+        // The key is computed once, and only when a cache will use it.
+        let cache = self.cache.map(|cache| (cache, self.spec.fingerprint()));
         Ok(Session {
-            config: self.config.unwrap_or_else(MachineConfig::merrimac),
-            workload,
-            faults: self.faults,
-            fast_forward: self.fast_forward,
-            probe_interval: self.probe_interval,
+            spec: self.spec,
             progress: self.progress,
-            fetch: self.fetch,
-            cache: self.cache,
+            cache,
         })
     }
 }
@@ -447,14 +470,10 @@ impl SessionBuilder {
 /// A validated, runnable simulation; built by [`Session::builder`].
 #[derive(Clone, Debug)]
 pub struct Session {
-    config: MachineConfig,
-    workload: Workload,
-    faults: Option<FaultPlan>,
-    fast_forward: Option<bool>,
-    probe_interval: u64,
-    progress: Option<Progress>,
-    fetch: bool,
-    cache: Option<Arc<ResultCache>>,
+    spec: SessionSpec,
+    progress: Progress,
+    /// The attached result cache and this session's key in it.
+    cache: Option<(Arc<ResultCache>, Fingerprint)>,
 }
 
 impl Session {
@@ -463,94 +482,93 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// The serializable job description of this session: every field a
-    /// [`crate::SessionSpec`] names, reconstructed from the validated state.
-    /// Lossless: `session.spec().to_builder().build()` reproduces an
-    /// equivalent session, and the spec's canonical form is this session's
-    /// cache fingerprint input.
-    pub fn spec(&self) -> crate::SessionSpec {
-        crate::SessionSpec {
-            workload: self.workload.clone(),
-            config: self.config,
-            faults: self.faults.clone(),
-            probe_interval: self.probe_interval,
-            fetch: self.fetch,
-            exec: crate::spec::ExecSpec {
-                fast_forward: self.fast_forward,
-            },
+    /// The serializable job description of this session.
+    /// `session.spec().to_builder().build()` reproduces an equivalent
+    /// session, and the spec's canonical form is this session's cache
+    /// fingerprint input.
+    pub fn spec(&self) -> &SessionSpec {
+        &self.spec
+    }
+
+    /// The canonical cache key for this session, [`SessionSpec::fingerprint`]:
+    /// every execution-relevant input in a fixed field order, with large
+    /// index/value arrays folded in as SHA-256 digests. Execution-irrelevant
+    /// knobs (fast-forward, progress sinks) are excluded — the byte-identity
+    /// contract proves they cannot change the report.
+    pub fn fingerprint(&self) -> Fingerprint {
+        match &self.cache {
+            Some((_, fp)) => fp.clone(),
+            None => self.spec.fingerprint(),
         }
     }
 
-    /// The canonical cache key for this session: the canonical JSON form of
-    /// [`Session::spec`] — every execution-relevant input in a fixed field
-    /// order, with large index/value arrays folded in as SHA-256 digests.
-    /// Execution-irrelevant knobs (fast-forward, progress sinks) are
-    /// excluded — the byte-identity contract proves they cannot change the
-    /// report.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.spec().fingerprint()
-    }
-
-    /// Run the workload to completion.
+    /// Run the workload to completion: [`Session::cached`], else
+    /// [`Session::simulate`].
     ///
     /// Deterministic: the report is a pure function of the session's
     /// configuration — identical across repeated runs and fast-forward
     /// settings (modulo `skipped_cycles`, which is wall-clock accounting).
-    ///
-    /// With a [`SessionBuilder::cache`] attached, a valid cached entry is
-    /// returned without simulating anything; a miss (or a corrupt/stale
-    /// entry, which is evicted) simulates and stores the result.
     ///
     /// # Panics
     ///
     /// Panics if the simulated machine deadlocks (cycle-limit guard), which
     /// indicates a simulator bug, not bad input.
     pub fn run(self) -> SessionReport {
-        let Some(cache) = self.cache.clone() else {
-            return self.run_uncached();
-        };
-        let fp = self.fingerprint();
-        if let Some(report) = cache
-            .lookup(&fp)
-            .and_then(|payload| SessionReport::from_json(&payload).ok())
-        {
-            return report;
+        match self.cached() {
+            Some(report) => report,
+            None => self.simulate(),
         }
+    }
+
+    /// The lookup half of [`Session::run`]: this session's report from the
+    /// attached [`SessionBuilder::cache`], simulating nothing. `None`
+    /// without a cache, or on a miss. An entry that does not decode as a
+    /// [`SessionReport`] (written under another layout) is evicted and
+    /// counted as a miss, so the cache's counters say what was served.
+    pub fn cached(&self) -> Option<SessionReport> {
+        let (cache, fp) = self.cache.as_ref()?;
+        cache.lookup_as(fp, |payload| SessionReport::from_json(&payload).ok())
+    }
+
+    /// The simulate-and-store half of [`Session::run`]: simulate the
+    /// workload and, with a cache attached, store the report under this
+    /// session's fingerprint. A failed store (say, a full disk) degrades to
+    /// "no cache", never to a failed run.
+    ///
+    /// # Panics
+    ///
+    /// As [`Session::run`].
+    pub fn simulate(self) -> SessionReport {
         let report = self.run_uncached();
-        // A full disk degrades to "no cache", never to a failed run.
-        let _ = cache.store(&fp, &report.to_json());
+        if let Some((cache, fp)) = &self.cache {
+            let _ = cache.store(fp, &report.to_json());
+        }
         report
     }
 
-    fn run_uncached(self) -> SessionReport {
-        match self.workload {
-            Workload::Histogram {
-                base_word,
-                ref indices,
-            } => {
-                let kernel = ScatterKernel::histogram(base_word, indices.clone());
-                self.run_kernel(kernel)
+    fn run_uncached(&self) -> SessionReport {
+        let spec = &self.spec;
+        match &spec.workload {
+            Workload::Histogram { base_word, indices } => {
+                self.run_kernel(ScatterKernel::histogram(*base_word, indices.clone()))
             }
-            Workload::Scatter(ref kernel) => {
-                let kernel = kernel.clone();
-                self.run_kernel(kernel)
-            }
+            Workload::Scatter(kernel) => self.run_kernel(kernel.clone()),
             Workload::MultiNode {
                 nodes,
                 network,
                 combining,
                 topology,
-                ref trace,
-                ref values,
+                trace,
+                values,
             } => {
                 let mut mn =
-                    MultiNode::with_topology(self.config, nodes, network, combining, topology);
-                if let Some(ff) = self.fast_forward {
+                    MultiNode::with_topology(spec.config, *nodes, *network, *combining, *topology);
+                if let Some(ff) = spec.exec.fast_forward {
                     mn.set_fast_forward(ff);
                 }
                 // Exactly this session's plan, replacing the process-wide
                 // default the constructors applied.
-                mn.set_fault_plan(self.faults.as_ref().unwrap_or(&FaultPlan::empty()));
+                mn.set_fault_plan(spec.faults.as_ref().unwrap_or(&FaultPlan::empty()));
                 let mut probe = self.introspect("multinode");
                 let r = mn.run_trace_probed(trace, values, &mut probe);
                 let len = trace.iter().copied().max().map_or(0, |m| m as usize + 1);
@@ -572,34 +590,30 @@ impl Session {
         }
     }
 
-    /// Assemble the introspection bundle for a run: the session's probe
-    /// cadence, its progress sink (falling back to the process-wide one),
-    /// and no host profiler (profiling is a bench-binary concern).
+    /// The introspection bundle for a run: the spec's probe cadence, the
+    /// session's progress sink, and no host profiler (profiling is a
+    /// bench-binary concern).
     fn introspect(&self, label: &str) -> Introspect {
-        let progress = match &self.progress {
-            Some(p) => p.clone(),
-            None => global_progress(),
-        };
-        let mut recorder = ProbeRecorder::every(self.probe_interval).with_label(label);
-        recorder = recorder.with_sink(progress.clone());
-        Introspect {
-            recorder,
-            progress,
-            profiler: HostProfiler::off(),
-        }
+        Introspect::new(
+            label,
+            self.spec.probe_interval,
+            self.progress.clone(),
+            false,
+        )
     }
 
     fn run_kernel(&self, kernel: ScatterKernel) -> SessionReport {
-        let mut node = NodeMemSys::new(self.config, 0, false);
-        if let Some(ff) = self.fast_forward {
+        let spec = &self.spec;
+        let mut node = NodeMemSys::new(spec.config, 0, false);
+        if let Some(ff) = spec.exec.fast_forward {
             node.set_fast_forward(ff);
         }
-        node.set_fault_plan(self.faults.as_ref().unwrap_or(&FaultPlan::empty()));
+        node.set_fault_plan(spec.faults.as_ref().unwrap_or(&FaultPlan::empty()));
         let len = kernel.indices.iter().copied().max().map_or(0, |m| m + 1);
         let base = kernel.base_word;
         let adds = kernel.indices.len() as u64;
         let mut probe = self.introspect("kernel");
-        let run = drive_scatter_probed(node, &kernel, self.fetch, &mut probe);
+        let run = drive_scatter_probed(node, &kernel, spec.fetch, &mut probe);
         let resilience = run.stats.resilience;
         let result = (0..len)
             .map(|w| run.node.store().read_word(Addr::from_word_index(base + w)))
@@ -767,7 +781,11 @@ mod tests {
             .expect("valid")
             .run();
         assert_eq!(served, fresh);
-        assert_eq!(cache.stores(), 2, "the stale entry is replaced");
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.stores()),
+            (0, 1, 2),
+            "a recomputed stale entry is a miss, and it is replaced"
+        );
         let entry = cache.lookup(&fp).expect("fresh entry");
         assert_eq!(entry.to_string_compact(), text);
         let _ = std::fs::remove_dir_all(&dir);

@@ -230,21 +230,10 @@ impl SessionSpec {
     }
 
     /// Lower the spec into a [`SessionBuilder`] carrying every field.
-    /// `to_builder().build()` validates the combination; a spec made by
-    /// [`Session::spec`](crate::Session::spec) always builds.
+    /// `to_builder().build()` validates the combination; the spec of a
+    /// built [`Session`](crate::Session) always builds.
     pub fn to_builder(&self) -> SessionBuilder {
-        let mut b = SessionBuilder::default()
-            .config(self.config)
-            .workload(self.workload.clone())
-            .probe(self.probe_interval)
-            .fetch(self.fetch);
-        if let Some(plan) = &self.faults {
-            b = b.faults(plan.clone());
-        }
-        if let Some(ff) = self.exec.fast_forward {
-            b = b.fast_forward(ff);
-        }
-        b
+        SessionBuilder::from_spec(self.clone())
     }
 }
 
@@ -542,7 +531,7 @@ mod tests {
         let spec = multinode_spec();
         let session = spec.to_builder().build().expect("valid spec");
         assert_eq!(spec.fingerprint().digest(), session.fingerprint().digest());
-        assert_eq!(session.spec(), spec, "lossless through Session");
+        assert_eq!(session.spec(), &spec, "lossless through Session");
     }
 
     #[test]

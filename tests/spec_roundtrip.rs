@@ -272,3 +272,62 @@ fn long_json_strings_parse_in_linear_time() {
         "1 MiB string took {elapsed:?}"
     );
 }
+
+/// The text of a valid multinode job with a fault plan and a non-default
+/// machine: the base that [`damaged_spec_text_is_an_error_not_a_panic`]
+/// truncates and bit-flips.
+fn fuzz_base_text() -> String {
+    let mut cfg = MachineConfig::merrimac();
+    cfg.sa.cs_entries = 16;
+    let mut spec = SessionSpec::new(Workload::MultiNode {
+        nodes: 4,
+        network: NetworkConfig::low(),
+        combining: true,
+        topology: Topology::Hypercube,
+        trace: vec![0, 9, 3, 9, 17, 2],
+        values: vec![1.0, -0.5, 2.25, 1e-3, 4.0, 0.125],
+    });
+    spec.config = cfg;
+    spec.probe_interval = 256;
+    spec.exec.fast_forward = Some(false);
+    spec.faults = Some(
+        sa_faults::FaultPlan::parse(
+            r#"{"schema":"sa-faultplan","version":1,"seed":3,"cs_timeout":32,
+                "faults":[{"kind":"net_nack","period":4,"max":30},
+                          {"kind":"cs_stall","period":9,"cycles":5}]}"#,
+        )
+        .expect("valid plan"),
+    );
+    spec.to_builder()
+        .build()
+        .expect("the undamaged job is valid");
+    spec.to_json().to_string_compact()
+}
+
+/// Parse, validate and build one job text, the path an untrusted job body
+/// takes; the result is irrelevant, only that it returns.
+fn parse_and_build(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    if let Ok(doc) = Json::parse(&text) {
+        if let Ok(spec) = SessionSpec::from_json(&doc) {
+            let _ = spec.to_builder().build();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Untrusted job text: a truncation or a single-bit flip of a valid
+    /// multinode spec parses, validates and builds to `Ok` or `Err`, never
+    /// a panic.
+    #[test]
+    fn damaged_spec_text_is_an_error_not_a_panic(cut in any::<u64>(), bit in any::<u64>()) {
+        let base = fuzz_base_text().into_bytes();
+        parse_and_build(&base[..cut as usize % base.len()]);
+        let bit = bit as usize % (base.len() * 8);
+        let mut flipped = base;
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        parse_and_build(&flipped);
+    }
+}
