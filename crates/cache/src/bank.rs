@@ -130,14 +130,14 @@ impl Counters for CacheStats {
     }
 }
 
-#[derive(Clone, Debug)]
+/// One line's metadata; its words live in the bank's flat data array.
+#[derive(Copy, Clone, Debug, Default)]
 struct Line {
     valid: bool,
     dirty: bool,
     partial_sum: bool,
     tag: u64,
     lru: u64,
-    data: Vec<u64>,
 }
 
 /// One deferred access waiting on a line fill. Targets replay strictly in
@@ -170,7 +170,14 @@ pub struct CacheBank {
     cfg: CacheConfig,
     node: usize,
     bank_index: usize,
-    sets: Vec<Vec<Line>>,
+    /// Sets in this bank (`cfg.sets_per_bank()`, computed once).
+    sets: u64,
+    /// Words per line (`cfg.words_per_line()`).
+    words: usize,
+    /// Line metadata, set-major: way `w` of set `s` is `lines[s * ways + w]`.
+    lines: Vec<Line>,
+    /// Line words, in the same order as `lines`, `words` per line.
+    data: Vec<u64>,
     mshrs: Vec<Mshr>,
     /// Line base → index into `mshrs`. Line bases are unique across MSHRs by
     /// construction, and every access probes this on the miss path, so the
@@ -196,26 +203,16 @@ impl CacheBank {
     /// Create bank `bank_index` of node `node` with geometry from `cfg`.
     pub fn new(cfg: CacheConfig, node: usize, bank_index: usize) -> CacheBank {
         assert!(bank_index < cfg.banks, "bank index out of range");
-        let ways = cfg.ways;
+        let sets = cfg.sets_per_bank();
         let words = cfg.words_per_line() as usize;
-        let sets = (0..cfg.sets_per_bank())
-            .map(|_| {
-                (0..ways)
-                    .map(|_| Line {
-                        valid: false,
-                        dirty: false,
-                        partial_sum: false,
-                        tag: 0,
-                        lru: 0,
-                        data: vec![0; words],
-                    })
-                    .collect()
-            })
-            .collect();
+        let n_lines = sets as usize * cfg.ways;
         CacheBank {
             node,
             bank_index,
             sets,
+            words,
+            lines: vec![Line::default(); n_lines],
+            data: vec![0; n_lines * words],
             mshrs: Vec::with_capacity(cfg.mshrs_per_bank),
             mshr_lookup: FxHashMap::default(),
             mem_out: BoundedQueue::new(cfg.mshrs_per_bank * 2),
@@ -277,7 +274,7 @@ impl CacheBank {
             "address {addr} does not map to bank {}",
             self.bank_index
         );
-        let set = ((line_index / self.cfg.banks as u64) % self.cfg.sets_per_bank()) as usize;
+        let set = ((line_index / self.cfg.banks as u64) % self.sets) as usize;
         let tag = line_index;
         let offset = ((addr.0 % self.cfg.line_bytes) / WORD_BYTES) as usize;
         (set, tag, offset)
@@ -287,13 +284,70 @@ impl CacheBank {
         addr.line_base(self.cfg.line_bytes)
     }
 
+    /// Index of way `way` of set `set` into `lines` (and, times `words`,
+    /// into `data`).
+    fn slot(&self, set: usize, way: usize) -> usize {
+        set * self.cfg.ways + way
+    }
+
+    /// The ways of set `set`.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let first = self.slot(set, 0);
+        &self.lines[first..first + self.cfg.ways]
+    }
+
+    fn line(&mut self, set: usize, way: usize) -> &mut Line {
+        let i = self.slot(set, way);
+        &mut self.lines[i]
+    }
+
+    /// The words of way `way` of set `set`.
+    fn words(&self, set: usize, way: usize) -> &[u64] {
+        let first = self.slot(set, way) * self.words;
+        &self.data[first..first + self.words]
+    }
+
+    fn words_mut(&mut self, set: usize, way: usize) -> &mut [u64] {
+        let first = self.slot(set, way) * self.words;
+        &mut self.data[first..first + self.words]
+    }
+
+    /// Install line `tag` in way `way` of set `set` with the given flags
+    /// and contents (`None` zero-fills it).
+    fn install(
+        &mut self,
+        set: usize,
+        way: usize,
+        tag: u64,
+        dirty: bool,
+        partial_sum: bool,
+        words: Option<&[u64]>,
+    ) {
+        *self.line(set, way) = Line {
+            valid: true,
+            dirty,
+            partial_sum,
+            tag,
+            lru: 0,
+        };
+        let dst = self.words_mut(set, way);
+        match words {
+            Some(src) => dst.copy_from_slice(src),
+            None => dst.fill(0),
+        }
+        self.touch(set, way);
+    }
+
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        self.sets[set].iter().position(|l| l.valid && l.tag == tag)
+        self.set_lines(set)
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
     }
 
     fn touch(&mut self, set: usize, way: usize) {
         self.lru_tick += 1;
-        self.sets[set][way].lru = self.lru_tick;
+        let tick = self.lru_tick;
+        self.line(set, way).lru = tick;
     }
 
     fn line_base_from_parts(&self, _set: usize, tag: u64) -> Addr {
@@ -303,24 +357,26 @@ impl CacheBank {
     /// Pick a victim way and evict it if needed. Returns the way on success,
     /// or `None` when eviction is blocked (the write-back queue is full).
     fn make_room(&mut self, set: usize) -> Option<usize> {
-        if let Some(way) = self.sets[set].iter().position(|l| !l.valid) {
+        let ways = self.set_lines(set);
+        if let Some(way) = ways.iter().position(|l| !l.valid) {
             return Some(way);
         }
-        let way = self.sets[set]
+        let way = ways
             .iter()
             .enumerate()
             .min_by_key(|(_, l)| l.lru)
             .map(|(i, _)| i)
             .expect("ways > 0");
-        let (dirty, partial) = {
-            let l = &self.sets[set][way];
-            (l.dirty, l.partial_sum)
-        };
+        let Line {
+            dirty,
+            partial_sum: partial,
+            tag,
+            ..
+        } = ways[way];
         if dirty {
-            let tag = self.sets[set][way].tag;
             let base = self.line_base_from_parts(set, tag);
             if partial {
-                let data = self.sets[set][way].data.clone();
+                let data = self.words(set, way).to_vec();
                 self.sum_backs.push_back(SumBack { base, data });
                 self.stats.sum_backs += 1;
             } else {
@@ -328,7 +384,7 @@ impl CacheBank {
                     return None;
                 }
                 self.next_cmd_id += 1;
-                let data = self.sets[set][way].data.clone();
+                let data = self.words(set, way).to_vec();
                 // Write-backs retire traffic from many past requests; no
                 // single originator to attribute.
                 let cmd = DramCommand {
@@ -347,7 +403,7 @@ impl CacheBank {
             }
         }
         self.stats.evictions += 1;
-        let l = &mut self.sets[set][way];
+        let l = self.line(set, way);
         l.valid = false;
         l.dirty = false;
         l.partial_sum = false;
@@ -389,7 +445,7 @@ impl CacheBank {
         match access.kind {
             AccessKind::Read { zero_alloc } => {
                 if let Some(way) = hit_way {
-                    let bits = self.sets[set][way].data[offset];
+                    let bits = self.words(set, way)[offset];
                     self.touch(set, way);
                     self.stats.read_hits += 1;
                     self.push_ready(access, bits, now);
@@ -418,14 +474,7 @@ impl CacheBank {
                         self.stats.blocked += 1;
                         return Err(access);
                     };
-                    let words = self.cfg.words_per_line() as usize;
-                    let l = &mut self.sets[set][way];
-                    l.valid = true;
-                    l.dirty = false;
-                    l.partial_sum = false;
-                    l.tag = tag;
-                    l.data = vec![0; words];
-                    self.touch(set, way);
+                    self.install(set, way, tag, false, false, None);
                     self.stats.zero_allocs += 1;
                     self.push_ready(access, 0, now);
                     return Ok(());
@@ -463,8 +512,8 @@ impl CacheBank {
             }
             AccessKind::Write { bits, partial_sum } => {
                 if let Some(way) = hit_way {
-                    let l = &mut self.sets[set][way];
-                    l.data[offset] = bits;
+                    self.words_mut(set, way)[offset] = bits;
+                    let l = self.line(set, way);
                     l.dirty = true;
                     l.partial_sum |= partial_sum;
                     self.touch(set, way);
@@ -489,15 +538,8 @@ impl CacheBank {
                         self.stats.blocked += 1;
                         return Err(access);
                     };
-                    let words = self.cfg.words_per_line() as usize;
-                    let l = &mut self.sets[set][way];
-                    l.valid = true;
-                    l.dirty = true;
-                    l.partial_sum = true;
-                    l.tag = tag;
-                    l.data = vec![0; words];
-                    l.data[offset] = bits;
-                    self.touch(set, way);
+                    self.install(set, way, tag, true, true, None);
+                    self.words_mut(set, way)[offset] = bits;
                     self.stats.zero_allocs += 1;
                     return Ok(());
                 }
@@ -613,21 +655,13 @@ impl CacheBank {
             .mshr_lookup
             .iter()
             .all(|(&b, &i)| self.mshrs[i].line_base.0 == b));
-        {
-            let l = &mut self.sets[set][way];
-            l.valid = true;
-            l.dirty = false;
-            l.partial_sum = false;
-            l.tag = tag;
-            l.data = resp.data;
-        }
-        self.touch(set, way);
+        self.install(set, way, tag, false, false, Some(&resp.data));
         // Replay deferred accesses in arrival order so reads observe
         // exactly the writes that preceded them.
         for target in mshr.targets {
             match target {
                 MshrTarget::Read(id, offset, origin) => {
-                    let bits = self.sets[set][way].data[offset];
+                    let bits = self.words(set, way)[offset];
                     self.ready.push_back(MemResponse {
                         id,
                         addr: Addr(base.0 + (offset as u64) * WORD_BYTES),
@@ -637,8 +671,8 @@ impl CacheBank {
                     });
                 }
                 MshrTarget::Write(offset, bits, partial) => {
-                    let l = &mut self.sets[set][way];
-                    l.data[offset] = bits;
+                    self.words_mut(set, way)[offset] = bits;
+                    let l = self.line(set, way);
                     l.dirty = true;
                     l.partial_sum |= partial;
                 }
@@ -756,19 +790,15 @@ impl CacheBank {
     /// synchronization step at the end of a multi-node scatter-add (§3.2).
     pub fn flush_sum_backs(&mut self) -> Vec<SumBack> {
         let mut out = Vec::new();
-        for set in 0..self.sets.len() {
+        for set in 0..self.sets as usize {
             for way in 0..self.cfg.ways {
-                let (valid, partial) = {
-                    let l = &self.sets[set][way];
-                    (l.valid, l.partial_sum && l.dirty)
-                };
-                if valid && partial {
-                    let tag = self.sets[set][way].tag;
-                    let base = self.line_base_from_parts(set, tag);
-                    let data = self.sets[set][way].data.clone();
+                let l = self.set_lines(set)[way];
+                if l.valid && l.partial_sum && l.dirty {
+                    let base = self.line_base_from_parts(set, l.tag);
+                    let data = self.words(set, way).to_vec();
                     out.push(SumBack { base, data });
                     self.stats.sum_backs += 1;
-                    let l = &mut self.sets[set][way];
+                    let l = self.line(set, way);
                     l.valid = false;
                     l.dirty = false;
                     l.partial_sum = false;
@@ -785,17 +815,17 @@ impl CacheBank {
     /// [`CacheBank::flush_sum_backs`], which applies scatter-add semantics).
     pub fn flush_dirty(&mut self) -> Vec<(Addr, Vec<u64>)> {
         let mut out = Vec::new();
-        for set in 0..self.sets.len() {
+        for set in 0..self.sets as usize {
             for way in 0..self.cfg.ways {
-                let l = &self.sets[set][way];
+                let l = self.set_lines(set)[way];
                 if !l.valid || l.partial_sum {
                     continue;
                 }
                 let base = self.line_base_from_parts(set, l.tag);
                 if l.dirty {
-                    out.push((base, l.data.clone()));
+                    out.push((base, self.words(set, way).to_vec()));
                 }
-                let l = &mut self.sets[set][way];
+                let l = self.line(set, way);
                 l.valid = false;
                 l.dirty = false;
             }
@@ -835,7 +865,7 @@ impl CacheBank {
     pub fn probe(&self, addr: Addr) -> Option<u64> {
         let (set, tag, offset) = self.locate(addr);
         self.find_way(set, tag)
-            .map(|way| self.sets[set][way].data[offset])
+            .map(|way| self.words(set, way)[offset])
     }
 }
 

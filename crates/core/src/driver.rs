@@ -7,7 +7,6 @@
 //! experiments (§4.4, §4.5) need, and what unit/property tests use to check
 //! atomicity end to end.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use sa_sim::{
@@ -264,31 +263,12 @@ pub fn drive_scatter_probed(
         "index/value length mismatch"
     );
     let cfg = *node.config();
-    let pending: VecDeque<MemRequest> = kernel
-        .indices
-        .iter()
-        .zip(&kernel.values)
-        .enumerate()
-        .map(|(i, (&idx, &bits))| MemRequest {
-            id: i as u64,
-            addr: Addr::from_word_index(kernel.base_word + idx),
-            op: MemOp::Scatter {
-                bits,
-                kind: kernel.kind,
-                op: kernel.op,
-                fetch,
-            },
-            origin: Origin::AddrGen {
-                node: 0,
-                ag: i % cfg.ag.count,
-            },
-        })
-        .collect();
     let fast_forward = node.fast_forward();
     let mut m = Driver {
         node,
-        total: pending.len(),
-        pending,
+        kernel,
+        next: 0,
+        ag_count: cfg.ag.count,
         issue_per_cycle: (cfg.ag.count as u32 * cfg.ag.width) as usize,
         fetch,
         acked: 0,
@@ -312,12 +292,15 @@ pub fn drive_scatter_probed(
     }
 }
 
-/// The scatter driver's run state: the node and the requests not yet
-/// accepted by it.
-struct Driver {
+/// The scatter driver's run state: the node and a cursor into the kernel.
+/// Requests are built as they are injected; a rejected one is rebuilt, with
+/// the same id, on the next cycle.
+struct Driver<'k> {
     node: NodeMemSys,
-    pending: VecDeque<MemRequest>,
-    total: usize,
+    kernel: &'k ScatterKernel,
+    /// Index of the next request to inject (every earlier one was accepted).
+    next: usize,
+    ag_count: usize,
     issue_per_cycle: usize,
     fetch: bool,
     acked: usize,
@@ -325,21 +308,41 @@ struct Driver {
     ack_time: u64,
 }
 
-impl Machine for Driver {
+impl Driver<'_> {
+    /// The kernel's `i`-th scatter request.
+    fn request(&self, i: usize) -> MemRequest {
+        let k = self.kernel;
+        MemRequest {
+            id: i as u64,
+            addr: Addr::from_word_index(k.base_word + k.indices[i]),
+            op: MemOp::Scatter {
+                bits: k.values[i],
+                kind: k.kind,
+                op: k.op,
+                fetch: self.fetch,
+            },
+            origin: Origin::AddrGen {
+                node: 0,
+                ag: i % self.ag_count,
+            },
+        }
+    }
+
+    fn total(&self) -> usize {
+        self.kernel.indices.len()
+    }
+
+    fn all_injected(&self) -> bool {
+        self.next == self.total()
+    }
+}
+
+impl Machine for Driver<'_> {
     fn step(&mut self, now: Cycle, prof: &mut HostProfiler) {
         prof.time("inject", || {
-            let mut issued = 0;
-            while issued < self.issue_per_cycle {
-                let Some(req) = self.pending.pop_front() else {
-                    break;
-                };
-                match self.node.inject(req, now) {
-                    Ok(()) => issued += 1,
-                    Err(req) => {
-                        self.pending.push_front(req);
-                        break;
-                    }
-                }
+            let end = self.total().min(self.next + self.issue_per_cycle);
+            while self.next < end && self.node.inject(self.request(self.next), now).is_ok() {
+                self.next += 1;
             }
         });
         prof.time("tick", || self.node.tick(now));
@@ -349,7 +352,7 @@ impl Machine for Driver {
                 if self.fetch {
                     self.fetched.push((c.id, c.bits));
                 }
-                if self.acked == self.total {
+                if self.acked == self.total() {
                     self.ack_time = c.at.raw();
                 }
             }
@@ -357,13 +360,13 @@ impl Machine for Driver {
     }
 
     fn end_of_cycle(&mut self, _: &mut HostProfiler) -> bool {
-        self.pending.is_empty() && self.node.is_idle()
+        self.all_injected() && self.node.is_idle()
     }
 
     /// While requests are still pending, every cycle retries injection
     /// (mutating queue-rejection counters), so those cycles are ticked.
     fn horizon(&self, now: Cycle) -> Option<Cycle> {
-        if self.pending.is_empty() {
+        if self.all_injected() {
             self.node.next_event(now)
         } else {
             None
@@ -380,7 +383,7 @@ impl Machine for Driver {
 
     fn heartbeat_fields(&self, o: &mut Json) {
         o.push("acked", Json::UInt(self.acked as u64));
-        o.push("total", Json::UInt(self.total as u64));
+        o.push("total", Json::UInt(self.total() as u64));
     }
 }
 

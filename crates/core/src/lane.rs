@@ -23,11 +23,10 @@
 use std::collections::VecDeque;
 
 use sa_cache::{AccessKind, CacheAccess, CacheBank};
-use sa_mem::DramChannel;
 use sa_sim::{Addr, BoundedQueue, Cycle, DramConfig, MemOp, MemRequest, MemResponse, Origin};
 use sa_telemetry::{ChromeTrace, ReqStage, ReqTracer};
 
-use crate::node::home_of_line;
+use crate::node::{home_of_line, Channels};
 use crate::unit::{ScatterAddUnit, ToMem};
 
 /// One cache bank's slice of the node: the bank, the scatter-add unit in
@@ -93,25 +92,28 @@ pub(crate) fn retire_req(
 
 /// The front phase of one lane for cycle `now`: fold queue time, tick the
 /// bank, and move one outgoing DRAM command toward its channel (a single
-/// conditional pop: the head stays queued when its channel is busy).
+/// conditional pop: the head stays queued when its channel is busy). A
+/// sleeping channel is woken just before the command is submitted.
 pub(crate) fn lane_front(
     lane: &mut BankLane,
     now: Cycle,
-    channels: &mut [DramChannel],
+    channels: &mut Channels,
     dram_cfg: DramConfig,
     line_bytes: u64,
     req_trace: &mut ReqTracer,
 ) {
     lane.bank_in.advance(now.raw());
     lane.bank.tick(now);
-    if let Some(cmd) = lane.bank.pop_mem_cmd_if(|cmd| {
-        channels[dram_cfg.channel_of_line(cmd.base.line_index(line_bytes))].can_accept()
-    }) {
+    let channel_of =
+        |cmd: &sa_mem::DramCommand| dram_cfg.channel_of_line(cmd.base.line_index(line_bytes));
+    if let Some(cmd) = lane
+        .bank
+        .pop_mem_cmd_if(|cmd| channels.can_accept(channel_of(cmd)))
+    {
         if let Some(rid) = cmd.req {
             req_trace.stamp(rid, ReqStage::Dram, now.raw());
         }
-        let ch = dram_cfg.channel_of_line(cmd.base.line_index(line_bytes));
-        channels[ch].try_submit(cmd, now).expect("capacity checked");
+        channels.submit(channel_of(&cmd), cmd, now);
     }
 }
 

@@ -2,14 +2,16 @@
 //! unit in front of each bank (Figure 4a), and the DRAM channels behind them.
 //!
 //! Each cycle is stepped serially over per-bank [`lane`](crate::lane)s: the
-//! DRAM channels, then every lane's front phase, then every lane's step
-//! phase, all in bank order.
+//! awake DRAM channels, then every lane's front phase, then every lane's
+//! step phase, all in bank order. A DRAM channel that a tick leaves idle
+//! sleeps until a lane's front phase submits a command to it (see
+//! [`Channels`]).
 
 use std::collections::VecDeque;
 
 use sa_cache::{CacheBank, CacheStats, SumBack};
 use sa_faults::{FaultPlan, FaultSite, ResilienceStats};
-use sa_mem::{BackingStore, DramChannel, DramStats};
+use sa_mem::{BackingStore, DramChannel, DramCommand, DramResponse, DramStats};
 use sa_sim::{
     Addr, BoundedQueue, Cycle, MachineConfig, MemOp, MemRequest, MemResponse, Origin, QueueStats,
 };
@@ -80,7 +82,7 @@ pub struct NodeMemSys {
     combining: bool,
     /// Per-bank lanes (bank + scatter-add unit + input queue).
     lanes: Vec<BankLane>,
-    channels: Vec<DramChannel>,
+    channels: Channels,
     store: BackingStore,
     completions: VecDeque<MemResponse>,
     /// Node count when part of a multi-node machine (`None` = standalone).
@@ -134,9 +136,7 @@ impl NodeMemSys {
                 rr_sa_first: false,
             })
             .collect();
-        let channels = (0..cfg.dram.channels)
-            .map(|_| DramChannel::new(cfg.dram))
-            .collect();
+        let channels = Channels::new(cfg.dram.channels, cfg.dram);
         let mut sys = NodeMemSys {
             node,
             combining,
@@ -183,7 +183,7 @@ impl NodeMemSys {
     /// fault decisions are reproducible regardless of stepping order or
     /// fast-forward.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        for (c, ch) in self.channels.iter_mut().enumerate() {
+        for (c, ch) in self.channels.chans.iter_mut().enumerate() {
             ch.set_fault_injector(plan.injector(FaultSite::DramRead, self.node as u64, c as u64));
         }
         for (b, lane) in self.lanes.iter_mut().enumerate() {
@@ -331,10 +331,11 @@ impl NodeMemSys {
         self.lanes[self.bank_of(addr)].bank_in.free()
     }
 
-    /// Advance the whole memory system by one cycle: DRAM channels first,
-    /// then every lane's front phase in bank order, then every lane's step
-    /// phase in bank order (see [`lane`](crate::lane) for why this equals
-    /// the interleaved per-bank loop).
+    /// Advance the whole memory system by one cycle: the awake DRAM
+    /// channels first, then every lane's front phase in bank order (which
+    /// wakes a sleeping channel just before submitting to it), then every
+    /// lane's step phase in bank order (see [`lane`](crate::lane) for why
+    /// this equals the interleaved per-bank loop).
     pub fn tick(&mut self, now: Cycle) {
         let params = self.lane_params();
         let line_bytes = self.cfg.cache.line_bytes;
@@ -349,15 +350,11 @@ impl NodeMemSys {
             ..
         } = self;
 
-        // 1. DRAM channels produce fills / acknowledgements.
-        for ch in channels.iter_mut() {
-            if let Some(resp) = ch.tick(now, store) {
-                match resp.origin {
-                    Origin::CacheBank { bank, .. } => lanes[bank].bank.on_mem_response(resp),
-                    other => panic!("unexpected DRAM response origin {other:?}"),
-                }
-            }
-        }
+        // 1. Awake DRAM channels produce fills / acknowledgements.
+        channels.tick(now, store, |resp| match resp.origin {
+            Origin::CacheBank { bank, .. } => lanes[bank].bank.on_mem_response(resp),
+            other => panic!("unexpected DRAM response origin {other:?}"),
+        });
 
         // 2+3. Front phase: bank tick + DRAM command submission.
         for lane in lanes.iter_mut() {
@@ -398,8 +395,8 @@ impl NodeMemSys {
             tracer.counter(&track, "cs_residency", cycle, cs as f64);
         }
         let mut bus_words = 0u64;
-        for c in 0..self.channels.len() {
-            let words = self.channels[c].stats().words_transferred;
+        for c in 0..self.channels.chans.len() {
+            let words = self.channels.chans[c].stats().words_transferred;
             let delta = words - self.last_dram_words[c];
             self.last_dram_words[c] = words;
             bus_words += delta;
@@ -408,7 +405,7 @@ impl NodeMemSys {
         }
         // Fraction of the node's peak DRAM bandwidth used this interval.
         let peak_words = self.cfg.dram.channel_rate.words_per_cycle()
-            * self.channels.len() as f64
+            * self.channels.chans.len() as f64
             * DEFAULT_SAMPLE_INTERVAL as f64;
         let bus_util = if peak_words > 0.0 {
             bus_words as f64 / peak_words
@@ -487,7 +484,7 @@ impl NodeMemSys {
                 .lanes
                 .iter()
                 .all(|lane| lane.bank_in.is_empty() && lane.bank.is_idle() && lane.sa.is_idle())
-            && self.channels.iter().all(|c| c.is_idle())
+            && self.channels.chans.iter().all(DramChannel::is_idle)
     }
 
     /// Earliest future cycle at which this node can change state on its own
@@ -521,7 +518,7 @@ impl NodeMemSys {
                 fold(e.raw());
             }
         }
-        for c in &self.channels {
+        for c in &self.channels.chans {
             if let Some(e) = c.next_event(now) {
                 fold(e.raw());
             }
@@ -536,6 +533,8 @@ impl NodeMemSys {
     /// statistics, keeping them byte-identical with per-cycle ticking. The
     /// caller must have verified `now + skipped < next_event(now)` — i.e. no
     /// component changes state and no request is retried during the window.
+    /// Sleeping DRAM channels are left alone: their wake folds these cycles
+    /// with the rest they missed.
     pub fn skip_cycles(&mut self, now: Cycle, skipped: u64) {
         debug_assert!(
             self.next_event(now).is_none_or(|e| e > now + skipped),
@@ -546,9 +545,7 @@ impl NodeMemSys {
             lane.bank.skip_cycles(now, skipped);
             lane.bank_in.advance(now.raw() + skipped);
         }
-        for c in &mut self.channels {
-            c.skip_idle(now, skipped);
-        }
+        self.channels.skip(now, skipped);
     }
 
     /// Aggregate statistics over all banks, units, and channels.
@@ -562,9 +559,9 @@ impl NodeMemSys {
             s.cache.merge(lane.bank.stats());
             s.resilience.merge(&lane.bank.resilience_stats());
         }
-        for c in &self.channels {
-            s.dram.merge(c.stats());
-            s.resilience.merge(&c.resilience_stats());
+        for (c, ch) in self.channels.chans.iter().enumerate() {
+            s.dram.merge(self.channels.stats(c).0);
+            s.resilience.merge(&ch.resilience_stats());
         }
         for lane in &self.lanes {
             s.bank_in.merge(lane.bank_in.stats());
@@ -586,11 +583,10 @@ impl NodeMemSys {
                 .stats()
                 .record(&mut scope.scope(&format!("cache.bank{b}")));
         }
-        for (c, ch) in self.channels.iter().enumerate() {
-            ch.stats()
-                .record(&mut scope.scope(&format!("dram.chan{c}")));
-            ch.queue_stats()
-                .record(&mut scope.scope(&format!("queue.dram.chan{c}")));
+        for c in 0..self.channels.chans.len() {
+            let (dram, queue) = self.channels.stats(c);
+            dram.record(&mut scope.scope(&format!("dram.chan{c}")));
+            queue.record(&mut scope.scope(&format!("queue.dram.chan{c}")));
         }
         for (b, lane) in self.lanes.iter().enumerate() {
             lane.bank_in
@@ -598,6 +594,110 @@ impl NodeMemSys {
                 .record(&mut scope.scope(&format!("queue.bank_in.bank{b}")));
         }
         self.stats().record(scope);
+    }
+}
+
+/// A node's DRAM channels, ticked only while they have work.
+///
+/// A channel that a tick leaves idle sleeps: the node stops ticking it and
+/// records how many cycles it had accounted when it fell asleep. Submitting
+/// a command wakes it first, folding the idle cycles it missed into its
+/// occupancy, bus credit and queue clock in one [`DramChannel::wake`] call
+/// (zero cycles when it fell asleep earlier in the same cycle). Fast-forward
+/// skips leave sleeping channels alone, and [`Channels::stats`] adds the
+/// owed cycles on a copy, so every counter equals eager per-cycle ticking.
+#[derive(Debug)]
+pub(crate) struct Channels {
+    chans: Vec<DramChannel>,
+    /// Per channel, the value of `ticks` when it fell asleep (`None` while
+    /// awake).
+    asleep_since: Vec<Option<u64>>,
+    /// Cycles accounted so far, ticked or skipped.
+    ticks: u64,
+    /// The latest cycle ticked: an eagerly ticked channel's queue clock.
+    clock: u64,
+}
+
+impl Channels {
+    fn new(n: usize, cfg: sa_sim::DramConfig) -> Channels {
+        Channels {
+            chans: (0..n).map(|_| DramChannel::new(cfg)).collect(),
+            asleep_since: vec![None; n],
+            ticks: 0,
+            clock: 0,
+        }
+    }
+
+    /// Tick every awake channel at `now`, handing each response to
+    /// `on_response`, and put to sleep the channels left idle.
+    fn tick(
+        &mut self,
+        now: Cycle,
+        store: &mut BackingStore,
+        mut on_response: impl FnMut(DramResponse),
+    ) {
+        self.ticks += 1;
+        self.clock = self.clock.max(now.raw());
+        for (ch, asleep) in self.chans.iter_mut().zip(&mut self.asleep_since) {
+            if asleep.is_some() {
+                continue;
+            }
+            if let Some(resp) = ch.tick(now, store) {
+                on_response(resp);
+            }
+            if ch.is_idle() {
+                *asleep = Some(self.ticks);
+            }
+        }
+    }
+
+    /// Whether channel `c`'s command queue can take one more command.
+    pub(crate) fn can_accept(&self, c: usize) -> bool {
+        self.chans[c].can_accept()
+    }
+
+    /// Submit `cmd` to channel `c` at `now`, waking the channel first if it
+    /// sleeps. The caller has checked [`Channels::can_accept`].
+    pub(crate) fn submit(&mut self, c: usize, cmd: DramCommand, now: Cycle) {
+        if self.asleep_since[c].is_some() {
+            let idle = self.owed(c);
+            self.chans[c].wake(idle, Cycle(self.clock));
+            self.asleep_since[c] = None;
+        }
+        self.chans[c]
+            .try_submit(cmd, now)
+            .expect("capacity checked");
+    }
+
+    /// The idle cycles channel `c` has missed while asleep.
+    fn owed(&self, c: usize) -> u64 {
+        self.asleep_since[c].map_or(0, |since| {
+            debug_assert!(since <= self.ticks, "a wake never folds a negative count");
+            self.ticks - since
+        })
+    }
+
+    /// Fold `k` fast-forwarded cycles into the awake channels.
+    fn skip(&mut self, now: Cycle, k: u64) {
+        self.ticks += k;
+        for (ch, asleep) in self.chans.iter_mut().zip(&self.asleep_since) {
+            if asleep.is_none() {
+                ch.skip_idle(now, k);
+            }
+        }
+    }
+
+    /// Channel `c`'s counters and command-queue statistics, with the idle
+    /// cycles it owes while asleep folded in.
+    fn stats(&self, c: usize) -> (DramStats, QueueStats) {
+        let ch = &self.chans[c];
+        let (mut dram, mut queue) = (ch.stats(), ch.queue_stats());
+        if self.asleep_since[c].is_some() {
+            dram.occ
+                .skip(self.owed(c), sa_telemetry::OccClass::Idle, false);
+            queue.advance(0, self.clock);
+        }
+        (dram, queue)
     }
 }
 
@@ -624,7 +724,7 @@ impl sa_telemetry::Inspectable for NodeMemSys {
         for (b, lane) in self.lanes.iter().enumerate() {
             children.register(&format!("cache.bank{b}"), &lane.bank);
         }
-        for (c, ch) in self.channels.iter().enumerate() {
+        for (c, ch) in self.channels.chans.iter().enumerate() {
             children.register(&format!("dram.chan{c}"), ch);
         }
         o.push("components", children.into_components());
