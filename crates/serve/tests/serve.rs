@@ -243,6 +243,19 @@ fn malformed_specs_and_unknown_routes_answer_4xx() {
     let long = format!("{{\"schema\":\"{}\"}}", "s".repeat(4 << 20));
     let long_schema = client::submit(&addr, &long, "", None).expect("submit");
     assert_eq!(long_schema.status, 400);
+    // A job over a size limit is refused before it runs.
+    let huge = SessionSpec::new(Workload::Histogram {
+        base_word: 0,
+        indices: vec![1 << 40],
+    });
+    let too_large =
+        client::submit(&addr, &huge.to_json().to_string_pretty(), "", None).expect("submit");
+    assert_eq!(too_large.status, 400);
+    assert!(
+        too_large.body.contains("MAX_RESULT_WORDS"),
+        "{}",
+        too_large.body
+    );
     let missing = client::request(&addr, "GET", "/v1/nothing", &[], None).expect("request");
     assert_eq!(missing.status, 404);
     let wrong_method = client::request(&addr, "GET", "/v1/jobs", &[], None).expect("request");

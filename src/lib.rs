@@ -39,7 +39,9 @@ pub use sa_faults::{FaultPlan, ResilienceStats};
 pub use sa_memo::{Fingerprint, ResultCache};
 pub use sa_multinode::Topology;
 pub use sa_sim::{MachineConfig, NetworkConfig};
-pub use session::{Session, SessionBuilder, SessionReport, Workload};
+pub use session::{
+    Session, SessionBuilder, SessionReport, Workload, MAX_NODES, MAX_RESULT_WORDS, MAX_TRACE_LEN,
+};
 pub use spec::{ExecSpec, SessionSpec, SPEC_SCHEMA_NAME, SPEC_SCHEMA_VERSION};
 
 #[cfg(test)]

@@ -81,6 +81,36 @@ pub enum Workload {
     },
 }
 
+/// Most words of simulated memory a job's result array may span: its
+/// largest index plus `base_word` plus one (512 MiB of result). A histogram
+/// with the single index `1 << 40` would otherwise allocate 8 TiB.
+pub const MAX_RESULT_WORDS: u64 = 1 << 26;
+
+/// Most scatter-adds (indices) one job may carry.
+pub const MAX_TRACE_LEN: usize = 1 << 24;
+
+/// Most nodes a multinode job may ask for.
+pub const MAX_NODES: usize = 64;
+
+/// Check a job's size against [`MAX_TRACE_LEN`] and [`MAX_RESULT_WORDS`]:
+/// `indices` address words `base_word + index`.
+fn check_size(base_word: u64, indices: &[u64]) -> Result<(), String> {
+    if indices.len() > MAX_TRACE_LEN {
+        return Err(format!(
+            "job too large: {} indices exceed MAX_TRACE_LEN ({MAX_TRACE_LEN})",
+            indices.len()
+        ));
+    }
+    let max = indices.iter().copied().max().unwrap_or(0);
+    match base_word.checked_add(max).and_then(|w| w.checked_add(1)) {
+        Some(words) if words <= MAX_RESULT_WORDS => Ok(()),
+        _ => Err(format!(
+            "job too large: base_word {base_word} + largest index {max} + 1 exceeds \
+             MAX_RESULT_WORDS ({MAX_RESULT_WORDS} words)"
+        )),
+    }
+}
+
 /// Everything a finished session reports.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionReport {
@@ -413,13 +443,17 @@ impl SessionBuilder {
     ///
     /// Returns a description of the first problem: no workload (an empty
     /// histogram), mismatched trace/values lengths, a zero node count, a
-    /// non-power-of-two hypercube, or fetch-ops on a multinode workload.
+    /// non-power-of-two hypercube, fetch-ops on a multinode workload, or a
+    /// job over a size limit ([`MAX_RESULT_WORDS`], [`MAX_TRACE_LEN`],
+    /// [`MAX_NODES`]; the error names the limit). Nothing is simulated or
+    /// allocated for a rejected job.
     pub fn build(self) -> Result<Session, String> {
         match &self.spec.workload {
-            Workload::Histogram { indices, .. } => {
+            Workload::Histogram { base_word, indices } => {
                 if indices.is_empty() {
                     return Err("no workload: the histogram has no indices".into());
                 }
+                check_size(*base_word, indices)?;
             }
             Workload::Scatter(kernel) => {
                 if kernel.indices.len() != kernel.values.len() {
@@ -429,6 +463,7 @@ impl SessionBuilder {
                         kernel.values.len()
                     ));
                 }
+                check_size(kernel.base_word, &kernel.indices)?;
             }
             Workload::MultiNode {
                 nodes,
@@ -440,6 +475,12 @@ impl SessionBuilder {
                 if *nodes == 0 {
                     return Err("multinode workload needs at least one node".into());
                 }
+                if *nodes > MAX_NODES {
+                    return Err(format!(
+                        "job too large: {nodes} nodes exceed MAX_NODES ({MAX_NODES})"
+                    ));
+                }
+                check_size(0, trace)?;
                 if *topology == Topology::Hypercube && !nodes.is_power_of_two() {
                     return Err(format!(
                         "hypercube needs a power-of-two node count, got {nodes}"
@@ -644,6 +685,66 @@ mod tests {
     #[test]
     fn builder_requires_a_workload() {
         assert!(Session::builder().build().unwrap_err().contains("workload"));
+    }
+
+    fn build_err(workload: Workload) -> String {
+        Session::builder()
+            .workload(workload)
+            .build()
+            .map(|_| ())
+            .expect_err("the job is rejected")
+    }
+
+    #[test]
+    fn oversized_jobs_are_rejected_naming_the_limit() {
+        let err = build_err(Workload::Histogram {
+            base_word: 0,
+            indices: vec![1 << 40],
+        });
+        assert!(err.contains("MAX_RESULT_WORDS"), "{err}");
+        let err = build_err(Workload::Histogram {
+            base_word: u64::MAX,
+            indices: vec![1],
+        });
+        assert!(err.contains("MAX_RESULT_WORDS"), "wrapping sum: {err}");
+        let err = build_err(Workload::MultiNode {
+            nodes: 1_000_000,
+            network: NetworkConfig::low(),
+            combining: true,
+            topology: Topology::Flat,
+            trace: vec![0],
+            values: vec![1.0],
+        });
+        assert!(err.contains("MAX_NODES"), "{err}");
+        let err = build_err(Workload::Scatter(ScatterKernel::histogram(
+            0,
+            vec![0; MAX_TRACE_LEN + 1],
+        )));
+        assert!(err.contains("MAX_TRACE_LEN"), "{err}");
+    }
+
+    #[test]
+    fn size_limits_admit_the_benchmark_jobs() {
+        // The largest benchmark jobs: 1M adds, a 2^22-word range, 8 nodes.
+        let indices = vec![(1 << 22) - 1; 1 << 20];
+        Session::builder()
+            .workload(Workload::Histogram {
+                base_word: 0,
+                indices: indices.clone(),
+            })
+            .build()
+            .expect("histogram fits");
+        Session::builder()
+            .workload(Workload::MultiNode {
+                nodes: 8,
+                network: NetworkConfig::low(),
+                combining: true,
+                topology: Topology::Flat,
+                values: vec![1.0; indices.len()],
+                trace: indices,
+            })
+            .build()
+            .expect("multinode fits");
     }
 
     #[test]
