@@ -4,11 +4,14 @@
 //!
 //! # Phase order
 //!
-//! Per cycle, a node's state splits into two phases:
+//! Per cycle, the node first ticks its awake DRAM channels (a channel that
+//! a tick leaves idle sleeps until a command is submitted to it), then its
+//! lanes' state in two phases:
 //!
 //! * a **front** phase (bank tick + DRAM command submission) that arbitrates
 //!   for the shared DRAM channels, run in bank order so channel capacity is
-//!   consumed in a fixed order; and
+//!   consumed in a fixed order; submitting to a sleeping channel first wakes
+//!   it, folding the idle cycles it missed; and
 //! * a **step** phase (scatter-add ingest, cache port arbitration, unit
 //!   tick, response/ack routing) that touches only lane-local state and the
 //!   node's completion queue.
